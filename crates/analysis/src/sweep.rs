@@ -522,9 +522,8 @@ impl<E: std::fmt::Display> std::fmt::Display for LaneError<E> {
 impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for LaneError<E> {}
 
 /// Renders a caught panic payload (`&str` or `String`) for error reports;
-/// other payload types collapse to a fixed placeholder. Shared by the
-/// supervised fan here and the salvage-mode seed fans in `msp-bench`.
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+/// other payload types collapse to a fixed placeholder.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -541,7 +540,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// slot while every other lane completes; no panic ever reaches the pool
 /// dispatcher from here. This is the degraded-mode fan for long
 /// multi-seed sweeps where losing one seed must not abort hours of
-/// sibling work (the salvage entry points in `msp-bench` build on it).
+/// sibling work.
 ///
 /// Retrying is what makes *transient* faults (an injected
 /// `ErrorKind::Interrupted`, a flaky filesystem) invisible: a lane that

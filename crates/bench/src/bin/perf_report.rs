@@ -54,9 +54,6 @@
 //! * `corpus_seek_vs_scan` (PR 9) — O(1) `seek_to_step` through the
 //!   block-v3 index trailer vs scanning frames from the start of the
 //!   trace to the same probe steps (identical frames asserted),
-//! * `corpus_replay_v3_vs_v2` (PR 9) — zero-copy block-v3 replay
-//!   (borrowed frames into `StreamingSim::feed_requests`) vs the
-//!   chunked-v2 text replay path, bit-equal cost totals asserted,
 //! * `sweep_warm_dp` (PR 10) — a horizon sweep pricing OPT at every
 //!   prefix mark through one warm [`GridDp::solve_warm`] journal
 //!   (each mark replays the shared step prefix for free) vs per-mark
@@ -82,7 +79,7 @@ use msp_analysis::Json;
 use msp_core::cost::{service_cost, service_cost_naive, ServingOrder};
 use msp_core::model::{Instance, Step};
 use msp_core::mtc::MoveToCenter;
-use msp_core::simulator::{run, run_batch_with, run_streaming, BatchOptions, StreamingSim};
+use msp_core::simulator::{run, run_batch_with, run_streaming, BatchOptions};
 use msp_geometry::median::{weighted_center, weighted_center_classic, MedianOptions, MedianSolver};
 use msp_geometry::sample::SeededSampler;
 use msp_geometry::soa::{self, SoaPoints};
@@ -1019,77 +1016,6 @@ fn corpus_seek_vs_scan(sh: &Shapes) -> Comparison {
     }
 }
 
-/// PR 9: zero-copy v3 replay through [`StreamingSim::feed_requests`]
-/// (borrowed frames, no per-step allocation) vs the chunked-v2 text
-/// replay path (`TraceReader::try_next` materializing a `Step` per
-/// frame). Same recorded stream, bit-equal cost totals asserted.
-fn corpus_replay_comparison(sh: &Shapes) -> Comparison {
-    use msp_scenarios::{
-        record_to_vec, BlockTraceReader, InstanceStream, RequestStream, TraceFormat, TraceReader,
-    };
-    use std::io::Cursor;
-
-    const REPLAY_DELTA: f64 = 0.5;
-
-    let inst = sweep_instance(sh);
-    let total = inst.horizon();
-    let mut stream = InstanceStream::new(inst);
-    let v2 = record_to_vec(&mut stream, TraceFormat::ChunkedV2 { chunk: 64 }).expect("record v2");
-    let v3 = record_to_vec(&mut stream, TraceFormat::BlockV3 { block: 64 }).expect("record v3");
-
-    let replay_v2 = || {
-        let mut reader = TraceReader::<2, _>::open(Cursor::new(&v2[..])).expect("open v2");
-        let params = reader.params();
-        let mut sim = StreamingSim::new(
-            &params,
-            MoveToCenter::new(),
-            REPLAY_DELTA,
-            ServingOrder::MoveFirst,
-        );
-        while let Some(step) = reader.try_next().expect("v2 frame") {
-            sim.feed(&step);
-        }
-        let cp = sim.checkpoint();
-        (cp.movement, cp.service)
-    };
-    let replay_v3 = || {
-        let mut reader = BlockTraceReader::<2>::open(&v3).expect("open v3");
-        let params = reader.trace_params();
-        let mut sim = StreamingSim::new(
-            &params,
-            MoveToCenter::new(),
-            REPLAY_DELTA,
-            ServingOrder::MoveFirst,
-        );
-        while let Some(frame) = reader.next_frame().expect("v3 frame") {
-            sim.feed_requests(frame);
-        }
-        let cp = sim.checkpoint();
-        (cp.movement, cp.service)
-    };
-
-    let (m2, s2) = replay_v2();
-    let (m3, s3) = replay_v3();
-    assert_eq!(
-        (m2.to_bits(), s2.to_bits()),
-        (m3.to_bits(), s3.to_bits()),
-        "v3 replay diverged from v2: ({m2}, {s2}) vs ({m3}, {s3})"
-    );
-
-    let baseline_ns = time_ns(sh.reps, replay_v2);
-    let fast_ns = time_ns(sh.reps, replay_v3);
-    Comparison {
-        name: "corpus_replay_v3_vs_v2".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{total}-step Move-to-Center replay at δ={REPLAY_DELTA}: zero-copy block-v3 \
-             frames into feed_requests vs chunked-v2 text decode into feed; cost totals \
-             asserted bit-equal"
-        ),
-    }
-}
-
 /// Extracts `(name, speedup)` pairs from a previously recorded report.
 /// The format is our own compact emitter's (`"name":"…"` precedes
 /// `"speedup":…` inside each bench object, keys alphabetical), so a
@@ -1200,7 +1126,6 @@ fn main() {
         obs_overhead_comparison(&sh),
         session_churn_comparison(&sh),
         corpus_seek_vs_scan(&sh),
-        corpus_replay_comparison(&sh),
     ];
 
     for c in &comparisons {

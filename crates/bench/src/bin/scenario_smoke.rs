@@ -125,13 +125,8 @@ impl SmokeOptions {
     }
 }
 
-fn formats() -> [TraceFormat; 4] {
-    [
-        TraceFormat::TextV1,
-        TraceFormat::ChunkedV2 { chunk: 64 },
-        TraceFormat::Binary,
-        TraceFormat::BlockV3 { block: 64 },
-    ]
+fn formats() -> [TraceFormat; 2] {
+    [TraceFormat::TextV1, TraceFormat::DURABLE]
 }
 
 /// Records `stream` in every format and diffs each replay against the
@@ -202,20 +197,20 @@ fn fault_smoke_dim<const N: usize>(spec: &ScenarioSpec, fault_seed: u64) -> Resu
         .map_err(|e| format!("{name}: {e}"))?;
 
     // 1. A sink that silently truncates (reports success, drops bytes)
-    //    must never read back clean and complete.
-    let (_, clean) = record_stream(stream.as_mut(), TraceFormat::Binary, Vec::new())
+    //    must never read back clean and complete. The v3 writer makes
+    //    one write each for the header, every block and the trailer, so
+    //    at 8 steps per block a 256-step recording makes 34 writes and
+    //    the truncation (op 2–25) always lands in block data.
+    let format = TraceFormat::BlockV3 { block: 8 };
+    let (_, clean) = record_stream(stream.as_mut(), format, Vec::new())
         .map_err(|e| format!("{name}: clean recording failed: {e}"))?;
     let truncate_op = 2 + fault_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 24;
     let plan = FaultPlan::scripted(vec![FaultEvent {
         at: truncate_op,
         kind: FaultKind::Truncate,
     }]);
-    let (_, faulty) = record_stream(
-        stream.as_mut(),
-        TraceFormat::Binary,
-        FaultyWrite::new(Vec::new(), plan),
-    )
-    .map_err(|e| format!("{name}: faulty recording failed: {e}"))?;
+    let (_, faulty) = record_stream(stream.as_mut(), format, FaultyWrite::new(Vec::new(), plan))
+        .map_err(|e| format!("{name}: faulty recording failed: {e}"))?;
     if !faulty.is_truncated() {
         return Err(format!(
             "{name}: truncation at op {truncate_op} never fired"

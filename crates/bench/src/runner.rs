@@ -12,7 +12,7 @@
 //! — the cross-lane δ-seeding discipline applied across the fan.
 
 use msp_analysis::bootstrap_mean_ci;
-use msp_analysis::sweep::{panic_message, parallel_map_indexed, try_parallel_map_indexed};
+use msp_analysis::sweep::parallel_map_indexed;
 use msp_core::algorithm::OnlineAlgorithm;
 use msp_core::cost::ServingOrder;
 use msp_core::model::Instance;
@@ -195,164 +195,6 @@ pub fn mean_over_seeds_warm<S: Send>(
     f: impl Fn(u64, Option<&S>) -> (f64, S) + Sync,
 ) -> SeedStats {
     stats_from_values(&warm_seed_fan(seeds, lanes, f))
-}
-
-/// Outcome of a salvage-mode seed fan: the seeds that completed (with
-/// their values, in seed order) plus a per-seed failure report for the
-/// ones that exhausted their retry budget. Produced by
-/// [`warm_seed_fan_salvage`]; an empty `failures` list means the fan is
-/// value-identical to its non-salvage twin.
-#[derive(Clone, Debug)]
-pub struct SalvagedFan {
-    /// `(seed, value)` for every seed that completed, in seed order.
-    pub values: Vec<(u64, f64)>,
-    /// `(seed, rendered error)` for every seed whose closure panicked or
-    /// kept failing through the attempt bound, in seed order.
-    pub failures: Vec<(u64, String)>,
-}
-
-impl SalvagedFan {
-    /// True when every seed completed.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// The surviving values without their seeds, in seed order.
-    pub fn surviving_values(&self) -> Vec<f64> {
-        self.values.iter().map(|&(_, v)| v).collect()
-    }
-}
-
-/// [`SeedStats`] over the seeds a salvage fan managed to complete, plus
-/// the failure report. `stats` is `None` only when *every* seed failed —
-/// a degraded table cell is still a cell, but an empty sample is not.
-#[derive(Clone, Debug)]
-pub struct SalvagedStats {
-    /// Mean + CI over the surviving seeds; `None` when all seeds failed.
-    pub stats: Option<SeedStats>,
-    /// `(seed, rendered error)` per failed seed, in seed order.
-    pub failures: Vec<(u64, String)>,
-}
-
-/// Salvage-mode twin of [`warm_seed_fan`]: same chunk shape, same
-/// warm-chaining discipline, but each seed's closure runs supervised
-/// (`catch_unwind`, up to `attempts` tries) so one poisoned seed —
-/// an injected fault, a panic deep in a solver — is reported instead of
-/// aborting the whole fan. After a failed seed the chain **degrades to a
-/// cold restart**: the next seed in the chunk runs with `warm = None`,
-/// exactly as if it opened a chunk, so surviving values never depend on
-/// state from a seed that did not complete.
-///
-/// On a fault-free run the chunk shape and chaining are identical to
-/// [`warm_seed_fan`], so the salvage fan is value-identical to the plain
-/// one (pinned by tests).
-pub fn warm_seed_fan_salvage<S: Send>(
-    seeds: u64,
-    lanes: usize,
-    attempts: usize,
-    f: impl Fn(u64, Option<&S>) -> (f64, S) + Sync,
-) -> SalvagedFan {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    let n = seeds as usize;
-    if n == 0 {
-        return SalvagedFan {
-            values: Vec::new(),
-            failures: Vec::new(),
-        };
-    }
-    let lanes = if lanes == 0 {
-        msp_analysis::sweep::pool_threads()
-    } else {
-        lanes
-    }
-    .min(n)
-    .max(1);
-    let per = n.div_ceil(lanes);
-    let attempts = attempts.max(1);
-    let chunks: Vec<(u64, u64)> = (0..n as u64)
-        .step_by(per)
-        .map(|s0| (s0, (s0 + per as u64).min(seeds)))
-        .collect();
-    // The chunk-level fan is supervised too: the per-seed guard below
-    // confines every closure fault, so a chunk-level error can only mean
-    // a defect in the harness itself — still reported, never swallowed.
-    let fanned = try_parallel_map_indexed(&chunks, lanes, 1, |_, &(s0, s1)| {
-        let mut outcomes: Vec<(u64, Result<f64, String>)> = Vec::with_capacity((s1 - s0) as usize);
-        let mut warm: Option<S> = None;
-        for seed in s0..s1 {
-            let mut caught: Option<String> = None;
-            for _ in 0..attempts {
-                match catch_unwind(AssertUnwindSafe(|| f(seed, warm.as_ref()))) {
-                    Ok((value, state)) => {
-                        outcomes.push((seed, Ok(value)));
-                        warm = Some(state);
-                        caught = None;
-                        break;
-                    }
-                    Err(payload) => caught = Some(panic_message(payload.as_ref())),
-                }
-            }
-            if let Some(message) = caught {
-                outcomes.push((seed, Err(message)));
-                // Degrade to a cold restart: the failed seed left no
-                // trustworthy state behind.
-                warm = None;
-            }
-        }
-        Ok::<_, String>(outcomes)
-    });
-    let mut out = SalvagedFan {
-        values: Vec::new(),
-        failures: Vec::new(),
-    };
-    for (chunk, result) in chunks.iter().zip(fanned) {
-        match result {
-            Ok(outcomes) => {
-                for (seed, outcome) in outcomes {
-                    match outcome {
-                        Ok(value) => out.values.push((seed, value)),
-                        Err(message) => out.failures.push((seed, message)),
-                    }
-                }
-            }
-            Err(err) => {
-                for seed in chunk.0..chunk.1 {
-                    out.failures
-                        .push((seed, format!("chunk harness fault: {err}")));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Salvage-mode twin of [`mean_over_seeds`]: fans `f(seed)` over all
-/// cores under supervision (up to `attempts` tries per seed) and reports
-/// statistics over the seeds that completed, alongside which seeds
-/// failed and why. Fault-free runs produce the same statistics as
-/// [`mean_over_seeds`].
-pub fn mean_over_seeds_salvage(
-    seeds: u64,
-    attempts: usize,
-    f: impl Fn(u64) -> f64 + Sync,
-) -> SalvagedStats {
-    let seed_list: Vec<u64> = (0..seeds).collect();
-    let fanned = try_parallel_map_indexed(&seed_list, 0, attempts, |_, &seed| {
-        Ok::<f64, String>(f(seed))
-    });
-    let mut values = Vec::new();
-    let mut failures = Vec::new();
-    for (&seed, result) in seed_list.iter().zip(fanned) {
-        match result {
-            Ok(value) => values.push(value),
-            Err(err) => failures.push((seed, err.to_string())),
-        }
-    }
-    SalvagedStats {
-        stats: (!values.is_empty()).then(|| stats_from_values(&values)),
-        failures,
-    }
 }
 
 /// [`SeedStats`] of an already-computed sample (mean + bootstrap 95% CI).
@@ -613,65 +455,6 @@ mod tests {
         let top = warm_seed_fan(8, 3, chain);
         let nested = msp_analysis::parallel_map(&[0u8], |_| warm_seed_fan(8, 3, chain));
         assert_eq!(top, nested[0], "chunk shape drifted under nesting");
-    }
-
-    #[test]
-    fn salvage_fan_matches_plain_fan_when_fault_free() {
-        let chain = |seed: u64, warm: Option<&u64>| {
-            let state = warm.copied().unwrap_or(1000 + seed) + seed;
-            (state as f64, state)
-        };
-        let plain = warm_seed_fan(8, 3, chain);
-        let salvaged = warm_seed_fan_salvage(8, 3, 2, chain);
-        assert!(salvaged.is_clean());
-        assert_eq!(salvaged.surviving_values(), plain);
-        assert_eq!(
-            salvaged.values.iter().map(|&(s, _)| s).collect::<Vec<_>>(),
-            (0..8).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn salvage_fan_confines_a_poisoned_seed_and_restarts_cold() {
-        // One lane, warm chain 0→1→2→…; seed 2 always panics. Seeds 0–1
-        // chain normally, seed 2 is reported, and seed 3 must restart
-        // *cold* — its value shows whether poisoned state leaked forward.
-        let chain = |seed: u64, warm: Option<&u64>| {
-            assert!(seed != 2, "injected fault: poisoned seed");
-            let state = warm.copied().unwrap_or(100 * (seed + 1)) + seed;
-            (state as f64, state)
-        };
-        let out = warm_seed_fan_salvage(5, 1, 2, chain);
-        assert_eq!(out.failures.len(), 1);
-        assert_eq!(out.failures[0].0, 2);
-        assert!(out.failures[0].1.contains("poisoned seed"));
-        // seed0: 100, seed1: 101, seed3 cold: 400+3=403, seed4: 403+4=407.
-        assert_eq!(
-            out.values,
-            vec![(0, 100.0), (1, 101.0), (3, 403.0), (4, 407.0)]
-        );
-    }
-
-    #[test]
-    fn salvage_stats_survive_failed_seeds() {
-        let degraded = mean_over_seeds_salvage(8, 1, |seed| {
-            assert!(seed != 3, "injected fault");
-            seed as f64
-        });
-        assert_eq!(degraded.failures.len(), 1);
-        assert_eq!(degraded.failures[0].0, 3);
-        let stats = degraded.stats.expect("seven seeds survived");
-        let expect = (0.0 + 1.0 + 2.0 + 4.0 + 5.0 + 6.0 + 7.0) / 7.0;
-        assert!((stats.mean - expect).abs() < 1e-12);
-
-        let clean = mean_over_seeds_salvage(8, 1, |seed| seed as f64);
-        assert!(clean.failures.is_empty());
-        assert!((clean.stats.expect("all seeds survived").mean - 3.5).abs() < 1e-12);
-
-        let hopeless = mean_over_seeds_salvage(4, 2, |_| -> f64 { panic!("injected fault") });
-        assert!(hopeless.stats.is_none());
-        assert_eq!(hopeless.failures.len(), 4);
-        assert!(hopeless.failures[0].1.contains("after 2 attempt(s)"));
     }
 
     #[test]

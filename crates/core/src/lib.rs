@@ -35,7 +35,6 @@ pub mod algorithm;
 pub mod baselines;
 pub mod cost;
 pub mod fleet;
-pub mod io;
 pub mod model;
 pub mod moving_client;
 pub mod mtc;

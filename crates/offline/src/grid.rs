@@ -1102,9 +1102,10 @@ fn smawk<F: Fn(usize, usize) -> DtEntry>(
 /// * **j1 live at k1, j2 live at k1** — both keys are cone values
 ///   `g_j(x) = base[j] + D·√((x−x_j)² + C²)`. The difference
 ///   `g_{j1}(x) − g_{j2}(x)` is nondecreasing in `x` for `x_{j1} <
-///   x_{j2}` (same-slope-asymptote cones; the
-///   [`ConeEnvelope`](crate::envelope::ConeEnvelope) crossing argument),
-///   so `g_{j1}(x_{k1}) > g_{j2}(x_{k1})` implies the same at
+///   x_{j2}`: its derivative is `D·[s(x−x_{j1}) − s(x−x_{j2})]` with
+///   `s(t) = t/√(t²+C²)` increasing, so two cones with the same offset
+///   `C` cross at most once. Hence
+///   `g_{j1}(x_{k1}) > g_{j2}(x_{k1})` implies the same at
 ///   `x_{k2} > x_{k1}` in real arithmetic — float rounding can flip
 ///   only tie-level outcomes, which the exactness contract already
 ///   absorbs (never below the oracle, ≤ 1e-9 relative). At `k2`, if

@@ -28,12 +28,9 @@
 //!   all-pairs `O(cells² · T)` oracle, the radius-pruned
 //!   `O(cells · windowᴺ · T)` neighbor-window scan, and the
 //!   lower-envelope distance transform (`O(cells · windowᴺ⁻¹ · T)`,
-//!   `O(cells · T)` on the line) built on [`envelope`]. Only practical
-//!   for modest instances; exists to cross-validate the other two
-//!   solvers and to certify them in property tests.
-//! * [`envelope`] — the 1-D lower-envelope-of-cones primitive
-//!   (Felzenszwalb–Huttenlocher sweep adapted to the Euclidean metric)
-//!   that powers the distance-transform kernel.
+//!   `O(cells · T)` on the line) built on SMAWK row minima. Only
+//!   practical for modest instances; exists to cross-validate the other
+//!   two solvers and to certify them in property tests.
 //! * [`probe`] — *online* certified **lower** bounds on the offline
 //!   optimum ([`probe::RatioProbe`]): per-axis projection optima via
 //!   [`IncrementalLineOpt`] plus windowed deflated grid DPs, so a live
@@ -41,14 +38,12 @@
 //!   ever seeing the future.
 
 pub mod convex;
-pub mod envelope;
 pub mod grid;
 pub mod line;
 pub mod probe;
 pub mod pwl;
 
 pub use convex::{ConvexSolver, ConvexSolverOptions};
-pub use envelope::ConeEnvelope;
 pub use grid::{grid_optimum, grid_optimum_unpruned, GridDp, TransitionKernel};
 pub use line::{solve_line, solve_line_with_trajectory, IncrementalLineOpt, LineSolution};
 pub use probe::{run_streaming_probed, ProbeOptions, RatioProbe, RatioSample};

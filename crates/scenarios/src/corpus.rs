@@ -30,9 +30,10 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Steps per block used when recording corpus traces. 64 steps keeps
-/// blocks a few KiB (seek cost and decode scratch stay small) while the
-/// index trailer stays negligible next to the data.
+/// Steps per block of [`TraceFormat::DURABLE`], the format corpus
+/// traces are recorded in. 64 steps keeps blocks a few KiB (seek cost
+/// and decode scratch stay small) while the index trailer stays
+/// negligible next to the data.
 pub const CORPUS_BLOCK_STEPS: usize = 64;
 
 /// Manifest file name inside a corpus directory.
@@ -151,10 +152,7 @@ fn record_entry<const N: usize>(
     };
     let mut stream = spec.stream_with::<N>(seed, &knobs)?;
     let path = corpus_trace_path(dir, spec.name);
-    let format = TraceFormat::BlockV3 {
-        block: CORPUS_BLOCK_STEPS,
-    };
-    let steps = record_stream_to_path(stream.as_mut(), format, &path)?;
+    let steps = record_stream_to_path(stream.as_mut(), TraceFormat::DURABLE, &path)?;
     let bytes = fs::read(&path).map_err(TraceError::Io)?;
     let (movement, service, replayed) = replay_totals::<N>(&bytes, spec.default_delta)?;
     debug_assert_eq!(replayed, steps);
@@ -547,18 +545,11 @@ mod tests {
         let mut tweaked = inst.clone();
         tweaked.steps[17].requests[1][0] += 0.5;
         let b_tweaked = v3_bytes(&tweaked, 4);
-        let a_v2 = record_to_vec(
-            &mut InstanceStream::new(inst.clone()),
-            TraceFormat::ChunkedV2 { chunk: 8 },
-        )
-        .unwrap();
-        let b_v2 = record_to_vec(
-            &mut InstanceStream::new(tweaked),
-            TraceFormat::ChunkedV2 { chunk: 8 },
-        )
-        .unwrap();
-        let mut ra = TraceReader::<2, _>::open(Cursor::new(a_v2)).unwrap();
-        let mut rb = TraceReader::<2, _>::open(Cursor::new(b_v2)).unwrap();
+        let a_v1 =
+            record_to_vec(&mut InstanceStream::new(inst.clone()), TraceFormat::TextV1).unwrap();
+        let b_v1 = record_to_vec(&mut InstanceStream::new(tweaked), TraceFormat::TextV1).unwrap();
+        let mut ra = TraceReader::<2, _>::open(Cursor::new(a_v1)).unwrap();
+        let mut rb = TraceReader::<2, _>::open(Cursor::new(b_v1)).unwrap();
         let sequential = diff_streams(&mut ra, &mut rb);
         assert!(sequential.is_some());
         for threads in [1, 2, 0] {

@@ -111,33 +111,23 @@ pub fn record_stream_to_path<const N: usize>(
     Ok(steps)
 }
 
-/// File extension conventionally used for a trace format.
-pub fn trace_extension(format: TraceFormat) -> &'static str {
-    match format {
-        TraceFormat::TextV1 | TraceFormat::ChunkedV2 { .. } => "msp",
-        TraceFormat::Binary => "mspb",
-        TraceFormat::BlockV3 { .. } => "msp3",
-    }
-}
-
 /// Records a multi-seed fan of scenario traces into `dir` (created if
-/// missing) as `<scenario>-seed<k>.<ext>` files, each committed
-/// atomically. The per-seed recordings fan out in parallel like
-/// [`crate::engine::record_seeds`]; returns the final path per seed.
+/// missing) as `<scenario>-seed<k>.msp3` files in
+/// [`TraceFormat::DURABLE`], each committed atomically. The per-seed
+/// recordings fan out in parallel like [`crate::engine::record_seeds`];
+/// returns the final path per seed.
 pub fn record_seeds_to_dir<const N: usize>(
     spec: &ScenarioSpec,
     seeds: &[u64],
     knobs: &ScenarioKnobs,
-    format: TraceFormat,
     dir: impl AsRef<Path>,
 ) -> Result<Vec<PathBuf>, ScenarioError> {
     let dir = dir.as_ref();
     fs::create_dir_all(dir).map_err(TraceError::Io)?;
-    let ext = trace_extension(format);
     let results = parallel_map_indexed(seeds, 0, |_, &seed| -> Result<PathBuf, ScenarioError> {
-        let path = dir.join(format!("{}-seed{}.{}", spec.name, seed, ext));
+        let path = dir.join(format!("{}-seed{}.msp3", spec.name, seed));
         let mut stream = spec.stream_with::<N>(seed, knobs)?;
-        record_stream_to_path(stream.as_mut(), format, &path)?;
+        record_stream_to_path(stream.as_mut(), TraceFormat::DURABLE, &path)?;
         Ok(path)
     });
     results.into_iter().collect()
@@ -162,11 +152,11 @@ mod tests {
     #[test]
     fn committed_file_round_trips() {
         let dir = tmp_dir("commit");
-        let path = dir.join("trace.mspb");
+        let path = dir.join("trace.msp3");
         let inst = Instance::new(2.0, 1.0, P2::origin(), vec![Step::single(P2::xy(1.0, 2.0))]);
         let steps = record_stream_to_path(
             &mut InstanceStream::new(inst.clone()),
-            TraceFormat::Binary,
+            TraceFormat::BlockV3 { block: 8 },
             &path,
         )
         .unwrap();
@@ -174,21 +164,21 @@ mod tests {
         let back: Instance<2> = read_trace(&fs::read(&path).unwrap()).unwrap();
         assert_eq!(back.horizon(), inst.horizon());
         // No stray staging file remains.
-        assert!(!dir.join("trace.mspb.tmp").exists());
+        assert!(!dir.join("trace.msp3.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn aborted_writer_leaves_no_file_under_the_final_name() {
         let dir = tmp_dir("abort");
-        let path = dir.join("partial.mspb");
+        let path = dir.join("partial.msp3");
         {
             let mut staged = AtomicFile::create(&path).unwrap();
             staged.write_all(b"half a header").unwrap();
             // Dropped without commit: simulated crash mid-write.
         }
         assert!(!path.exists(), "final name must stay absent");
-        assert!(!dir.join("partial.mspb.tmp").exists(), "stage cleaned up");
+        assert!(!dir.join("partial.msp3.tmp").exists(), "stage cleaned up");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -211,8 +201,7 @@ mod tests {
         let spec = lookup("edge-drift").unwrap();
         let knobs = ScenarioKnobs::horizon(40);
         let seeds = [0u64, 1, 2];
-        let paths =
-            record_seeds_to_dir::<2>(&spec, &seeds, &knobs, TraceFormat::Binary, &dir).unwrap();
+        let paths = record_seeds_to_dir::<2>(&spec, &seeds, &knobs, &dir).unwrap();
         assert_eq!(paths.len(), 3);
         for (path, &seed) in paths.iter().zip(&seeds) {
             let inst: Instance<2> = read_trace(&fs::read(path).unwrap()).unwrap();

@@ -78,17 +78,17 @@ pub fn materialize_seeds<const N: usize>(
 }
 
 /// Records a multi-seed fan of scenario traces in parallel, returning the
-/// encoded bytes per seed. This is how sweeps persist their workloads for
-/// later replay and cross-run diffing without serializing generation.
+/// [`TraceFormat::DURABLE`] bytes per seed.
+/// This is how sweeps persist their workloads for later replay and
+/// cross-run diffing without serializing generation.
 pub fn record_seeds<const N: usize>(
     spec: &ScenarioSpec,
     seeds: &[u64],
     knobs: &ScenarioKnobs,
-    format: TraceFormat,
 ) -> Result<Vec<Vec<u8>>, ScenarioError> {
     let results = parallel_map_indexed(seeds, 0, |_, &seed| -> Result<Vec<u8>, ScenarioError> {
         let mut stream = spec.stream_with::<N>(seed, knobs)?;
-        Ok(record_to_vec(stream.as_mut(), format)?)
+        Ok(record_to_vec(stream.as_mut(), TraceFormat::DURABLE)?)
     });
     results.into_iter().collect()
 }
@@ -161,7 +161,7 @@ mod tests {
         let spec = lookup("car-fleet").unwrap();
         let knobs = ScenarioKnobs::horizon(60);
         let seeds = [0u64, 1, 2];
-        let traces = record_seeds::<2>(&spec, &seeds, &knobs, TraceFormat::Binary).unwrap();
+        let traces = record_seeds::<2>(&spec, &seeds, &knobs).unwrap();
         let direct: Vec<Instance<2>> = materialize_seeds(&spec, &seeds, &knobs).unwrap();
         for (bytes, inst) in traces.iter().zip(&direct) {
             let replayed: Instance<2> = read_trace(bytes).unwrap();

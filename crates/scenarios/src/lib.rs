@@ -10,10 +10,11 @@
 //!   iterator, with adapters for every `msp-workloads` generator
 //!   ([`stream::GeneratedStream`]), materialized instances and adversary
 //!   certificates ([`stream::InstanceStream`]), and durable traces
-//!   ([`trace::TraceReader`]).
-//! * [`trace`] — versioned trace formats (text v1, chunked v2, framed
-//!   binary, block v3) with exact record/replay and bit-level cross-run
-//!   diffing; the wire-format spec lives in `docs/TRACE_FORMAT.md`.
+//!   ([`trace::TraceReader`], [`trace::BlockTraceReader`]).
+//! * [`trace`] — the workspace's only instance codec: two versioned
+//!   trace formats (text v1 for people, block v3 for everything durable)
+//!   with exact record/replay and bit-level cross-run diffing; the
+//!   wire-format spec lives in `docs/TRACE_FORMAT.md`.
 //! * [`registry`](mod@registry) — the named scenario catalog: benches, examples, and
 //!   tests all pull their workloads from one place
 //!   (`lookup("edge-drift")`) instead of bespoke setup code.
@@ -43,6 +44,8 @@ pub mod corpus;
 pub mod durable;
 pub mod engine;
 pub mod fault;
+#[cfg(test)]
+mod io;
 pub mod journal;
 pub mod registry;
 pub mod service;

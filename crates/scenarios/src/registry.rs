@@ -13,11 +13,11 @@
 //! mixture, moving-client walks), the deterministic showcase workloads
 //! (regime shift, ring districts), the adversarial lower-bound
 //! constructions of Theorems 1, 2 (line and rotating) and 3, and a
-//! trace-replay scenario that exercises the binary trace format
+//! trace-replay scenario that exercises the block v3 trace format
 //! end to end.
 
 use crate::stream::{GeneratedStream, InstanceStream, RequestStream};
-use crate::trace::{record_to_vec, TraceError, TraceFormat, TraceReader};
+use crate::trace::{read_trace, record_to_vec, TraceError, TraceFormat};
 use msp_adversary::{
     build_thm1, build_thm2, build_thm2_rotating, build_thm3, Thm1Params, Thm2Params, Thm3Params,
 };
@@ -32,7 +32,6 @@ use msp_workloads::{
     AgentFleet, AgentFleetConfig, ClusterMixture, ClusterMixtureConfig, DriftingHotspot,
     DriftingHotspotConfig, RandomWalk, RandomWalkConfig, RequestCount, StepSource,
 };
-use std::io::Cursor;
 
 /// Errors from scenario construction.
 #[derive(Debug)]
@@ -305,8 +304,8 @@ impl ScenarioSpec {
                 instance_backed(build_thm3::<N>(&params, seed).instance, knobs.horizon)
             }
             Family::ReplayEdgeDrift => {
-                // Record the drift scenario through the binary trace format
-                // and replay it — the registry's own record/replay loop.
+                // Record the drift scenario as a block v3 trace and replay
+                // the decoded steps — the registry's own record/replay loop.
                 let mut inner = lookup_or_err("edge-drift")?.stream_with::<N>(
                     seed,
                     &ScenarioKnobs {
@@ -314,8 +313,8 @@ impl ScenarioSpec {
                         ..*knobs
                     },
                 )?;
-                let bytes = record_to_vec(inner.as_mut(), TraceFormat::Binary)?;
-                Box::new(TraceReader::<N, _>::open(Cursor::new(bytes))?)
+                let bytes = record_to_vec(inner.as_mut(), TraceFormat::DURABLE)?;
+                Box::new(InstanceStream::new(read_trace::<N>(&bytes)?))
             }
             Family::FleetChase => Box::new(InstanceStream::new(fleet_chase_instance::<N>(
                 horizon, seed,
@@ -596,7 +595,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
         },
         ScenarioSpec {
             name: "replay-edge-drift",
-            summary: "edge-drift recorded to a binary trace and replayed through the reader",
+            summary: "edge-drift recorded to a block v3 trace and replayed from the decoded steps",
             dim: 2,
             default_horizon: 2_000,
             default_delta: 0.25,

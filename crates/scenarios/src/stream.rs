@@ -14,8 +14,8 @@ use msp_workloads::StepSource;
 ///
 /// Implementations: workload generators ([`GeneratedStream`]), materialized
 /// instances ([`InstanceStream`], wrapping adversarial constructions and
-/// `msp_core::io`-loaded files), and durable traces
-/// ([`crate::trace::TraceReader`]).
+/// decoded traces), and durable traces ([`crate::trace::TraceReader`],
+/// [`crate::trace::BlockTraceReader`]).
 pub trait RequestStream<const N: usize> {
     /// Model parameters (`D`, `m`, start) every consumer needs up front.
     fn params(&self) -> StreamParams<N>;
@@ -92,7 +92,7 @@ impl<const N: usize> Iterator for StreamSteps<'_, N> {
 
 /// A materialized instance replayed as a stream. Memory is O(T) — this
 /// adapter exists for sources that are inherently materialized (adversary
-/// certificates, `msp_core::io` files), not for large horizons.
+/// certificates, decoded traces), not for large horizons.
 #[derive(Clone, Debug)]
 pub struct InstanceStream<const N: usize> {
     instance: Instance<N>,

@@ -1,21 +1,12 @@
 //! Durable, versioned request traces: record once, replay everywhere.
 //!
-//! Three wire formats, all carrying the same data (model parameters plus
-//! the step sequence) and all replayable through [`TraceReader`]:
+//! Two wire formats, both carrying the same data (model parameters plus
+//! the step sequence):
 //!
-//! * **Text v1** — the `msp_core::io` plain-text instance format, written
-//!   streamingly (header first, then one `step` line at a time). Fully
-//!   compatible with files produced by `msp_core::io::write_instance`.
-//! * **Chunked v2** — text v1 plus `chunk k` markers every `chunk` steps
-//!   and an `end T` trailer. Appendable while a run is in flight; the
-//!   trailer turns torn writes into loud errors instead of silently
-//!   truncated replays.
-//! * **Binary** — a compact framed encoding (`MSPB` magic): header, then
-//!   one length-prefixed frame per step, then a sentinel trailer with the
-//!   step count. Coordinates are stored as raw IEEE-754 bits, so decode ∘
-//!   encode is the identity on every finite `f64` (including `-0.0` and
-//!   subnormals).
-//! * **Block v3** — the corpus format (`MSP3` magic): fixed-size blocks
+//! * **Text v1** — the plain-text instance format, for people: a header
+//!   (`dim`/`d`/`m`/`start`), then one `step` line per step, written
+//!   streamingly and replayed by the streaming [`TraceReader`].
+//! * **Block v3** — the durable format (`MSP3` magic): fixed-size blocks
 //!   of delta-encoded coordinates (each block falls back to raw `f64`
 //!   frames whenever delta reconstruction would not be bit-exact), one
 //!   CRC-32 per block, and a CRC-guarded index trailer mapping step →
@@ -23,17 +14,17 @@
 //!   [`BlockTraceReader`], whose [`seek_to_step`](BlockTraceReader::seek_to_step)
 //!   is O(1) in the horizon via the index.
 //!
-//! Text round-trips are exact too — Rust's float formatter emits the
-//! shortest decimal that parses back to the same bits — so cross-format
-//! re-encoding is lossless. Non-finite coordinates are rejected at both
-//! ends: they cannot enter a trace, and a corrupt trace cannot smuggle
-//! them into an [`Instance`].
+//! Both round-trip exactly — v3 stores raw bits or bit-exact deltas, and
+//! Rust's float formatter emits the shortest decimal that parses back to
+//! the same bits — so cross-format re-encoding is lossless. Non-finite
+//! coordinates are rejected at both ends: they cannot enter a trace, and
+//! a corrupt trace cannot smuggle them into an [`Instance`].
 //!
-//! The **normative wire-format specification** — line grammars, chunk
-//! and trailer contracts, and the byte-layout tables of the binary
-//! encoding — lives in `docs/TRACE_FORMAT.md` at the repository root;
-//! this module is its reference implementation, and the round-trip and
-//! corruption tests here (plus `tests/scenario_streaming.rs`) pin every
+//! The **normative wire-format specification** — the text grammar and
+//! the byte-layout tables of block v3 — lives in `docs/TRACE_FORMAT.md`
+//! at the repository root; this module is its reference implementation,
+//! and the round-trip and corruption tests here (plus
+//! `tests/scenario_streaming.rs` and `tests/trace_corpus.rs`) pin every
 //! claim the spec makes.
 
 use crate::journal::crc32;
@@ -43,12 +34,6 @@ use msp_core::model::{Instance, Step, StreamParams};
 use msp_geometry::Point;
 use std::io::{BufRead, Cursor, Seek, SeekFrom, Write};
 
-/// Magic prefix of the binary trace format.
-pub const BINARY_MAGIC: &[u8; 4] = b"MSPB";
-/// Version field written by the binary encoder.
-pub const BINARY_VERSION: u16 = 1;
-/// Banner line of the chunked text format.
-pub const CHUNKED_BANNER: &str = "# mobile-server trace v2";
 /// Magic prefix of the block trace (v3) format.
 pub const BLOCK_MAGIC: &[u8; 4] = b"MSP3";
 /// Version field written by the block trace encoder.
@@ -57,9 +42,7 @@ pub const BLOCK_VERSION: u16 = 1;
 pub const BLOCK_MARKER: &[u8; 4] = b"BLK3";
 /// Marker that opens the v3 index trailer.
 pub const INDEX_MARKER: &[u8; 4] = b"IDX3";
-/// Frame sentinel that terminates the binary step section.
-const BINARY_END: u32 = u32::MAX;
-/// Upper bound on requests-per-step accepted by the binary decoder; counts
+/// Upper bound on requests-per-step accepted by the v3 decoder; counts
 /// beyond this are treated as corruption rather than allocated.
 const MAX_REQUESTS_PER_STEP: u32 = 1 << 24;
 /// Upper bound on steps-per-block accepted by the v3 codec (a block is
@@ -82,16 +65,8 @@ const fn block_file_header_len(n: usize) -> usize {
 /// Which wire format a [`TraceWriter`] produces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// Plain-text v1, byte-compatible with `msp_core::io`.
+    /// Plain-text v1: human-readable, replayed by [`TraceReader`].
     TextV1,
-    /// Chunked text v2 with `chunk` markers every `chunk` steps and an
-    /// `end` trailer.
-    ChunkedV2 {
-        /// Steps per chunk (must be positive).
-        chunk: usize,
-    },
-    /// Framed binary with bit-exact coordinates.
-    Binary,
     /// Block trace v3: fixed-size blocks of delta-encoded coordinates
     /// (per-block raw-`f64` escape hatch keeps round-trips bit-exact),
     /// per-block CRC-32, and a CRC-guarded index trailer for O(1)
@@ -101,6 +76,16 @@ pub enum TraceFormat {
         /// block may be shorter.
         block: usize,
     },
+}
+
+impl TraceFormat {
+    /// The format of every durable recording — corpus traces, seed fans
+    /// and the `replay-edge-drift` scenario: block v3 at
+    /// [`CORPUS_BLOCK_STEPS`](crate::corpus::CORPUS_BLOCK_STEPS) steps
+    /// per block.
+    pub const DURABLE: TraceFormat = TraceFormat::BlockV3 {
+        block: crate::corpus::CORPUS_BLOCK_STEPS,
+    };
 }
 
 /// Errors from trace encoding/decoding.
@@ -153,9 +138,9 @@ fn coords_line<const N: usize>(p: &Point<N>) -> String {
 ///
 /// Lifecycle: [`TraceWriter::new`] writes the header, [`write_step`]
 /// appends one step at a time (O(1) memory in the horizon), and
-/// [`finish`] writes the trailer and returns the sink. Dropping a writer
-/// without `finish` leaves a trailerless file, which the chunked and
-/// binary readers report as truncated — deliberate torn-write detection.
+/// [`finish`] writes the trailer and returns the sink. Dropping a v3
+/// writer without `finish` leaves a trailerless file, which the v3
+/// readers report as truncated — deliberate torn-write detection.
 ///
 /// [`write_step`]: TraceWriter::write_step
 /// [`finish`]: TraceWriter::finish
@@ -163,7 +148,6 @@ pub struct TraceWriter<const N: usize, W: Write> {
     sink: W,
     format: TraceFormat,
     steps: usize,
-    chunks: usize,
     /// BlockV3 state: steps buffered for the in-flight block, byte
     /// offsets of the flushed blocks, and bytes emitted so far (offsets
     /// are tracked by counting, so the sink need not be seekable).
@@ -177,32 +161,21 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
     ///
     /// # Panics
     /// Panics on invalid model parameters (via [`StreamParams::new`]) or a
-    /// zero chunk size.
+    /// block size outside `1..=2²⁰`.
     pub fn new(
         mut sink: W,
         format: TraceFormat,
         params: &StreamParams<N>,
     ) -> Result<Self, TraceError> {
         let params = StreamParams::new(params.d, params.max_move, params.start); // validate
+        let mut written = 0;
         match format {
             TraceFormat::TextV1 => {
                 writeln!(sink, "# mobile-server instance v1")?;
-                Self::write_text_header(&mut sink, &params)?;
-            }
-            TraceFormat::ChunkedV2 { chunk } => {
-                assert!(chunk > 0, "chunk size must be positive");
-                writeln!(sink, "{CHUNKED_BANNER}")?;
-                Self::write_text_header(&mut sink, &params)?;
-            }
-            TraceFormat::Binary => {
-                sink.write_all(BINARY_MAGIC)?;
-                sink.write_all(&BINARY_VERSION.to_le_bytes())?;
-                sink.write_all(&(N as u16).to_le_bytes())?;
-                sink.write_all(&params.d.to_bits().to_le_bytes())?;
-                sink.write_all(&params.max_move.to_bits().to_le_bytes())?;
-                for c in params.start.coords() {
-                    sink.write_all(&c.to_bits().to_le_bytes())?;
-                }
+                writeln!(sink, "dim {N}")?;
+                writeln!(sink, "d {}", params.d)?;
+                writeln!(sink, "m {}", params.max_move)?;
+                writeln!(sink, "start {}", coords_line(&params.start))?;
             }
             TraceFormat::BlockV3 { block } => {
                 assert!(block > 0, "block size must be positive");
@@ -210,38 +183,30 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
                     block <= MAX_BLOCK_STEPS,
                     "block size {block} beyond the codec limit {MAX_BLOCK_STEPS}"
                 );
-                sink.write_all(BLOCK_MAGIC)?;
-                sink.write_all(&BLOCK_VERSION.to_le_bytes())?;
-                sink.write_all(&(N as u16).to_le_bytes())?;
-                sink.write_all(&params.d.to_bits().to_le_bytes())?;
-                sink.write_all(&params.max_move.to_bits().to_le_bytes())?;
+                // One write for the whole header, like every block and
+                // the trailer: a torn sink loses whole pieces.
+                let mut header = Vec::with_capacity(block_file_header_len(N));
+                header.extend_from_slice(BLOCK_MAGIC);
+                header.extend_from_slice(&BLOCK_VERSION.to_le_bytes());
+                header.extend_from_slice(&(N as u16).to_le_bytes());
+                header.extend_from_slice(&params.d.to_bits().to_le_bytes());
+                header.extend_from_slice(&params.max_move.to_bits().to_le_bytes());
                 for c in params.start.coords() {
-                    sink.write_all(&c.to_bits().to_le_bytes())?;
+                    header.extend_from_slice(&c.to_bits().to_le_bytes());
                 }
-                sink.write_all(&(block as u32).to_le_bytes())?;
+                header.extend_from_slice(&(block as u32).to_le_bytes());
+                sink.write_all(&header)?;
+                written = header.len() as u64;
             }
         }
-        let written = match format {
-            TraceFormat::BlockV3 { .. } => block_file_header_len(N) as u64,
-            _ => 0,
-        };
         Ok(TraceWriter {
             sink,
             format,
             steps: 0,
-            chunks: 0,
             pending: Vec::new(),
             block_offsets: Vec::new(),
             written,
         })
-    }
-
-    fn write_text_header(sink: &mut W, params: &StreamParams<N>) -> Result<(), TraceError> {
-        writeln!(sink, "dim {N}")?;
-        writeln!(sink, "d {}", params.d)?;
-        writeln!(sink, "m {}", params.max_move)?;
-        writeln!(sink, "start {}", coords_line(&params.start))?;
-        Ok(())
     }
 
     /// Appends one step.
@@ -262,21 +227,17 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
             step.requests.len()
         );
         match self.format {
-            TraceFormat::TextV1 => self.write_text_step(step)?,
-            TraceFormat::ChunkedV2 { chunk } => {
-                if self.steps.is_multiple_of(chunk) {
-                    writeln!(self.sink, "chunk {}", self.chunks)?;
-                    self.chunks += 1;
-                }
-                self.write_text_step(step)?;
-            }
-            TraceFormat::Binary => {
-                self.sink
-                    .write_all(&(step.requests.len() as u32).to_le_bytes())?;
-                for v in &step.requests {
-                    for c in v.coords() {
-                        self.sink.write_all(&c.to_bits().to_le_bytes())?;
-                    }
+            TraceFormat::TextV1 => {
+                if step.is_empty() {
+                    writeln!(self.sink, "step")?;
+                } else {
+                    let reqs = step
+                        .requests
+                        .iter()
+                        .map(coords_line)
+                        .collect::<Vec<_>>()
+                        .join(" ; ");
+                    writeln!(self.sink, "step {reqs}")?;
                 }
             }
             TraceFormat::BlockV3 { block } => {
@@ -303,21 +264,6 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
         Ok(())
     }
 
-    fn write_text_step(&mut self, step: &Step<N>) -> Result<(), TraceError> {
-        if step.is_empty() {
-            writeln!(self.sink, "step")?;
-        } else {
-            let reqs = step
-                .requests
-                .iter()
-                .map(coords_line)
-                .collect::<Vec<_>>()
-                .join(" ; ");
-            writeln!(self.sink, "step {reqs}")?;
-        }
-        Ok(())
-    }
-
     /// Steps written so far.
     pub fn steps(&self) -> usize {
         self.steps
@@ -325,58 +271,42 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
 
     /// Writes the format trailer, flushes, and returns the sink.
     pub fn finish(mut self) -> Result<W, TraceError> {
-        match self.format {
-            TraceFormat::TextV1 => {}
-            TraceFormat::ChunkedV2 { .. } => {
-                writeln!(self.sink, "end {}", self.steps)?;
+        if let TraceFormat::BlockV3 { .. } = self.format {
+            if !self.pending.is_empty() {
+                self.flush_block()?;
             }
-            TraceFormat::Binary => {
-                self.sink.write_all(&BINARY_END.to_le_bytes())?;
-                self.sink.write_all(&(self.steps as u64).to_le_bytes())?;
+            let mut trailer = Vec::with_capacity(24 + 8 * self.block_offsets.len());
+            trailer.extend_from_slice(INDEX_MARKER);
+            trailer.extend_from_slice(&(self.block_offsets.len() as u64).to_le_bytes());
+            for off in &self.block_offsets {
+                trailer.extend_from_slice(&off.to_le_bytes());
             }
-            TraceFormat::BlockV3 { .. } => {
-                if !self.pending.is_empty() {
-                    self.flush_block()?;
-                }
-                let mut trailer = Vec::with_capacity(24 + 8 * self.block_offsets.len());
-                trailer.extend_from_slice(INDEX_MARKER);
-                trailer.extend_from_slice(&(self.block_offsets.len() as u64).to_le_bytes());
-                for off in &self.block_offsets {
-                    trailer.extend_from_slice(&off.to_le_bytes());
-                }
-                trailer.extend_from_slice(&(self.steps as u64).to_le_bytes());
-                let crc = crc32(&trailer);
-                trailer.extend_from_slice(&crc.to_le_bytes());
-                // The final u32 lets a reader locate the trailer from EOF:
-                // it is the length of everything from the IDX3 marker to
-                // the CRC inclusive.
-                let trailer_len = trailer.len() as u32;
-                trailer.extend_from_slice(&trailer_len.to_le_bytes());
-                self.sink.write_all(&trailer)?;
-            }
+            trailer.extend_from_slice(&(self.steps as u64).to_le_bytes());
+            let crc = crc32(&trailer);
+            trailer.extend_from_slice(&crc.to_le_bytes());
+            // The final u32 lets a reader locate the trailer from EOF:
+            // it is the length of everything from the IDX3 marker to
+            // the CRC inclusive.
+            let trailer_len = trailer.len() as u32;
+            trailer.extend_from_slice(&trailer_len.to_le_bytes());
+            self.sink.write_all(&trailer)?;
         }
         self.sink.flush()?;
         Ok(self.sink)
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ReadFormat {
-    TextV1,
-    ChunkedV2,
-    Binary,
-}
-
-/// Streaming trace decoder over any seekable reader (`File` in a
+/// Streaming text v1 decoder over any seekable reader (`File` in a
 /// `BufReader`, or an in-memory [`Cursor`]).
 ///
 /// Implements [`RequestStream`], so a recorded trace plugs into the
 /// streaming simulator exactly like a live generator; [`rewind`] seeks
-/// back to the first frame for replay and diffing.
+/// back to the first step for replay and diffing. Block v3 traces are
+/// replayed by [`BlockTraceReader`] instead.
 ///
-/// Corruption handling: [`TraceReader::try_next`] reports malformed or
-/// truncated data as [`TraceError`]; the [`RequestStream::next_step`]
-/// facade panics on it (replaying a corrupt trace is a data error, not a
+/// Corruption handling: [`TraceReader::try_next`] reports malformed
+/// data as [`TraceError`]; the [`RequestStream::next_step`] facade
+/// panics on it (replaying a corrupt trace is a data error, not a
 /// recoverable condition — pre-validate untrusted bytes with
 /// [`read_trace`]).
 ///
@@ -384,23 +314,19 @@ enum ReadFormat {
 #[derive(Debug)]
 pub struct TraceReader<const N: usize, R> {
     reader: R,
-    format: ReadFormat,
     params: StreamParams<N>,
     data_start: u64,
     line_no: usize,
     data_start_line: usize,
     steps_read: usize,
-    next_chunk: usize,
-    saw_end: bool,
     done: bool,
 }
 
 impl<const N: usize, R: BufRead + Seek> TraceReader<N, R> {
-    /// Opens a trace, sniffing the format and decoding the header.
+    /// Opens a text trace and decodes its header.
     ///
-    /// Expects the header (dim/d/m/start for text) to precede the first
-    /// step, as every [`TraceWriter`] and `msp_core::io::write_instance`
-    /// emits.
+    /// Expects the header (`dim`/`d`/`m`/`start`, in any order) to
+    /// precede the first step, as every [`TraceWriter`] emits.
     pub fn open(mut reader: R) -> Result<Self, TraceError> {
         let head = reader.fill_buf()?;
         if head.len() >= 4 && &head[..4] == BLOCK_MAGIC {
@@ -411,53 +337,13 @@ impl<const N: usize, R: BufRead + Seek> TraceReader<N, R> {
                  streaming TraceReader",
             ));
         }
-        let is_binary = head.len() >= 4 && &head[..4] == BINARY_MAGIC;
-        if is_binary {
-            reader.consume(4);
-            let version = read_u16(&mut reader)?;
-            if version != BINARY_VERSION {
-                return Err(corrupt(
-                    "header",
-                    format!("unsupported binary trace version {version}"),
-                ));
-            }
-            let dim = read_u16(&mut reader)? as usize;
-            if dim != N {
-                return Err(corrupt(
-                    "header",
-                    format!("trace has dimension {dim}, caller expects {N}"),
-                ));
-            }
-            let d = read_f64(&mut reader)?;
-            let m = read_f64(&mut reader)?;
-            let mut start = Point::<N>::origin();
-            for i in 0..N {
-                start[i] = read_f64(&mut reader)?;
-            }
-            let params = validated_params(d, m, start, "header")?;
-            let data_start = reader.stream_position()?;
-            return Ok(TraceReader {
-                reader,
-                format: ReadFormat::Binary,
-                params,
-                data_start,
-                line_no: 0,
-                data_start_line: 0,
-                steps_read: 0,
-                next_chunk: 0,
-                saw_end: false,
-                done: false,
-            });
-        }
 
-        // Text: scan header lines until dim/d/m/start are all present.
-        let mut format = ReadFormat::TextV1;
+        // Scan header lines until dim/d/m/start are all present.
         let mut dim: Option<usize> = None;
         let mut d: Option<f64> = None;
         let mut m: Option<f64> = None;
         let mut start: Option<Point<N>> = None;
         let mut line_no = 0usize;
-        let mut first_line = true;
         loop {
             let mut raw = String::new();
             let n = reader.read_line(&mut raw)?;
@@ -468,20 +354,8 @@ impl<const N: usize, R: BufRead + Seek> TraceReader<N, R> {
                 ));
             }
             line_no += 1;
-            if first_line {
-                first_line = false;
-                if raw.trim_end() == CHUNKED_BANNER {
-                    format = ReadFormat::ChunkedV2;
-                    continue;
-                }
-            }
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+            let Some((key, rest)) = directive(&raw) else {
                 continue;
-            }
-            let (key, rest) = match line.split_once(char::is_whitespace) {
-                Some((k, r)) => (k, r.trim()),
-                None => (line, ""),
             };
             match key {
                 "dim" => {
@@ -521,171 +395,51 @@ impl<const N: usize, R: BufRead + Seek> TraceReader<N, R> {
         let data_start = reader.stream_position()?;
         Ok(TraceReader {
             reader,
-            format,
             params,
             data_start,
             line_no,
             data_start_line: line_no,
             steps_read: 0,
-            next_chunk: 0,
-            saw_end: false,
             done: false,
         })
     }
 
     /// Pulls the next step, reporting corruption as an error. `Ok(None)`
-    /// marks a clean end of trace (trailer verified where the format has
-    /// one).
+    /// marks the end of the trace.
     pub fn try_next(&mut self) -> Result<Option<Step<N>>, TraceError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.format {
-            ReadFormat::Binary => self.next_binary(),
-            ReadFormat::TextV1 | ReadFormat::ChunkedV2 => self.next_text(),
-        }
-    }
-
-    fn next_binary(&mut self) -> Result<Option<Step<N>>, TraceError> {
-        let at = |r: &mut R| {
-            let off = r.stream_position().unwrap_or(0);
-            format!("offset {off}")
-        };
-        let count = match try_read_u32(&mut self.reader)? {
-            Some(c) => c,
-            None => {
-                return Err(corrupt(
-                    at(&mut self.reader),
-                    "trace truncated: missing end sentinel",
-                ))
-            }
-        };
-        if count == BINARY_END {
-            let total = read_u64(&mut self.reader)?;
-            if total as usize != self.steps_read {
-                return Err(corrupt(
-                    at(&mut self.reader),
-                    format!(
-                        "trailer records {total} steps but {} were decoded",
-                        self.steps_read
-                    ),
-                ));
-            }
-            self.done = true;
-            return Ok(None);
-        }
-        if count > MAX_REQUESTS_PER_STEP {
-            return Err(corrupt(
-                at(&mut self.reader),
-                format!("implausible request count {count}"),
-            ));
-        }
-        let mut requests = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let mut p = Point::<N>::origin();
-            for i in 0..N {
-                p[i] = read_f64(&mut self.reader)?;
-            }
-            if !p.is_finite() {
-                return Err(corrupt(
-                    at(&mut self.reader),
-                    "non-finite request coordinate",
-                ));
-            }
-            requests.push(p);
-        }
-        self.steps_read += 1;
-        Ok(Some(Step::new(requests)))
-    }
-
-    fn next_text(&mut self) -> Result<Option<Step<N>>, TraceError> {
-        loop {
+        while !self.done {
             let mut raw = String::new();
-            let n = self.reader.read_line(&mut raw)?;
-            if n == 0 {
-                if self.format == ReadFormat::ChunkedV2 && !self.saw_end {
-                    return Err(corrupt(
-                        format!("line {}", self.line_no),
-                        "chunked trace truncated: missing `end` trailer",
-                    ));
-                }
+            if self.reader.read_line(&mut raw)? == 0 {
                 self.done = true;
-                return Ok(None);
+                break;
             }
             self.line_no += 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+            let Some((key, rest)) = directive(&raw) else {
                 continue;
-            }
-            if self.saw_end {
+            };
+            if key != "step" {
                 return Err(corrupt(
                     format!("line {}", self.line_no),
-                    "data after the `end` trailer",
+                    format!("unknown directive {key:?}"),
                 ));
             }
-            let (key, rest) = match line.split_once(char::is_whitespace) {
-                Some((k, r)) => (k, r.trim()),
-                None => (line, ""),
-            };
-            match (key, self.format) {
-                ("step", _) => {
-                    let mut requests = Vec::new();
-                    if !rest.is_empty() {
-                        for part in rest.split(';') {
-                            let fields: Vec<&str> = part.split_whitespace().collect();
-                            if fields.is_empty() {
-                                return Err(corrupt(
-                                    format!("line {}", self.line_no),
-                                    "empty request between ';'",
-                                ));
-                            }
-                            requests.push(parse_point::<N>(&fields, self.line_no)?);
-                        }
-                    }
-                    self.steps_read += 1;
-                    return Ok(Some(Step::new(requests)));
-                }
-                ("chunk", ReadFormat::ChunkedV2) => {
-                    let k: usize = rest.parse().map_err(|_| {
-                        corrupt(
-                            format!("line {}", self.line_no),
-                            format!("bad chunk index {rest:?}"),
-                        )
-                    })?;
-                    if k != self.next_chunk {
+            let mut requests = Vec::new();
+            if !rest.is_empty() {
+                for part in rest.split(';') {
+                    let fields: Vec<&str> = part.split_whitespace().collect();
+                    if fields.is_empty() {
                         return Err(corrupt(
                             format!("line {}", self.line_no),
-                            format!("chunk {k} out of order, expected {}", self.next_chunk),
+                            "empty request between ';'",
                         ));
                     }
-                    self.next_chunk += 1;
-                }
-                ("end", ReadFormat::ChunkedV2) => {
-                    let t: usize = rest.parse().map_err(|_| {
-                        corrupt(
-                            format!("line {}", self.line_no),
-                            format!("bad end count {rest:?}"),
-                        )
-                    })?;
-                    if t != self.steps_read {
-                        return Err(corrupt(
-                            format!("line {}", self.line_no),
-                            format!(
-                                "trailer records {t} steps but {} were decoded",
-                                self.steps_read
-                            ),
-                        ));
-                    }
-                    self.saw_end = true;
-                }
-                (other, _) => {
-                    return Err(corrupt(
-                        format!("line {}", self.line_no),
-                        format!("unknown directive {other:?}"),
-                    ));
+                    requests.push(parse_point::<N>(&fields, self.line_no)?);
                 }
             }
+            self.steps_read += 1;
+            return Ok(Some(Step::new(requests)));
         }
+        Ok(None)
     }
 
     /// Steps decoded since open/rewind.
@@ -698,25 +452,14 @@ impl<const N: usize, R: BufRead + Seek> TraceReader<N, R> {
     /// choose between per-step error handling and the panicking
     /// [`RequestStream`] facade, this returns the valid prefix *and* the
     /// structured error in one call — the recovery path for a trace whose
-    /// tail was torn by a crash: keep what is provably intact, report
-    /// what was lost.
+    /// tail was damaged: keep what is provably intact, report what was
+    /// lost.
     pub fn read_valid_prefix(&mut self) -> SalvagedTrace<N> {
         let mut steps = Vec::new();
         let error = loop {
             match self.try_next() {
                 Ok(Some(step)) => steps.push(step),
                 Ok(None) => break None,
-                // A frame cut off mid-read surfaces as `UnexpectedEof`
-                // from the reader; in salvage terms that *is* data
-                // corruption (a torn tail), not an I/O environment
-                // failure — classify it so callers can match on
-                // `Corrupt` for every form of damaged bytes.
-                Err(TraceError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                    break Some(corrupt(
-                        format!("step {}", steps.len()),
-                        format!("trace truncated mid-frame: {e}"),
-                    ));
-                }
                 Err(e) => break Some(e),
             }
         };
@@ -726,6 +469,19 @@ impl<const N: usize, R: BufRead + Seek> TraceReader<N, R> {
             error,
         }
     }
+}
+
+/// Splits a text line into its directive and the rest, with `#`
+/// comments stripped; `None` for blank and comment-only lines.
+fn directive(raw: &str) -> Option<(&str, &str)> {
+    let line = raw.split('#').next().unwrap_or("").trim();
+    if line.is_empty() {
+        return None;
+    }
+    Some(match line.split_once(char::is_whitespace) {
+        Some((k, r)) => (k, r.trim()),
+        None => (line, ""),
+    })
 }
 
 /// Result of a salvage read ([`TraceReader::read_valid_prefix`] /
@@ -786,8 +542,6 @@ impl<const N: usize, R: BufRead + Seek> RequestStream<N> for TraceReader<N, R> {
             .expect("trace reader rewind failed");
         self.line_no = self.data_start_line;
         self.steps_read = 0;
-        self.next_chunk = 0;
-        self.saw_end = false;
         self.done = false;
     }
 }
@@ -842,32 +596,10 @@ fn read_u16(r: &mut impl std::io::Read) -> Result<u16, TraceError> {
     Ok(u16::from_le_bytes(read_exact_array::<2>(r)?))
 }
 
-fn read_u64(r: &mut impl std::io::Read) -> Result<u64, TraceError> {
-    Ok(u64::from_le_bytes(read_exact_array::<8>(r)?))
-}
-
 fn read_f64(r: &mut impl std::io::Read) -> Result<f64, TraceError> {
     Ok(f64::from_bits(u64::from_le_bytes(read_exact_array::<8>(
         r,
     )?)))
-}
-
-/// Reads a `u32` frame header, distinguishing clean EOF (`Ok(None)`) from
-/// a partial read (error).
-fn try_read_u32(r: &mut impl BufRead) -> Result<Option<u32>, TraceError> {
-    let mut buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        let n = r.read(&mut buf[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(corrupt("end of data", "partial frame header"));
-        }
-        filled += n;
-    }
-    Ok(Some(u32::from_le_bytes(buf)))
 }
 
 /// Records a stream (rewound to its start) into `sink`, returning the
@@ -897,8 +629,8 @@ pub fn record_to_vec<const N: usize>(
 }
 
 /// Strict full decode of a trace into an [`Instance`] — the validation
-/// entry point for untrusted bytes (every frame and the trailer are
-/// checked before anything is replayed).
+/// entry point for untrusted bytes (every step, and for v3 every block
+/// CRC and the trailer, is checked before anything is replayed).
 pub fn read_trace<const N: usize>(bytes: &[u8]) -> Result<Instance<N>, TraceError> {
     if bytes.len() >= 4 && &bytes[..4] == BLOCK_MAGIC {
         let mut reader = BlockTraceReader::<N>::open(bytes)?;
@@ -1100,10 +832,8 @@ fn decode_block_payload<const N: usize>(
         }
     }
     for _ in 0..steps_in_block {
-        let count = match try_read_u32(&mut cur).map_err(|_| truncated_block(at))? {
-            Some(c) => c,
-            None => return Err(truncated_block(at)),
-        };
+        let count =
+            u32::from_le_bytes(read_exact_array::<4>(&mut cur).map_err(|_| truncated_block(at))?);
         if count > MAX_REQUESTS_PER_STEP {
             return Err(corrupt(
                 format!("offset {at}"),
@@ -1595,13 +1325,8 @@ mod tests {
         )
     }
 
-    fn formats() -> [TraceFormat; 4] {
-        [
-            TraceFormat::TextV1,
-            TraceFormat::ChunkedV2 { chunk: 2 },
-            TraceFormat::Binary,
-            TraceFormat::BlockV3 { block: 2 },
-        ]
+    fn formats() -> [TraceFormat; 2] {
+        [TraceFormat::TextV1, TraceFormat::BlockV3 { block: 2 }]
     }
 
     #[test]
@@ -1624,15 +1349,22 @@ mod tests {
         }
     }
 
+    /// Pins the canonical text v1 bytes, the layout every instance file
+    /// shares: banner, header directives, one `step` line per step with
+    /// ` ; `-separated requests in shortest round-trip decimals.
     #[test]
     fn text_v1_matches_core_io_format() {
-        let inst = sample_instance();
-        let mut stream = InstanceStream::new(inst.clone());
-        let bytes = record_to_vec(&mut stream, TraceFormat::TextV1).unwrap();
-        let ours = String::from_utf8(bytes).unwrap();
-        assert_eq!(ours, msp_core::io::write_instance(&inst));
-        // And files written by msp_core::io replay through the reader.
-        let parsed: Instance<2> = read_trace(ours.as_bytes()).unwrap();
+        let mut inst = sample_instance();
+        inst.steps.truncate(3);
+        let bytes =
+            record_to_vec(&mut InstanceStream::new(inst.clone()), TraceFormat::TextV1).unwrap();
+        let text = String::from_utf8(bytes).unwrap();
+        assert_eq!(
+            text,
+            "# mobile-server instance v1\ndim 2\nd 4\nm 1.5\nstart 0.5 -0.25\n\
+             step 1 2 ; -3.5 4.25\nstep\nstep 0.125 -7\n"
+        );
+        let parsed: Instance<2> = read_trace(text.as_bytes()).unwrap();
         assert_eq!(parsed.horizon(), inst.horizon());
     }
 
@@ -1640,7 +1372,7 @@ mod tests {
     fn reader_is_a_rewindable_request_stream() {
         let inst = sample_instance();
         let bytes =
-            record_to_vec(&mut InstanceStream::new(inst.clone()), TraceFormat::Binary).unwrap();
+            record_to_vec(&mut InstanceStream::new(inst.clone()), TraceFormat::TextV1).unwrap();
         let mut reader = TraceReader::<2, _>::open(Cursor::new(bytes)).unwrap();
         let first: Vec<Step<2>> = std::iter::from_fn(|| reader.next_step()).collect();
         assert_eq!(first.len(), inst.horizon());
@@ -1676,89 +1408,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn truncated_binary_trace_is_rejected() {
-        let inst = sample_instance();
-        let bytes =
-            record_to_vec(&mut InstanceStream::new(inst.clone()), TraceFormat::Binary).unwrap();
-        // Drop the trailer (4-byte sentinel + 8-byte count).
-        let truncated = &bytes[..bytes.len() - 12];
-        let err = read_trace::<2>(truncated).unwrap_err();
-        assert!(format!("{err}").contains("missing end sentinel"), "{err}");
-        // Drop mid-frame.
-        let torn = &bytes[..bytes.len() - 20];
-        assert!(read_trace::<2>(torn).is_err());
-    }
-
-    #[test]
-    fn truncated_chunked_trace_is_rejected() {
-        let inst = sample_instance();
-        let bytes = record_to_vec(
-            &mut InstanceStream::new(inst),
-            TraceFormat::ChunkedV2 { chunk: 2 },
-        )
-        .unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let without_end = text.rsplit_once("end").unwrap().0;
-        let err = read_trace::<2>(without_end.as_bytes()).unwrap_err();
-        assert!(format!("{err}").contains("missing `end` trailer"), "{err}");
-    }
-
+    /// Overwrites the v3 trailer's step total and re-seals its CRC, so
+    /// only the count cross-check can catch the forgery.
     #[test]
     fn wrong_trailer_count_is_rejected() {
-        let inst = sample_instance();
-        let bytes = record_to_vec(
-            &mut InstanceStream::new(inst),
-            TraceFormat::ChunkedV2 { chunk: 8 },
-        )
-        .unwrap();
-        let text = String::from_utf8(bytes).unwrap().replace("end 4", "end 7");
-        let err = read_trace::<2>(text.as_bytes()).unwrap_err();
-        assert!(format!("{err}").contains("trailer records 7"), "{err}");
+        let mut bytes = sample_v3_bytes(2);
+        let len = bytes.len();
+        bytes[len - 16..len - 8].copy_from_slice(&7u64.to_le_bytes());
+        let tlen = u32::from_le_bytes(bytes[len - 4..].try_into().unwrap()) as usize;
+        let crc = crc32(&bytes[len - 4 - tlen..len - 8]);
+        bytes[len - 8..len - 4].copy_from_slice(&crc.to_le_bytes());
+        let err = read_trace::<2>(&bytes).unwrap_err();
+        assert!(
+            format!("{err}").contains("trailer records 2 blocks for 7 steps"),
+            "{err}"
+        );
     }
 
     #[test]
     fn dimension_mismatch_is_rejected() {
         let inst = sample_instance();
-        let bytes = record_to_vec(&mut InstanceStream::new(inst), TraceFormat::Binary).unwrap();
-        let err = TraceReader::<3, _>::open(Cursor::new(bytes)).unwrap_err();
-        assert!(format!("{err}").contains("dimension 2"), "{err}");
+        for format in formats() {
+            let bytes = record_to_vec(&mut InstanceStream::new(inst.clone()), format).unwrap();
+            let err = read_trace::<3>(&bytes).unwrap_err();
+            assert!(
+                format!("{err}").contains("dimension 2"),
+                "{format:?}: {err}"
+            );
+        }
     }
 
     #[test]
     fn non_finite_coordinates_cannot_enter_a_trace() {
-        // Forge a binary trace with a NaN coordinate and check the reader
-        // refuses it (the writer can't produce one — Step construction and
-        // write_step both assert finiteness).
-        let inst = sample_instance();
-        let mut bytes = record_to_vec(&mut InstanceStream::new(inst), TraceFormat::Binary).unwrap();
-        // Header: 4 magic + 2 version + 2 dim + 8 d + 8 m + 16 start = 40.
-        // First frame: 4-byte count then coords; poison the first coord.
-        let nan = f64::NAN.to_bits().to_le_bytes();
-        bytes[44..52].copy_from_slice(&nan);
+        // Forge a v3 trace with a NaN coordinate, re-sealing the block
+        // CRC, and check the reader refuses it (the writer can't produce
+        // one — Step construction and write_step both assert finiteness).
+        // Block 1 is raw (see block_writer_uses_delta_and_raw_modes); its
+        // payload opens with step 2's request count, then the x bits.
+        let mut bytes = sample_v3_bytes(2);
+        let off = BlockTraceReader::<2>::open(&bytes).unwrap().offsets[1] as usize;
+        let x = off + BLOCK_HEADER_LEN + 4;
+        bytes[x..x + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        let payload_len = u32::from_le_bytes(bytes[off + 9..off + 13].try_into().unwrap());
+        let crc_at = off + BLOCK_HEADER_LEN + payload_len as usize;
+        let crc = crc32(&bytes[off..crc_at]);
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
         let err = read_trace::<2>(&bytes).unwrap_err();
         assert!(format!("{err}").contains("non-finite"), "{err}");
-    }
-
-    #[test]
-    fn salvage_recovers_valid_prefix_of_torn_binary_trace() {
-        let inst = sample_instance();
-        let bytes =
-            record_to_vec(&mut InstanceStream::new(inst.clone()), TraceFormat::Binary).unwrap();
-        // Tear inside the last frame (trailer is 12 bytes; reach further
-        // back to land mid-frame).
-        let torn = &bytes[..bytes.len() - 20];
-        let salvaged = salvage_trace::<2>(torn).unwrap();
-        assert!(!salvaged.is_clean());
-        assert!(salvaged.steps.len() < inst.horizon());
-        // Every salvaged step is bit-equal to the source.
-        for (a, b) in salvaged.steps.iter().zip(&inst.steps) {
-            for (va, vb) in a.requests.iter().zip(&b.requests) {
-                assert_eq!(bits_of(va), bits_of(vb));
-            }
-        }
-        let err = salvaged.error.unwrap();
-        assert!(matches!(err, TraceError::Corrupt { .. }), "{err}");
     }
 
     #[test]
@@ -1776,23 +1472,10 @@ mod tests {
     #[test]
     fn salvage_still_rejects_header_damage() {
         let inst = sample_instance();
-        let bytes = record_to_vec(&mut InstanceStream::new(inst), TraceFormat::Binary).unwrap();
-        assert!(salvage_trace::<2>(&bytes[..8]).is_err());
-    }
-
-    #[test]
-    fn chunk_markers_are_order_checked() {
-        let inst = sample_instance();
-        let bytes = record_to_vec(
-            &mut InstanceStream::new(inst),
-            TraceFormat::ChunkedV2 { chunk: 2 },
-        )
-        .unwrap();
-        let text = String::from_utf8(bytes)
-            .unwrap()
-            .replace("chunk 1", "chunk 5");
-        let err = read_trace::<2>(text.as_bytes()).unwrap_err();
-        assert!(format!("{err}").contains("out of order"), "{err}");
+        for format in formats() {
+            let bytes = record_to_vec(&mut InstanceStream::new(inst.clone()), format).unwrap();
+            assert!(salvage_trace::<2>(&bytes[..8]).is_err(), "{format:?}");
+        }
     }
 
     fn sample_v3_bytes(block: usize) -> Vec<u8> {

@@ -72,12 +72,12 @@ fn main() {
     println!("act 3's 1.2-speed runaway is just inside the 1.3 budget, so the gap re-closes.");
 
     // The scenario itself can be exported for replay elsewhere:
-    let bytes = record_to_vec(stream.as_mut(), TraceFormat::ChunkedV2 { chunk: 128 })
-        .expect("recording a registry scenario");
+    let bytes =
+        record_to_vec(stream.as_mut(), TraceFormat::TextV1).expect("recording a registry scenario");
     println!(
-        "\nScenario exports to {} bytes of chunked v2 trace (binary: {} bytes).",
+        "\nScenario exports to {} bytes of text v1 trace (block v3: {} bytes).",
         bytes.len(),
-        record_to_vec(stream.as_mut(), TraceFormat::Binary)
+        record_to_vec(stream.as_mut(), TraceFormat::DURABLE)
             .unwrap()
             .len()
     );

@@ -301,7 +301,11 @@ fn silent_write_truncation_is_caught_by_salvage() {
     let mut stream = must_lookup("edge-drift")
         .stream_with::<2>(5, &ScenarioKnobs::horizon(30))
         .unwrap();
-    let (_, clean) = record_stream(stream.as_mut(), TraceFormat::Binary, Vec::new()).unwrap();
+    // The v3 writer makes one write for the header, then one per block:
+    // at 4 steps per block, write-operation 4 is the fourth block, so the
+    // truncation below lands in block data with the header intact.
+    let format = TraceFormat::BlockV3 { block: 4 };
+    let (_, clean) = record_stream(stream.as_mut(), format, Vec::new()).unwrap();
 
     // Replay the recording through a sink that silently truncates from
     // write-operation 4 onward.
@@ -311,7 +315,7 @@ fn silent_write_truncation_is_caught_by_salvage() {
     }]);
     let faulty = mobile_server::scenarios::fault::FaultyWrite::new(Vec::new(), plan);
     stream.rewind();
-    let (_, faulty) = record_stream(stream.as_mut(), TraceFormat::Binary, faulty).unwrap();
+    let (_, faulty) = record_stream(stream.as_mut(), format, faulty).unwrap();
     assert!(faulty.is_truncated());
     let torn = faulty.into_inner();
     assert!(
@@ -321,13 +325,16 @@ fn silent_write_truncation_is_caught_by_salvage() {
 
     let full_steps = salvage_trace::<2>(&clean).unwrap();
     assert!(full_steps.is_clean());
-    // An `Err` outcome (header-level damage) would be equally loud.
-    if let Ok(salvaged) = salvage_trace::<2>(&torn) {
-        assert!(
-            !salvaged.is_clean() || salvaged.steps.len() < full_steps.steps.len(),
-            "a torn trace must not read back clean and complete"
-        );
-    }
+    let salvaged = salvage_trace::<2>(&torn).expect("the header was written before the fault");
+    assert!(
+        !salvaged.is_clean(),
+        "a torn trace must not read back clean"
+    );
+    assert_eq!(
+        salvaged.steps.len(),
+        12,
+        "the three blocks written before the fault survive"
+    );
 }
 
 /// The acceptance regression: a multi-seed sweep with one injected

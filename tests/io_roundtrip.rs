@@ -1,11 +1,21 @@
-//! Round-trip property tests for the plain-text instance format: any
-//! instance the model accepts must survive write → parse exactly, and the
-//! parsed instance must simulate identically.
+//! Round-trip property tests for the plain-text instance format (trace
+//! text v1): any instance the model accepts must survive write → read
+//! exactly, the re-read instance must simulate identically, and the
+//! written form is canonical.
 
-use mobile_server::core::io::{parse_instance, write_instance};
 use mobile_server::core::simulator::run;
 use mobile_server::prelude::*;
+use mobile_server::scenarios::{read_trace, record_to_vec, InstanceStream, TraceFormat};
 use proptest::prelude::*;
+
+fn write_text(inst: &Instance<2>) -> String {
+    let bytes = record_to_vec(&mut InstanceStream::new(inst.clone()), TraceFormat::TextV1);
+    String::from_utf8(bytes.unwrap()).unwrap()
+}
+
+fn read_text(text: &str) -> Instance<2> {
+    read_trace(text.as_bytes()).unwrap()
+}
 
 fn arb_instance() -> impl Strategy<Value = Instance<2>> {
     (
@@ -31,8 +41,7 @@ proptest! {
 
     #[test]
     fn write_then_parse_is_identity(inst in arb_instance()) {
-        let text = write_instance(&inst);
-        let back: Instance<2> = parse_instance(&text).unwrap();
+        let back = read_text(&write_text(&inst));
         prop_assert_eq!(back.d, inst.d);
         prop_assert_eq!(back.max_move, inst.max_move);
         prop_assert_eq!(back.start, inst.start);
@@ -44,8 +53,7 @@ proptest! {
 
     #[test]
     fn parsed_instance_simulates_identically(inst in arb_instance()) {
-        let text = write_instance(&inst);
-        let back: Instance<2> = parse_instance(&text).unwrap();
+        let back = read_text(&write_text(&inst));
         let mut a1 = MoveToCenter::new();
         let mut a2 = MoveToCenter::new();
         let r1 = run(&inst, &mut a1, 0.25, ServingOrder::MoveFirst);
@@ -56,10 +64,9 @@ proptest! {
 
     #[test]
     fn double_round_trip_is_stable(inst in arb_instance()) {
-        // write(parse(write(x))) == write(x): the format is canonical.
-        let once = write_instance(&inst);
-        let back: Instance<2> = parse_instance(&once).unwrap();
-        let twice = write_instance(&back);
+        // write(read(write(x))) == write(x): the format is canonical.
+        let once = write_text(&inst);
+        let twice = write_text(&read_text(&once));
         prop_assert_eq!(once, twice);
     }
 }
@@ -77,7 +84,7 @@ fn format_is_human_editable() {
         step          # quiet day
         step 0.5 0.5
     ";
-    let inst: Instance<2> = parse_instance(text).unwrap();
+    let inst = read_text(text);
     assert_eq!(inst.horizon(), 3);
     assert_eq!(inst.steps[0].len(), 2);
     assert!(inst.steps[1].is_empty());

@@ -7,17 +7,16 @@ use mobile_server::core::model::{Instance, Step};
 use mobile_server::core::simulator::{run, run_streaming};
 use mobile_server::prelude::*;
 use mobile_server::scenarios::{
-    diff_streams, read_trace, record_to_vec, InstanceStream, StreamSteps, TraceFormat, TraceReader,
+    diff_streams, read_trace, record_to_vec, BlockTraceReader, InstanceStream, StreamSteps,
+    TraceFormat,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
 
-fn trace_formats() -> [TraceFormat; 3] {
-    [
-        TraceFormat::TextV1,
-        TraceFormat::ChunkedV2 { chunk: 3 },
-        TraceFormat::Binary,
-    ]
+/// Both wire formats; v3 at 3 steps per block, so arbitrary horizons end
+/// in a short last block.
+fn trace_formats() -> [TraceFormat; 2] {
+    [TraceFormat::TextV1, TraceFormat::BlockV3 { block: 3 }]
 }
 
 fn arb_instance2() -> impl Strategy<Value = Instance<2>> {
@@ -69,9 +68,13 @@ proptest! {
         inst in arb_instance2(),
         tweak_step in 0usize..30,
     ) {
-        let bytes = record_to_vec(&mut InstanceStream::new(inst.clone()), TraceFormat::Binary).unwrap();
+        let bytes = record_to_vec(
+            &mut InstanceStream::new(inst.clone()),
+            TraceFormat::BlockV3 { block: 3 },
+        )
+        .unwrap();
         let mut source = InstanceStream::new(inst.clone());
-        let mut replay = TraceReader::<2, _>::open(Cursor::new(bytes)).unwrap();
+        let mut replay = BlockTraceReader::<2>::open(&bytes).unwrap();
         prop_assert_eq!(diff_streams(&mut source, &mut replay), None);
 
         let step_with_request = inst
@@ -98,7 +101,7 @@ proptest! {
     }
 }
 
-/// High-dimensional points survive the binary and chunked codecs.
+/// High-dimensional points survive both codecs.
 #[test]
 fn high_dimensional_traces_round_trip() {
     let steps: Vec<Step<5>> = (0..40)
@@ -136,13 +139,17 @@ fn non_finite_steps_are_rejected_at_the_writer() {
     use mobile_server::core::model::StreamParams;
     use mobile_server::scenarios::TraceWriter;
     let params = StreamParams::<2>::new(2.0, 1.0, P2::origin());
-    let mut w =
-        TraceWriter::<2, _>::new(Cursor::new(Vec::new()), TraceFormat::Binary, &params).unwrap();
     let poisoned = Step::new(vec![P2::xy(f64::INFINITY, 0.0)]);
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = w.write_step(&poisoned);
-    }));
-    assert!(panicked.is_err(), "writer accepted a non-finite request");
+    for format in trace_formats() {
+        let mut w = TraceWriter::<2, _>::new(Cursor::new(Vec::new()), format, &params).unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = w.write_step(&poisoned);
+        }));
+        assert!(
+            panicked.is_err(),
+            "{format:?} writer accepted a non-finite request"
+        );
+    }
 }
 
 /// For every registry scenario: `run_streaming` over a recorded trace
@@ -161,9 +168,9 @@ fn streaming_replay_parity_on_every_registry_scenario() {
         let mut alg = MoveToCenter::new();
         let classic = run(&instance, &mut alg, delta, ServingOrder::MoveFirst);
 
-        // Streaming path: record → replay through the binary codec → run.
-        let bytes = record_to_vec(stream.as_mut(), TraceFormat::Binary).unwrap();
-        let mut replay = TraceReader::<N, _>::open(Cursor::new(bytes)).unwrap();
+        // Streaming path: record → replay through the block v3 codec → run.
+        let bytes = record_to_vec(stream.as_mut(), TraceFormat::BlockV3 { block: 64 }).unwrap();
+        let mut replay = BlockTraceReader::<N>::open(&bytes).unwrap();
         let streamed = run_streaming(
             &replay.params(),
             StreamSteps::new(&mut replay),

@@ -1,9 +1,9 @@
 //! Trace-corpus contracts for the block v3 format, end to end:
 //!
-//! * **v2→v3→v2 bit-equality** — for every registry scenario × seed, the
-//!   v3 block codec round-trips the exact stream the chunked v2 codec
-//!   records: decoding the v3 bytes and re-encoding them as v2 yields
-//!   the original v2 bytes, byte for byte (proptest-pinned).
+//! * **v1→v3→v1 byte-equality** — for every registry scenario × seed,
+//!   the v3 block codec round-trips the exact stream the text v1 codec
+//!   records: decoding the v3 bytes and re-encoding them as text v1
+//!   yields the original v1 bytes, byte for byte (proptest-pinned).
 //! * **Seek ≡ scan** — `seek_to_step(k)` followed by a drain is
 //!   bit-equal to replay-from-start for arbitrary `k`, including block
 //!   boundaries and `k == horizon`.
@@ -17,9 +17,9 @@
 //!   every thread count (1, 2, pool default), the `executor_semantics`
 //!   pinning pattern applied to the corpus tier.
 //! * **Mid-frame EOF classification** — a dedicated regression per
-//!   format version for `TraceReader::read_valid_prefix` (and the v3
-//!   salvage counterpart): a frame cut mid-read is reported as
-//!   `Corrupt`, never as a bare I/O error.
+//!   format for `TraceReader::read_valid_prefix` and the v3 salvage
+//!   path: a frame cut mid-read is reported as `Corrupt`, never as a
+//!   bare I/O error or a short clean trace.
 //!
 //! The CI job `tests-2t` re-runs this suite with `MSP_THREADS=2`, so the
 //! parallel paths see real worker contention.
@@ -53,30 +53,26 @@ fn assert_steps_bit_equal<const N: usize>(a: &Instance<N>, b: &Instance<N>) {
     }
 }
 
-/// Records one registry scenario as chunked v2 and block v3, decodes the
-/// v3 bytes, re-encodes the decoded instance as v2, and demands the two
-/// v2 recordings be byte-identical — v3 cannot lose or perturb a single
-/// bit anywhere in the registry.
-fn v2_v3_v2_round_trip<const N: usize>(spec: &ScenarioSpec, seed: u64, horizon: usize) {
+/// Records one registry scenario as text v1 and block v3, decodes the
+/// v3 bytes, re-encodes the decoded instance as text v1, and demands the
+/// two v1 recordings be byte-identical — v3 cannot lose or perturb a
+/// single bit anywhere in the registry.
+fn v1_v3_v1_round_trip<const N: usize>(spec: &ScenarioSpec, seed: u64, horizon: usize) {
     let knobs = ScenarioKnobs::horizon(horizon);
     let mut stream = spec.stream_with::<N>(seed, &knobs).unwrap();
-    let v2 = record_to_vec(stream.as_mut(), TraceFormat::ChunkedV2 { chunk: 5 }).unwrap();
+    let v1 = record_to_vec(stream.as_mut(), TraceFormat::TextV1).unwrap();
     let v3 = record_to_vec(stream.as_mut(), TraceFormat::BlockV3 { block: 3 }).unwrap();
-    let from_v2: Instance<N> = read_trace(&v2).unwrap();
+    let from_v1: Instance<N> = read_trace(&v1).unwrap();
     let from_v3: Instance<N> = read_trace(&v3).unwrap();
-    assert_steps_bit_equal(&from_v2, &from_v3);
-    let re_encoded = record_to_vec(
-        &mut InstanceStream::new(from_v3),
-        TraceFormat::ChunkedV2 { chunk: 5 },
-    )
-    .unwrap();
-    assert_eq!(v2, re_encoded, "{}: v2→v3→v2 changed bytes", spec.name);
+    assert_steps_bit_equal(&from_v1, &from_v3);
+    let re_encoded = record_to_vec(&mut InstanceStream::new(from_v3), TraceFormat::TextV1).unwrap();
+    assert_eq!(v1, re_encoded, "{}: v1→v3→v1 changed bytes", spec.name);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// v2→v3→v2 bit-equality across every registry scenario × seeds.
+    /// v1→v3→v1 byte-equality across every registry scenario × seeds.
     #[test]
     fn v3_round_trips_every_registry_scenario(
         which in 0usize..15,
@@ -86,8 +82,8 @@ proptest! {
         let specs = registry();
         let spec = &specs[which % specs.len()];
         match spec.dim {
-            1 => v2_v3_v2_round_trip::<1>(spec, seed, horizon),
-            2 => v2_v3_v2_round_trip::<2>(spec, seed, horizon),
+            1 => v1_v3_v1_round_trip::<1>(spec, seed, horizon),
+            2 => v1_v3_v1_round_trip::<2>(spec, seed, horizon),
             other => panic!("{}: unexpected dimension {other}", spec.name),
         }
     }
@@ -276,9 +272,9 @@ fn v3_bit_flips_in_trailer_and_block_are_loud_or_exact() {
     }
 }
 
-/// Mid-frame EOF must classify as `Corrupt` — one regression per format
-/// version, pinning `TraceReader::read_valid_prefix` (and the v3 salvage
-/// path) directly rather than through the salvage round-trip tests.
+/// Mid-frame EOF must classify as `Corrupt` — one regression per format,
+/// pinning `TraceReader::read_valid_prefix` and the v3 salvage path
+/// directly rather than through the salvage round-trip tests.
 #[test]
 fn mid_frame_eof_classifies_as_corrupt_per_format() {
     let inst = Instance::new(
@@ -305,39 +301,6 @@ fn mid_frame_eof_classifies_as_corrupt_per_format() {
         "v1: {:?}",
         salvaged.error
     );
-
-    // Chunked v2: strip the `end` trailer — a clean-looking EOF in the
-    // middle of the stream section must be corruption.
-    let v2 = record_to_vec(
-        &mut InstanceStream::new(inst.clone()),
-        TraceFormat::ChunkedV2 { chunk: 2 },
-    )
-    .unwrap();
-    let text = String::from_utf8(v2).unwrap();
-    let cut = text.rfind("end").unwrap();
-    let mut reader = TraceReader::<2, _>::open(Cursor::new(&text.as_bytes()[..cut])).unwrap();
-    let salvaged = reader.read_valid_prefix();
-    match &salvaged.error {
-        Some(TraceError::Corrupt { message, .. }) => {
-            assert!(message.contains("missing `end` trailer"), "{message}");
-        }
-        other => panic!("v2: expected Corrupt, got {other:?}"),
-    }
-
-    // Binary: cut inside the last frame — the reader's raw
-    // `UnexpectedEof` must be reclassified as Corrupt by
-    // `read_valid_prefix`, with the valid prefix intact.
-    let bin = record_to_vec(&mut InstanceStream::new(inst.clone()), TraceFormat::Binary).unwrap();
-    let torn = &bin[..bin.len() - 20];
-    let mut reader = TraceReader::<2, _>::open(Cursor::new(torn)).unwrap();
-    let salvaged = reader.read_valid_prefix();
-    match &salvaged.error {
-        Some(TraceError::Corrupt { message, .. }) => {
-            assert!(message.contains("truncated mid-frame"), "{message}");
-        }
-        other => panic!("binary: expected Corrupt, got {other:?}"),
-    }
-    assert_prefix_of(&salvaged.steps, &inst);
 
     // Block v3: cut inside the last block — salvage keeps the whole
     // blocks before it and reports Corrupt, never Io.
