@@ -607,26 +607,38 @@ pub fn snapshot() -> MetricsSnapshot {
     }
 }
 
+/// Serializes this crate's tests that flip the process-global collection
+/// flag: every test calling [`enable`] or [`disable`] holds the guard for
+/// its whole body, so no sibling can flip the flag under it. A test that
+/// panicked while holding it leaves no broken state behind, so poisoning
+/// is ignored.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // The registry is process-global and sibling tests run in parallel,
-    // so assertions compare before/after deltas (other threads only add)
-    // and never call `reset` or `disable`.
+    // so assertions compare before/after deltas (other threads only add),
+    // never call `reset`, and flip the flag only under `test_lock`.
 
     #[test]
     fn disabled_probes_do_not_collect() {
-        if enabled() {
-            // Another test enabled collection first; skip rather than
-            // fight over the global flag.
-            return;
-        }
+        let _flag = test_lock();
+        let was_enabled = enabled();
+        disable();
         let before = snapshot();
         add(Counter::GridSolves, 7);
         record(Hist::GridStepNs, 1234);
         gauge_max(Gauge::ExecutorQueueDepthHwm, u64::MAX);
         let after = snapshot();
+        if was_enabled {
+            enable();
+        }
         assert_eq!(
             after.counter("grid_dp.solves"),
             before.counter("grid_dp.solves")
@@ -639,6 +651,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_across_threads_and_shards() {
+        let _flag = test_lock();
         enable();
         let before = snapshot().counter("stream.steps").unwrap();
         std::thread::scope(|scope| {
@@ -656,6 +669,7 @@ mod tests {
 
     #[test]
     fn histogram_summary_tracks_count_sum_max_and_quantiles() {
+        let _flag = test_lock();
         enable();
         let before = snapshot().hist("probe.ratio_permille").cloned().unwrap();
         for v in [0u64, 1, 2, 3, 1000, 1500, 4000] {
@@ -671,6 +685,7 @@ mod tests {
 
     #[test]
     fn gauge_keeps_the_high_water_mark() {
+        let _flag = test_lock();
         enable();
         gauge_max(Gauge::ExecutorQueueDepthHwm, 3);
         gauge_max(Gauge::ExecutorQueueDepthHwm, 11);
@@ -680,6 +695,7 @@ mod tests {
 
     #[test]
     fn span_timer_records_once_on_drop() {
+        let _flag = test_lock();
         enable();
         let before = snapshot().hist("executor.dispatch_ns").unwrap().count;
         timer(Hist::ExecutorDispatchNs).stop();
@@ -711,6 +727,7 @@ mod tests {
 
     #[test]
     fn dominates_accepts_growth_and_rejects_regression() {
+        let _flag = test_lock();
         enable();
         let early = snapshot();
         add(Counter::JournalAppends, 2);

@@ -1003,6 +1003,7 @@ mod tests {
     fn pool_stats_reflect_a_fan() {
         // Sibling tests share the process-global registry, so compare
         // before/after deltas (concurrent fans only push counters up).
+        let _flag = obs::test_lock();
         obs::enable();
         let before = pool_stats();
         let items: Vec<usize> = (0..128).collect();

@@ -1,4 +1,4 @@
-//! Emits the machine-readable perf trajectory record (`BENCH_10.json`):
+//! Emits the machine-readable perf trajectory record (`BENCH_15.json`):
 //! wall-clock comparisons of the tracked fast paths against their
 //! baselines, so future optimization PRs have measured numbers to beat.
 //! `docs/BENCHMARKS.md` documents the record format, the regeneration
@@ -184,7 +184,7 @@ impl Shapes {
     /// run stays in CI budget) but repetitions are *higher* than the full
     /// record — each rep is cheap and the 0.8× regression floor needs
     /// stable medians more than it needs big instances. Check quick runs
-    /// against a quick-shape record (`BENCH_5_quick.json`), never against
+    /// against a quick-shape record (`BENCH_15_quick.json`), never against
     /// the full record: pruning windows and warm-start gains scale with
     /// the instance, so cross-shape speedups are not comparable.
     fn quick() -> Self {
@@ -1061,7 +1061,7 @@ Flags:
                      of the value recorded under the same name in <file>
   --help             this message
 
-The default output is BENCH_10.json. docs/BENCHMARKS.md explains how the
+The default output is BENCH_15.json. docs/BENCHMARKS.md explains how the
 BENCH_*.json records are produced, what the 0.8x CI gate means, and how to
 regenerate the references after a hardware change.";
 
@@ -1085,7 +1085,7 @@ fn main() {
         if quick {
             "bench-ci.json".into()
         } else {
-            "BENCH_10.json".into()
+            "BENCH_15.json".into()
         }
     });
     let sh = if quick {
@@ -1139,7 +1139,7 @@ fn main() {
     }
 
     let json = Json::obj([
-        ("pr", Json::Num(10.0)),
+        ("pr", Json::Num(15.0)),
         ("quick", Json::from(quick)),
         (
             "tier1",

@@ -17,6 +17,20 @@
 //! (quadratic near the smooth optimum), and a short Weiszfeld verification
 //! pass re-checks the fixed-point residual at the requested tolerance.
 //!
+//! **Anchor certificate.** With few requests the median is often one of
+//! them: a triangle with an angle of at least 120° has its median at that
+//! vertex (Torricelli), and so does any set where one point's weight
+//! outweighs the pull of all others. There Newton's model is singular and
+//! Weiszfeld only crawls toward the point, so right after the coarse phase
+//! the input point nearest the iterate, `x_k`, is tested exactly: it is the
+//! median iff `‖Σ_{x_i ≠ x_k} w_i·(x_i − x_k)/‖x_i − x_k‖‖ ≤ Σ_{x_i = x_k}
+//! w_i` (the Vardi–Zhang condition, with the same `1e-14` coincidence
+//! radius). When the test holds the solve returns `x_k` itself, bit for
+//! bit; when it fails, the solve goes on to Newton unchanged. The cost is
+//! one nearest-point pass and one accumulator pass per general-position
+//! solve. [`weighted_center_classic`] does not use it, so it stays an
+//! independent oracle.
+//!
 //! **Hot path:** simulations solve a median per step on request sets that
 //! drift slowly, so consecutive optima are close. [`MedianSolver`] keeps
 //! the previous center as a warm-start iterate plus reusable scratch
@@ -290,12 +304,31 @@ fn weighted_optimality_gap<const N: usize>(
     (grad.norm() - coincident).max(0.0)
 }
 
-/// Fast coarse-Weiszfeld → Newton pass from the starting iterate.
-/// `certified` means the Vardi–Zhang subgradient condition proved the
-/// returned point optimal. The coarse phase stops as soon as the step
+/// Exact Fermat–Weber optimality test at an input point: `anchor` is the
+/// median iff `‖Σ_{x_i ≠ anchor} w_i·(x_i − anchor)/‖x_i − anchor‖‖ ≤
+/// Σ_{x_i = anchor} w_i`. The same accumulator pass, coincidence radius
+/// and comparison as the Vardi–Zhang certificate in [`weiszfeld_step`].
+fn anchor_is_median<const N: usize>(
+    points: &[Point<N>],
+    weights: &[f64],
+    anchor: &Point<N>,
+) -> bool {
+    let acc = soa::weiszfeld_accumulate(points, weights, anchor, 1e-14);
+    acc.denom == 0.0 || acc.r_vec.norm() <= acc.coincident_weight
+}
+
+/// Fast coarse-Weiszfeld → anchor certificate → Newton pass from the
+/// starting iterate. `certified` means the subgradient condition proved
+/// the returned point optimal. The coarse phase stops as soon as the step
 /// shrinks below a spread-relative *basin* threshold — Weiszfeld contracts
 /// linearly, so a small step means a close start, and Newton converges
 /// quadratically from there.
+///
+/// When the median is an input point (Torricelli's ≥120° case, or one
+/// point outweighing the pull of all others) Weiszfeld only crawls toward
+/// it sublinearly and Newton's model is singular there. So the anchor
+/// nearest the coarse iterate is tested exactly first, and returned
+/// bit-for-bit when it passes.
 fn coarse_then_newton<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
@@ -308,6 +341,12 @@ fn coarse_then_newton<const N: usize>(
     let (it1, certified) = weiszfeld_until(points, weights, y, coarse_tol, coarse_cap);
     if certified {
         return (it1, true);
+    }
+    if let Some((k, _)) = soa::nearest_index_points(points, y) {
+        if anchor_is_median(points, weights, &points[k]) {
+            *y = points[k];
+            return (it1, true);
+        }
     }
     // Newton finishes the job quadratically where Weiszfeld crawls
     // (backtracking keeps it safe even when the basin guess was wrong).
@@ -740,9 +779,11 @@ impl MedianTelemetry {
 /// [`MedianTelemetry`].
 ///
 /// Results match the cold [`weighted_center`] path to well within `1e-9`
-/// (both phases finish with the same Newton polish, verification sweep and
-/// input-point snap); they are *not* guaranteed bit-identical, because the
-/// starting iterate differs.
+/// (both run the same anchor certificate, Newton polish, verification
+/// sweep and input-point snap); they are *not* guaranteed bit-identical,
+/// because the starting iterate differs. When the median is an input
+/// point and the certificate (see the [module docs](self)) fires, the
+/// solver returns that point exactly.
 #[derive(Clone, Debug)]
 pub struct MedianSolver<const N: usize> {
     opts: MedianOptions,

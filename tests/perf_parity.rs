@@ -22,7 +22,8 @@ use mobile_server::core::simulator::{
     run, run_batch, run_batch_with, run_streaming_batch_with, BatchOptions,
 };
 use mobile_server::geometry::median::{
-    median_optimality_gap, weighted_center, weighted_center_classic, MedianOptions, MedianSolver,
+    collinear, median_optimality_gap, weighted_center, weighted_center_classic,
+    weighted_center_weighted, MedianOptions, MedianSolver,
 };
 use mobile_server::geometry::sample::SeededSampler;
 use mobile_server::geometry::soa::{
@@ -46,6 +47,78 @@ fn drifting_sets(seed: u64, n: usize, steps: usize) -> Vec<Vec<P2>> {
                 .collect()
         })
         .collect()
+}
+
+/// Unit vector at angle `a` (radians).
+fn dir(a: f64) -> P2 {
+    P2::xy(a.cos(), a.sin())
+}
+
+/// Exact coordinates, for asserting that a solver returned an input point
+/// bit for bit.
+fn bits(p: P2) -> [u64; 2] {
+    p.0.map(f64::to_bits)
+}
+
+/// A request set whose geometric median is one of its points, with that
+/// point's index. Anchor optimality holds by construction (the unit pulls
+/// of the other points sum to a norm below the anchor's multiplicity), not
+/// by trusting a solver:
+///
+/// * `0` — three points with an apex angle of 125°–170° (Torricelli's
+///   vertex case: the two unit pulls sum to at most 2·cos 62.5° ≈ 0.92);
+/// * `1` — the same apex plus a fourth point behind it, within 40° of the
+///   direction opposite the arms' bisector (the three pulls sum to ≤ 0.88);
+/// * `2` — a point strictly inside the triangle of three others;
+/// * `3` — one point three times over, with two others off its line.
+fn anchor_optimal_set(kind: usize, s: &mut SeededSampler) -> (Vec<P2>, usize) {
+    use std::f64::consts::{PI, TAU};
+    let apex: P2 = s.point_in_cube(5.0);
+    let phi = s.uniform(0.0, TAU);
+    match kind {
+        0 | 1 => {
+            let theta = s.uniform(125.0, 170.0).to_radians();
+            let mut pts = vec![
+                apex + dir(phi) * s.uniform(0.5, 5.0),
+                apex,
+                apex + dir(phi + theta) * s.uniform(0.5, 5.0),
+            ];
+            if kind == 1 {
+                let back = phi + theta / 2.0 + PI + s.uniform(-40.0, 40.0).to_radians();
+                pts.push(apex + dir(back) * s.uniform(0.5, 5.0));
+            }
+            (pts, 1)
+        }
+        2 => {
+            let mut pts: Vec<P2> = (0..3)
+                .map(|i| {
+                    let a = phi + i as f64 * TAU / 3.0 + s.uniform(-0.5, 0.5);
+                    apex + dir(a) * s.uniform(1.0, 5.0)
+                })
+                .collect();
+            let bary = [0; 3].map(|_| s.uniform(0.15, 1.0));
+            let total: f64 = bary.iter().sum();
+            let inner = pts
+                .iter()
+                .zip(bary)
+                .fold(P2::origin(), |acc, (p, b)| acc + *p * (b / total));
+            pts.insert(2, inner);
+            (pts, 2)
+        }
+        _ => {
+            let a = apex + dir(phi) * s.uniform(0.5, 5.0);
+            let b = apex + dir(phi + s.uniform(0.3, 2.8)) * s.uniform(0.5, 5.0);
+            (vec![a, apex, b, apex, apex], 1)
+        }
+    }
+}
+
+/// Step `t` of a slow rigid drift (rotation about the origin, then a
+/// translation): it preserves angles and containment, so an
+/// anchor-optimal set stays optimal at the same index.
+fn rigid_drift(p: P2, t: usize) -> P2 {
+    let (sin, cos) = (0.01 * t as f64).sin_cos();
+    P2::xy(cos * p[0] - sin * p[1], sin * p[0] + cos * p[1]) + P2::xy(0.04, -0.03) * t as f64
 }
 
 #[test]
@@ -78,6 +151,33 @@ fn warm_median_matches_cold_and_classic_within_1e9() {
         }
         // The warm start must actually engage on this workload.
         assert!(solver.telemetry.warm_starts > 0);
+    }
+
+    // Median on an input point: warm (from the previous step's anchor)
+    // and cold solves must return that very point.
+    for kind in 0..4 {
+        for seed in 0..4u64 {
+            let (base, anchor) =
+                anchor_optimal_set(kind, &mut SeededSampler::new(100 * kind as u64 + seed));
+            let reference = P2::xy(0.5, -0.5);
+            let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+            for t in 0..60 {
+                let pts: Vec<P2> = base.iter().map(|p| rigid_drift(*p, t)).collect();
+                let warm = solver.center(&pts, &reference);
+                let cold = weighted_center(&pts, &reference, MedianOptions::default());
+                let classic = weighted_center_classic(
+                    &pts,
+                    &vec![1.0; pts.len()],
+                    &reference,
+                    MedianOptions::default(),
+                );
+                let at = format!("kind {kind} seed {seed} step {t}");
+                assert_eq!(bits(warm), bits(pts[anchor]), "{at}: warm {warm:?}");
+                assert_eq!(bits(cold), bits(pts[anchor]), "{at}: cold {cold:?}");
+                assert!(warm.distance(&classic) < 1e-9, "{at}: classic {classic:?}");
+            }
+            assert!(solver.telemetry.warm_starts > 0);
+        }
     }
 }
 
@@ -262,11 +362,38 @@ proptest! {
         let mut s = SeededSampler::new(wseed);
         let w: Vec<f64> = (0..pts.len()).map(|_| s.uniform(0.2, 4.0)).collect();
         let reference = P2::xy(0.3, 0.7);
-        let fast = mobile_server::geometry::median::weighted_center_weighted(
-            &pts, &w, &reference, MedianOptions::default(),
-        );
-        let classic = weighted_center_classic(&pts, &w, &reference, MedianOptions::default());
+        let opts = MedianOptions::default();
+        let fast = weighted_center_weighted(&pts, &w, &reference, opts);
+        let classic = weighted_center_classic(&pts, &w, &reference, opts);
         prop_assert!(fast.distance(&classic) < 1e-7, "{:?} vs {:?}", fast, classic);
+
+        // Anchor-optimal variants of the same draw: one weight above half
+        // the total, the same point outnumbering all others, and a
+        // constructed shape. Collinear sets take the exact 1-D path
+        // instead, so only general-position sets are checked here.
+        let k = (wseed % pts.len() as u64) as usize;
+        let mut heavy = w.clone();
+        heavy[k] = 1.25 * (w.iter().sum::<f64>() - w[k]) + 0.1;
+        let mut dup = pts.clone();
+        dup.extend(std::iter::repeat_n(pts[k], pts.len()));
+        let (shape, apex) = anchor_optimal_set((wseed % 4) as usize, &mut s);
+        let (dup_w, shape_w) = (vec![1.0; dup.len()], vec![1.0; shape.len()]);
+        let cases = [(pts.clone(), heavy, k), (dup, dup_w, k), (shape, shape_w, apex)];
+        for (set, weights, anchor) in cases {
+            if collinear(&set, 1e-12).is_some() {
+                continue;
+            }
+            let cold = weighted_center_weighted(&set, &weights, &reference, opts);
+            // Warm: started from the center of the unmodified draw.
+            let mut solver = MedianSolver::<2>::new(opts);
+            solver.seed(fast);
+            let mut warm = P2::origin();
+            solver.weighted_center_into(&set, &weights, &reference, &mut warm);
+            let classic = weighted_center_classic(&set, &weights, &reference, opts);
+            prop_assert_eq!(bits(cold), bits(set[anchor]), "cold {:?} on {:?}", cold, set);
+            prop_assert_eq!(bits(warm), bits(set[anchor]), "warm {:?} on {:?}", warm, set);
+            prop_assert!(cold.distance(&classic) < 1e-7, "{:?} vs {:?}", cold, classic);
+        }
     }
 }
 
