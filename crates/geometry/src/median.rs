@@ -81,7 +81,8 @@ pub fn sum_of_distances<const N: usize>(points: &[Point<N>], c: &Point<N>) -> f6
 
 /// Weighted variant of [`sum_of_distances`]. Chunked with **in-order**
 /// accumulation, so objective comparisons inside the solver (line
-/// searches, anchor snaps) are bit-identical to the scalar loop.
+/// searches, the stall path's anchor ranking) are bit-identical to the
+/// scalar loop.
 pub fn weighted_sum_of_distances<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
@@ -304,19 +305,6 @@ fn weighted_optimality_gap<const N: usize>(
     (grad.norm() - coincident).max(0.0)
 }
 
-/// Exact Fermat–Weber optimality test at an input point: `anchor` is the
-/// median iff `‖Σ_{x_i ≠ anchor} w_i·(x_i − anchor)/‖x_i − anchor‖‖ ≤
-/// Σ_{x_i = anchor} w_i`. The same accumulator pass, coincidence radius
-/// and comparison as the Vardi–Zhang certificate in [`weiszfeld_step`].
-fn anchor_is_median<const N: usize>(
-    points: &[Point<N>],
-    weights: &[f64],
-    anchor: &Point<N>,
-) -> bool {
-    let acc = soa::weiszfeld_accumulate(points, weights, anchor, 1e-14);
-    acc.denom == 0.0 || acc.r_vec.norm() <= acc.coincident_weight
-}
-
 /// Fast coarse-Weiszfeld → anchor certificate → Newton pass from the
 /// starting iterate. `certified` means the subgradient condition proved
 /// the returned point optimal. The coarse phase stops as soon as the step
@@ -328,7 +316,9 @@ fn anchor_is_median<const N: usize>(
 /// point outweighing the pull of all others) Weiszfeld only crawls toward
 /// it sublinearly and Newton's model is singular there. So the anchor
 /// nearest the coarse iterate is tested exactly first, and returned
-/// bit-for-bit when it passes.
+/// bit-for-bit when it passes. Testing before Newton rather than after it
+/// stalls spares anchor solves Newton's backtracking; interior solves pay
+/// the two O(n) passes instead.
 fn coarse_then_newton<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
@@ -342,8 +332,10 @@ fn coarse_then_newton<const N: usize>(
     if certified {
         return (it1, true);
     }
+    // The Vardi–Zhang step certifies an input point exactly when the
+    // subgradient condition holds there.
     if let Some((k, _)) = soa::nearest_index_points(points, y) {
-        if anchor_is_median(points, weights, &points[k]) {
+        if weiszfeld_step(points, weights, &points[k]).is_none() {
             *y = points[k];
             return (it1, true);
         }
@@ -352,33 +344,6 @@ fn coarse_then_newton<const N: usize>(
     // (backtracking keeps it safe even when the basin guess was wrong).
     *y = newton_polish(points, weights, *y, opts);
     (it1, false)
-}
-
-/// Snaps `y` onto its nearest anchor when the anchor actually improves the
-/// objective — the optimum can sit exactly on an input point, where the
-/// smooth machinery stalls a hair away. One O(n) distance pass plus two
-/// objective evaluations; the exhaustive all-anchor scan (O(n²)) is only
-/// used by the stall-recovery path.
-fn snap_to_near_anchor<const N: usize>(
-    points: &[Point<N>],
-    weights: &[f64],
-    y: Point<N>,
-    spread: f64,
-) -> Point<N> {
-    let Some((idx, dist)) = soa::nearest_index_points(points, &y) else {
-        return y;
-    };
-    if dist > 1e-6 * (1.0 + spread) {
-        return y;
-    }
-    let nearest = &points[idx];
-    if weighted_sum_of_distances(points, weights, nearest)
-        < weighted_sum_of_distances(points, weights, &y)
-    {
-        *nearest
-    } else {
-        y
-    }
 }
 
 /// Full general-position solve from the starting iterate: fast
@@ -416,11 +381,8 @@ fn solve_from<const N: usize>(
         let mut y = next_start;
         let (iters, certified) = coarse_then_newton(points, weights, &mut y, opts, spread);
         iters_total += iters;
-        if certified {
+        if certified || weighted_optimality_gap(points, weights, &y) <= gap_tol {
             return (y, iters_total);
-        }
-        if weighted_optimality_gap(points, weights, &y) <= gap_tol {
-            return (snap_to_near_anchor(points, weights, y, spread), iters_total);
         }
 
         // The fast pass stalled (flat valley or a grazed anchor). Fall back
@@ -779,11 +741,11 @@ impl MedianTelemetry {
 /// [`MedianTelemetry`].
 ///
 /// Results match the cold [`weighted_center`] path to well within `1e-9`
-/// (both run the same anchor certificate, Newton polish, verification
-/// sweep and input-point snap); they are *not* guaranteed bit-identical,
-/// because the starting iterate differs. When the median is an input
-/// point and the certificate (see the [module docs](self)) fires, the
-/// solver returns that point exactly.
+/// (both run the same anchor certificate, Newton polish and verification
+/// sweep); they are *not* guaranteed bit-identical, because the starting
+/// iterate differs. When the median is an input point and the certificate
+/// (see the [module docs](self)) fires, the solver returns that point
+/// exactly.
 #[derive(Clone, Debug)]
 pub struct MedianSolver<const N: usize> {
     opts: MedianOptions,
