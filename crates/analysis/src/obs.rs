@@ -120,8 +120,7 @@ metric_enum! {
         /// row pair that survives the whole-pair improvement bound).
         GridSmawkRows => "grid.smawk_rows",
         /// Cells whose frontier or service values were reused from a
-        /// warm journal instead of recomputed (`GridDp::solve_warm`
-        /// and the probe's warm window cache).
+        /// warm journal instead of recomputed (`GridDp::solve_warm`).
         GridWarmReuseCells => "grid.warm_reuse_cells",
         /// Geometric-median solves (routed from `MedianTelemetry`).
         MedianSolves => "median.solves",

@@ -1,4 +1,4 @@
-//! Emits the machine-readable perf trajectory record (`BENCH_15.json`):
+//! Emits the machine-readable perf trajectory record (`BENCH_16.json`):
 //! wall-clock comparisons of the tracked fast paths against their
 //! baselines, so future optimization PRs have measured numbers to beat.
 //! `docs/BENCHMARKS.md` documents the record format, the regeneration
@@ -10,8 +10,6 @@
 //!   `service_cost_naive` oracle,
 //! * `kernel_dp_serve_scan` — the grid DP's SoA per-node service scan vs
 //!   the per-node scalar loop,
-//! * `kernel_weiszfeld_accum` — the chunked Weiszfeld accumulator vs its
-//!   scalar oracle,
 //! * `median_drift_*` — warm-started [`MedianSolver`] vs the seed's cold
 //!   classic solver over a drifting request cluster,
 //! * `multi_delta_sweep` — `run_batch` (cross-lane warm seeding) over a
@@ -82,7 +80,7 @@ use msp_core::mtc::MoveToCenter;
 use msp_core::simulator::{run, run_batch_with, run_streaming, BatchOptions};
 use msp_geometry::median::{weighted_center, weighted_center_classic, MedianOptions, MedianSolver};
 use msp_geometry::sample::SeededSampler;
-use msp_geometry::soa::{self, SoaPoints};
+use msp_geometry::soa::SoaPoints;
 use msp_geometry::P2;
 use msp_offline::grid::{GridDp, TransitionKernel};
 use msp_workloads::{DriftingHotspot, DriftingHotspotConfig, RequestCount};
@@ -184,7 +182,7 @@ impl Shapes {
     /// run stays in CI budget) but repetitions are *higher* than the full
     /// record — each rep is cheap and the 0.8× regression floor needs
     /// stable medians more than it needs big instances. Check quick runs
-    /// against a quick-shape record (`BENCH_15_quick.json`), never against
+    /// against a quick-shape record (`BENCH_16_quick.json`), never against
     /// the full record: pruning windows and warm-start gains scale with
     /// the instance, so cross-shape speedups are not comparable.
     fn quick() -> Self {
@@ -285,37 +283,6 @@ fn dp_serve_scan_comparison(sh: &Shapes) -> Comparison {
         detail: format!(
             "{}×{side} nodes × 3 requests; per-node scalar loop vs per-request SoA column scan",
             side
-        ),
-    }
-}
-
-fn weiszfeld_kernel_comparison(sh: &Shapes) -> Comparison {
-    let sets = drifting_clusters(64, sh.kernel_evals);
-    let weights = vec![1.0f64; 64];
-    let y = P2::xy(0.9, 0.7);
-    let baseline_ns = time_ns(sh.reps, || {
-        let mut acc = 0.0;
-        for pts in &sets {
-            acc += soa::weiszfeld_accumulate_scalar(pts, &weights, &y, 1e-14).denom;
-        }
-        acc
-    });
-    let fast_ns = time_ns(sh.reps, || {
-        let mut acc = 0.0;
-        for pts in &sets {
-            acc += soa::weiszfeld_accumulate(pts, &weights, &y, 1e-14).denom;
-        }
-        acc
-    });
-    Comparison {
-        name: "kernel_weiszfeld_accum".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{} accumulator passes over 64 points; scalar loop vs chunked blocks (in-order, \
-             bit-identical). The in-order accumulation chains bound this kernel, so the blocked \
-             sqrt/div buys little — tracked honestly; the bit-stability contract is the point",
-            sets.len()
         ),
     }
 }
@@ -1061,7 +1028,7 @@ Flags:
                      of the value recorded under the same name in <file>
   --help             this message
 
-The default output is BENCH_15.json. docs/BENCHMARKS.md explains how the
+The default output is BENCH_16.json. docs/BENCHMARKS.md explains how the
 BENCH_*.json records are produced, what the 0.8x CI gate means, and how to
 regenerate the references after a hardware change.";
 
@@ -1085,7 +1052,7 @@ fn main() {
         if quick {
             "bench-ci.json".into()
         } else {
-            "BENCH_15.json".into()
+            "BENCH_16.json".into()
         }
     });
     let sh = if quick {
@@ -1098,7 +1065,6 @@ fn main() {
         service_kernel_comparison(64, "kernel_service_cost_n64", &sh),
         service_kernel_comparison(256, "kernel_service_cost_n256", &sh),
         dp_serve_scan_comparison(&sh),
-        weiszfeld_kernel_comparison(&sh),
         median_comparison(16, "median_drift_n16", &sh),
         median_comparison(64, "median_drift_n64", &sh),
         batch_comparison(
@@ -1139,7 +1105,7 @@ fn main() {
     }
 
     let json = Json::obj([
-        ("pr", Json::Num(15.0)),
+        ("pr", Json::Num(16.0)),
         ("quick", Json::from(quick)),
         (
             "tier1",
@@ -1193,10 +1159,10 @@ fn main() {
             }
             if *want < 1.0 {
                 // Benches recorded below 1× are informational (e.g. the
-                // in-order Weiszfeld kernel, bound by its accumulation
-                // chains by design): their ratio hovers around parity and
-                // is the most microarch-sensitive number in the record —
-                // gating it would flake on heterogeneous CI runners.
+                // obs overhead pair, ≈ 1× by design): their ratio hovers
+                // around parity and is the most microarch-sensitive
+                // number in the record — gating it would flake on
+                // heterogeneous CI runners.
                 println!(
                     "check: {:<26} informational ({:.2}× vs recorded {want:.2}×, not gated)",
                     c.name,

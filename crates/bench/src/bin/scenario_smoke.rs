@@ -744,18 +744,17 @@ fn chaos_smoke(seed: u64) -> Result<(), String> {
 }
 
 /// Exercises the PR 10 grid counters under `--metrics`: a probed
-/// streaming run whose periodic request pattern makes the probe's
-/// windowed DP hit its warm journal (identical blocks), plus a warm
-/// grid-DP horizon sweep (SMAWK row reductions + journal replay) — so
-/// [`validate_metrics`] can demand `grid.smawk_rows` and
+/// streaming run (the probe's windowed DP bounds every 8-step block),
+/// plus a warm grid-DP horizon sweep (SMAWK row reductions + journal
+/// replay) — so [`validate_metrics`] can demand `grid.smawk_rows` and
 /// `grid.warm_reuse_cells` both moved during the run.
 fn grid_metrics_smoke() -> Result<(), String> {
     use msp_core::model::{Instance, Step};
     use msp_geometry::P2;
     use msp_offline::{run_streaming_probed, GridDp, ProbeOptions, TransitionKernel};
 
-    // Period-2 corner requests: every 8-step probe block is bit-identical
-    // to the previous one, the warm-window full-match path.
+    // Period-2 corner requests: every 8-step probe block closes a window
+    // bound, and the sweep below replays identical prefixes.
     let steps: Vec<Step<2>> = (0..48)
         .map(|t| {
             Step::single(if t % 2 == 0 {
@@ -834,7 +833,7 @@ fn validate_metrics(
     }
     // The probed grid smoke must have driven both PR 10 grid counters:
     // SMAWK row reductions from the DT kernel and warm-journal reuse
-    // from the repeated-window probe blocks and the warm horizon sweep.
+    // from the warm horizon sweep.
     for name in ["grid.smawk_rows", "grid.warm_reuse_cells"] {
         let b = before.counter(name).unwrap_or(0);
         if after.counter(name).unwrap_or(0) <= b {

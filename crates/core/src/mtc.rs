@@ -343,12 +343,15 @@ mod tests {
         // hint from A must let lane B solve from A's center — engaging the
         // warm-start counter and converging in a handful of iterations —
         // while deciding the same point A did (same position, same δ).
+        // Five requests: three or four would take the solver's closed
+        // form, which has no warm start to prime.
         let ctx = ctx2(4.0, 0.5, 0.2);
         let reqs = [
             P2::xy(1.0, 0.4),
             P2::xy(0.5, -0.7),
             P2::xy(1.5, 0.9),
             P2::xy(0.2, 0.3),
+            P2::xy(1.3, -0.4),
         ];
         let mut lane_a = MoveToCenter::<2>::new();
         lane_a.reset(&ctx);
@@ -410,7 +413,9 @@ mod tests {
     fn warm_solver_threads_through_decisions() {
         // A long decision sequence on drifting requests: the internal
         // solver must record warm starts and stay in lockstep with the
-        // stateless center computation.
+        // stateless center computation. Five requests per step, since
+        // three or four take the solver's closed form, which never warm
+        // starts.
         let mut mtc = MoveToCenter::<2>::new();
         let ctx = ctx2(4.0, 0.5, 0.2);
         mtc.reset(&ctx);
@@ -421,12 +426,14 @@ mod tests {
                 P2::xy(1.0 + s, 0.4),
                 P2::xy(0.5 + s, -0.7),
                 P2::xy(1.5 + s, 0.9),
+                P2::xy(0.3 + s, 0.5),
+                P2::xy(1.2 + s, -0.2),
             ];
             let cold_center = mtc.center_of(&reqs, &pos);
             let next = mtc.decide(&pos, &reqs, &ctx);
             // The decision must head towards (within 1e-9 of) the cold
             // center — warm starting is numerics, not policy.
-            let pull = (3.0f64 / ctx.d).min(1.0) * pos.distance(&cold_center);
+            let pull = (5.0f64 / ctx.d).min(1.0) * pos.distance(&cold_center);
             let expect = step_towards(&pos, &cold_center, pull.min(ctx.online_budget()));
             assert!(next.distance(&expect) < 1e-9, "step {t}");
             pos = next;
@@ -439,7 +446,13 @@ mod tests {
         let before = mtc.median_telemetry().warm_starts;
         let _ = mtc.decide(
             &P2::origin(),
-            &[P2::xy(1.0, 0.2), P2::xy(0.0, 1.1), P2::xy(-1.0, 0.3)],
+            &[
+                P2::xy(1.0, 0.2),
+                P2::xy(0.0, 1.1),
+                P2::xy(-1.0, 0.3),
+                P2::xy(0.4, -0.8),
+                P2::xy(-0.2, 0.1),
+            ],
             &ctx,
         );
         assert_eq!(mtc.median_telemetry().warm_starts, before);

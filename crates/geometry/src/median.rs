@@ -31,6 +31,22 @@
 //! solve. [`weighted_center_classic`] does not use it, so it stays an
 //! independent oracle.
 //!
+//! **Closed forms for three and four requests.** Equally weighted sets of
+//! three points (any `N`) and four points (`N = 2`) that are not collinear
+//! skip the iteration. A triangle's median is its Fermat–Torricelli point:
+//! with `D_A = 4Δ + 2√3·(AB·AC)` and cyclically for `B` and `C`, it is the
+//! vertex whose `D ≤ 0` (its angle is at least 120°), returned bit for bit,
+//! else `(A/D_A + B/D_B + C/D_C) ÷ (1/D_A + 1/D_B + 1/D_C)` (evaluated
+//! relative to `A`, which is exact in real arithmetic). Four planar
+//! points have theirs at a point lying inside or on the triangle of the
+//! other three (orientation signs), returned bit for bit, else at the
+//! crossing of the one pair of strictly crossing segments. The same
+//! subgradient-gap test the iterative pipeline applies to its answers,
+//! `gap ≤ 1e-10·W`, certifies each candidate; a rejected one (rounding on a
+//! near-degenerate set) falls through to the pipeline unchanged, and so do
+//! unequal weights and every larger set. [`weighted_center_classic`] has no
+//! closed forms.
+//!
 //! **Hot path:** simulations solve a median per step on request sets that
 //! drift slowly, so consecutive optima are close. [`MedianSolver`] keeps
 //! the previous center as a warm-start iterate plus reusable scratch
@@ -220,6 +236,87 @@ fn collinear_center_with<const N: usize>(
     base + u * t
 }
 
+/// Closed-form median of an equally weighted, non-collinear set of three
+/// points (any `N`) or four points (`N = 2`), accepted only when the
+/// subgradient gap certifies it (`≤ 1e-10·W`, the test [`solve_from`]
+/// applies to its own answers). `None` for every other set and for a
+/// rejected candidate; both take the iterative pipeline.
+fn closed_form_center<const N: usize>(points: &[Point<N>], weights: &[f64]) -> Option<Point<N>> {
+    let equal = || weights.iter().all(|w| *w == weights[0]);
+    let c = match points {
+        [a, b, c] if equal() => triangle_median(a, b, c),
+        [_, _, _, _] if N == 2 && equal() => planar_quad_median(points)?,
+        _ => return None,
+    };
+    let total_weight: f64 = weights.iter().sum();
+    (weighted_optimality_gap(points, weights, &c) <= 1e-10 * total_weight).then_some(c)
+}
+
+/// Fermat–Torricelli point of the triangle `abc`. With
+/// `D_A = 4Δ + 2√3·(AB·AC) = 4·|AB|·|AC|·sin(A + 60°)` and cyclically for
+/// `B` and `C`, it is the vertex whose `D ≤ 0` (its angle is ≥ 120°),
+/// else the point with barycentric weights `1/D_A : 1/D_B : 1/D_C`,
+/// evaluated relative to `a`.
+fn triangle_median<const N: usize>(a: &Point<N>, b: &Point<N>, c: &Point<N>) -> Point<N> {
+    let (ab, ac, bc) = (*b - *a, *c - *a, *c - *b);
+    // (2Δ)² as the sum of the squared 2×2 minors of [AB AC] (Lagrange's
+    // identity), which has no cancellation, unlike |AB|²|AC|² − (AB·AC)².
+    let mut minors = 0.0;
+    for i in 0..N {
+        for j in i + 1..N {
+            let m = ab[i] * ac[j] - ab[j] * ac[i];
+            minors += m * m;
+        }
+    }
+    let four_area = 2.0 * minors.sqrt();
+    let k = 2.0 * 3f64.sqrt();
+    let d = [
+        four_area + k * ab.dot(&ac),
+        four_area - k * ab.dot(&bc),
+        four_area + k * ac.dot(&bc),
+    ];
+    for (vertex, dv) in [a, b, c].into_iter().zip(d) {
+        if dv <= 0.0 {
+            return *vertex;
+        }
+    }
+    let [wa, wb, wc] = d.map(|v| 1.0 / v);
+    *a + (ab * wb + ac * wc) / (wa + wb + wc)
+}
+
+/// Twice the signed area of `abc` in the plane of the first two axes.
+fn orient<const N: usize>(a: &Point<N>, b: &Point<N>, c: &Point<N>) -> f64 {
+    (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+}
+
+/// Median of four planar points: the first point lying inside or on the
+/// triangle of the other three, else the crossing of the one pair of
+/// strictly crossing segments (the diagonals of a convex quadrilateral).
+/// `None` when rounding hides both on a near-degenerate set.
+fn planar_quad_median<const N: usize>(p: &[Point<N>]) -> Option<Point<N>> {
+    for i in 0..4 {
+        let [a, b, c] = [1, 2, 3].map(|k| &p[(i + k) % 4]);
+        let o = [
+            orient(a, b, &p[i]),
+            orient(b, c, &p[i]),
+            orient(c, a, &p[i]),
+        ];
+        if o.iter().all(|v| *v >= 0.0) || o.iter().all(|v| *v <= 0.0) {
+            return Some(p[i]);
+        }
+    }
+    let opposite = |x: f64, y: f64| (x < 0.0 && y > 0.0) || (x > 0.0 && y < 0.0);
+    for [i, j, k, l] in [[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]] {
+        let (oi, oj) = (orient(&p[k], &p[l], &p[i]), orient(&p[k], &p[l], &p[j]));
+        if opposite(oi, oj) && opposite(orient(&p[i], &p[j], &p[k]), orient(&p[i], &p[j], &p[l])) {
+            // `orient(k, l, ·)` is affine along segment ij, so it vanishes
+            // at the fraction oi / (oi − oj) of the way from p[i] to p[j].
+            return Some(p[i] + (p[j] - p[i]) * (oi / (oi - oj)));
+        }
+    }
+    None
+}
+
 /// One Weiszfeld/Vardi–Zhang step from `y`. Returns `None` when `y` itself
 /// is certified optimal (all mass coincident, or the coincident anchor
 /// satisfies the subgradient condition).
@@ -230,9 +327,7 @@ fn weiszfeld_step<const N: usize>(
     y: &Point<N>,
 ) -> Option<Point<N>> {
     // Split the points into those coinciding with the iterate and the
-    // rest; accumulate the Weiszfeld weights over the rest. The O(n)
-    // accumulation runs through the chunked kernel (vectorized distance
-    // blocks, in-order accumulation — bit-identical to the scalar loop).
+    // rest; accumulate the Weiszfeld weights over the rest.
     let soa::WeiszfeldAccum {
         num,
         denom,
@@ -487,7 +582,9 @@ fn weighted_centroid<const N: usize>(points: &[Point<N>], weights: &[f64]) -> Po
 /// For collinear inputs the problem reduces to the exact 1-D weighted
 /// median (computed directly — no iteration), with the non-unique case
 /// resolved by clamping the projection of `reference` onto the minimizing
-/// segment, implementing the paper's "closest center" tie-break.
+/// segment, implementing the paper's "closest center" tie-break. Three or
+/// four equally weighted points take the certified closed forms of the
+/// [module docs](self) instead of the iteration.
 ///
 /// # Panics
 /// Panics on an empty point set or mismatched weight length.
@@ -511,8 +608,10 @@ pub fn weighted_center_weighted<const N: usize>(
         return collinear_center_with(points, weights, reference, base, u, &mut ts, &mut order);
     }
 
-    // General position: unique minimizer.
-    solve_from(points, weights, weighted_centroid(points, weights), opts).0
+    // General position: unique minimizer, in closed form for three or
+    // four equally weighted points.
+    closed_form_center(points, weights)
+        .unwrap_or_else(|| solve_from(points, weights, weighted_centroid(points, weights), opts).0)
 }
 
 /// Damped Newton refinement of a Fermat–Weber iterate. Safeguarded: steps
@@ -745,7 +844,10 @@ impl MedianTelemetry {
 /// sweep); they are *not* guaranteed bit-identical, because the starting
 /// iterate differs. When the median is an input point and the certificate
 /// (see the [module docs](self)) fires, the solver returns that point
-/// exactly.
+/// exactly. Collinear sets and certified closed forms for three or four
+/// equally weighted points are start-independent, so warm and cold agree
+/// bit for bit there; such solves bill no Weiszfeld iterations and do not
+/// count as warm starts.
 #[derive(Clone, Debug)]
 pub struct MedianSolver<const N: usize> {
     opts: MedianOptions,
@@ -839,17 +941,12 @@ impl<const N: usize> MedianSolver<N> {
         assert_eq!(points.len(), weights.len(), "length mismatch");
         self.telemetry.solves += 1;
 
-        if points.len() == 1 {
-            self.telemetry.last_iterations = 0;
-            self.warm = Some(points[0]);
-            *out = points[0];
-            return;
-        }
-
-        // Collinear: exact, iteration-free — nothing to warm-start.
-        if let Some((base, u)) = collinear(points, 1e-12) {
-            self.telemetry.last_iterations = 0;
-            let c = collinear_center_with(
+        // One point, collinear points, or three or four equally weighted
+        // points: exact, iteration-free — nothing to warm-start.
+        let exact = if points.len() == 1 {
+            Some(points[0])
+        } else if let Some((base, u)) = collinear(points, 1e-12) {
+            Some(collinear_center_with(
                 points,
                 weights,
                 reference,
@@ -857,7 +954,12 @@ impl<const N: usize> MedianSolver<N> {
                 u,
                 &mut self.ts,
                 &mut self.order,
-            );
+            ))
+        } else {
+            closed_form_center(points, weights)
+        };
+        if let Some(c) = exact {
+            self.telemetry.last_iterations = 0;
             self.warm = Some(c);
             *out = c;
             return;
@@ -1103,11 +1205,14 @@ mod tests {
 
     #[test]
     fn solver_seeding_controls_warm_start() {
+        // Five points: three or four take the closed form, which ignores
+        // the seed.
         let pts = [
             P2::xy(0.0, 0.0),
             P2::xy(2.0, 0.1),
             P2::xy(1.0, 1.7),
             P2::xy(0.9, -1.2),
+            P2::xy(1.6, 1.1),
         ];
         let cold = weighted_center(&pts, &P2::origin(), MedianOptions::default());
         let mut solver = MedianSolver::<2>::new(MedianOptions::default());
@@ -1136,5 +1241,45 @@ mod tests {
         // And again warm: result stable.
         solver.weighted_center_into(&pts, &w, &P2::origin(), &mut out);
         assert!(out.distance(&cold) < 1e-9);
+    }
+
+    #[test]
+    fn closed_forms_bill_no_iterations_and_no_warm_starts() {
+        let obtuse = [P2::xy(0.0, 0.0), P2::xy(1.0, 0.2), P2::xy(2.0, 0.0)];
+        let acute = [P2::xy(0.0, 0.0), P2::xy(4.0, 0.5), P2::xy(1.0, 3.0)];
+        let inner = [
+            P2::xy(0.0, 0.0),
+            P2::xy(4.0, 0.0),
+            P2::xy(1.5, 1.0),
+            P2::xy(1.0, 3.0),
+        ];
+        let convex = [
+            P2::xy(0.0, 0.0),
+            P2::xy(4.0, 4.0),
+            P2::xy(4.0, 0.0),
+            P2::xy(0.0, 2.0),
+        ];
+        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+        solver.seed(P2::xy(9.0, 9.0));
+        for pts in [&obtuse[..], &acute, &inner, &convex] {
+            let c = solver.center(pts, &P2::origin());
+            assert_eq!(
+                c,
+                weighted_center(pts, &P2::origin(), MedianOptions::default())
+            );
+            assert!(median_optimality_gap(pts, &c) <= 1e-10 * pts.len() as f64);
+            assert_eq!(solver.telemetry.last_iterations, 0);
+        }
+        // Torricelli's vertex, the inner point, and the diagonals' crossing.
+        assert_eq!(solver.center(&obtuse, &P2::origin()), obtuse[1]);
+        assert_eq!(solver.center(&inner, &P2::origin()), inner[2]);
+        let x = solver.center(&convex, &P2::origin());
+        assert!(
+            x.distance(&P2::xy(4.0 / 3.0, 4.0 / 3.0)) < 1e-15,
+            "got {x:?}"
+        );
+        assert_eq!(solver.telemetry.iterations, 0);
+        assert_eq!(solver.telemetry.warm_starts, 0);
+        assert_eq!(solver.telemetry.solves, 7);
     }
 }

@@ -351,9 +351,8 @@ struct WarmJournal {
     steps: Vec<WarmStep>,
 }
 
-/// Flattened coordinate bit patterns of one step's requests (shared
-/// with the probe's warm window cache).
-pub(crate) fn step_req_bits<const N: usize>(requests: &[Point<N>]) -> Vec<u64> {
+/// Flattened coordinate bit patterns of one step's requests.
+fn step_req_bits<const N: usize>(requests: &[Point<N>]) -> Vec<u64> {
     let mut bits = Vec::with_capacity(requests.len() * N);
     for r in requests {
         for i in 0..N {
@@ -364,7 +363,7 @@ pub(crate) fn step_req_bits<const N: usize>(requests: &[Point<N>]) -> Vec<u64> {
 }
 
 /// Whether `bits` is exactly the bit pattern of `requests`.
-pub(crate) fn req_bits_match<const N: usize>(bits: &[u64], requests: &[Point<N>]) -> bool {
+fn req_bits_match<const N: usize>(bits: &[u64], requests: &[Point<N>]) -> bool {
     bits.len() == requests.len() * N
         && requests
             .iter()

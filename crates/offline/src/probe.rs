@@ -207,13 +207,7 @@ impl<const N: usize> RatioProbe<N> {
 }
 
 /// Scratch and arena for the windowed deflated grid DP; buffers are
-/// reused across windows (allocation-free after the first), and a warm
-/// journal of the last window's per-step inputs and frontiers lets
-/// bit-identical windows (common under periodic workloads) and shared
-/// step prefixes skip their recomputation entirely — the ROADMAP item 3
-/// "warm `GridDp` scratch" upside, guarded by the same bit-level
-/// input-equality rule as [`crate::grid::GridDp::solve_warm`], so a
-/// warm bound is always bit-equal to the cold one.
+/// reused across windows (allocation-free after the first).
 #[derive(Clone, Debug)]
 struct GridBound<const N: usize> {
     cells: usize,
@@ -221,31 +215,6 @@ struct GridBound<const N: usize> {
     serve: Vec<f64>,
     cost: Vec<f64>,
     next: Vec<f64>,
-    /// Journal of the last processed window (same bounding box ⟹ same
-    /// node arena, so entries survive across windows until the box
-    /// moves).
-    warm: Option<WarmWindow>,
-}
-
-/// The probe-side warm journal: the cached window's bounding-box bits
-/// plus one [`WarmBoundStep`] per processed step. Validity is purely
-/// bit-level: an entry is reused only when the box and every prior
-/// step's request bits are identical to the incoming window's.
-#[derive(Clone, Debug)]
-struct WarmWindow {
-    lo_bits: Vec<u64>,
-    hi_bits: Vec<u64>,
-    steps: Vec<WarmBoundStep>,
-}
-
-/// One journaled step of a window DP: request bits, deflated service
-/// costs (pure per-step function of requests and arena), and the
-/// post-step frontier.
-#[derive(Clone, Debug)]
-struct WarmBoundStep {
-    req_bits: Vec<u64>,
-    serve: Vec<f64>,
-    frontier: Vec<f64>,
 }
 
 impl<const N: usize> GridBound<N> {
@@ -261,17 +230,12 @@ impl<const N: usize> GridBound<N> {
             serve: Vec::new(),
             cost: Vec::new(),
             next: Vec::new(),
-            warm: None,
         }
     }
 
     /// Certified lower bound on the cost any `m`-feasible trajectory
     /// incurs over the window's steps (free start). See the
-    /// [module docs](self) for the deflation argument. Warm-cached: a
-    /// window whose bounding box and request bits match the previous
-    /// one's prefix reuses the journaled frontiers and service scans
-    /// (bit-equal by construction; a fully matching window skips the DP
-    /// outright).
+    /// [module docs](self) for the deflation argument.
     fn window_bound(
         &mut self,
         d: f64,
@@ -295,8 +259,6 @@ impl<const N: usize> GridBound<N> {
         if !any {
             return 0.0; // A request-free window costs OPT nothing.
         }
-        let lo_bits: Vec<u64> = lo.iter().map(|v| v.to_bits()).collect();
-        let hi_bits: Vec<u64> = hi.iter().map(|v| v.to_bits()).collect();
 
         // Grid geometry over the box; `snap` over-covers the worst
         // distance from a box point to its nearest node (half the cell
@@ -311,100 +273,43 @@ impl<const N: usize> GridBound<N> {
         let snap = 0.51 * diag_sq.sqrt();
         let node_count = cells.pow(N as u32);
 
-        // A moved bounding box means a different node arena: drop the
-        // journal and rebuild the nodes. An identical box keeps both
-        // (the arena is a pure function of the box and `cells`).
-        let same_box = self
-            .warm
-            .as_ref()
-            .is_some_and(|w| w.lo_bits == lo_bits && w.hi_bits == hi_bits);
-        if !same_box {
-            self.warm = None;
-            self.nodes.clear();
-            self.nodes.reserve(node_count);
-            let mut idx = [0usize; N];
-            loop {
-                let mut p = Point::<N>::default();
-                for i in 0..N {
-                    p[i] = lo[i] + spacing[i] * idx[i] as f64;
-                }
-                self.nodes.push(p);
-                let mut i = 0;
-                while i < N {
-                    idx[i] += 1;
-                    if idx[i] < cells {
-                        break;
-                    }
-                    idx[i] = 0;
-                    i += 1;
-                }
-                if i == N {
+        self.nodes.clear();
+        self.nodes.reserve(node_count);
+        let mut idx = [0usize; N];
+        loop {
+            let mut p = Point::<N>::default();
+            for i in 0..N {
+                p[i] = lo[i] + spacing[i] * idx[i] as f64;
+            }
+            self.nodes.push(p);
+            let mut i = 0;
+            while i < N {
+                idx[i] += 1;
+                if idx[i] < cells {
                     break;
                 }
+                idx[i] = 0;
+                i += 1;
+            }
+            if i == N {
+                break;
             }
         }
 
-        // Longest journaled step prefix with bit-identical requests.
-        let mut reuse = 0usize;
-        if let Some(w) = &self.warm {
-            while reuse < w.steps.len().min(window.len())
-                && crate::grid::req_bits_match(&w.steps[reuse].req_bits, &window[reuse])
-            {
-                reuse += 1;
-            }
-            if reuse == window.len() && reuse > 0 {
-                // The whole window is journaled: its bound is the min of
-                // the final cached frontier — no DP at all.
-                obs::add(
-                    obs::Counter::GridWarmReuseCells,
-                    (reuse * node_count) as u64,
-                );
-                return w.steps[reuse - 1]
-                    .frontier
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min);
-            }
-        }
-
-        // Free start: OPT may enter the window anywhere. A reused
-        // prefix resumes from its journaled frontier.
+        // Free start: OPT may enter the window anywhere.
         self.cost.clear();
-        if reuse == 0 {
-            self.cost.resize(node_count, 0.0);
-        } else {
-            self.cost
-                .extend_from_slice(&self.warm.as_ref().unwrap().steps[reuse - 1].frontier);
-            obs::add(
-                obs::Counter::GridWarmReuseCells,
-                (reuse * node_count) as u64,
-            );
-        }
+        self.cost.resize(node_count, 0.0);
         self.next.resize(node_count, 0.0);
         self.serve.resize(node_count, 0.0);
 
-        let warm = self.warm.get_or_insert_with(|| WarmWindow {
-            lo_bits,
-            hi_bits,
-            steps: Vec::new(),
-        });
         let reach = m + 2.0 * snap;
-        for (t, step) in window.iter().enumerate().skip(reuse) {
-            // Deflated service cost per node — reused from the journal
-            // when this step's bits match even after an earlier step
-            // diverged (service is a pure per-step function).
-            let serve_reused =
-                t < warm.steps.len() && crate::grid::req_bits_match(&warm.steps[t].req_bits, step);
-            if serve_reused {
-                self.serve.copy_from_slice(&warm.steps[t].serve);
-                obs::add(obs::Counter::GridWarmReuseCells, node_count as u64);
-            } else {
-                for (sv, node) in self.serve.iter_mut().zip(&self.nodes) {
-                    *sv = step
-                        .iter()
-                        .map(|r| (node.distance(r) - snap).max(0.0))
-                        .sum();
-                }
+        for step in window {
+            // Deflated service cost per node.
+            for (sv, node) in self.serve.iter_mut().zip(&self.nodes) {
+                *sv = step
+                    .iter()
+                    .map(|r| (node.distance(r) - snap).max(0.0))
+                    .sum();
             }
             // Deflated all-pairs relaxation.
             for (k, nk) in self.nodes.iter().enumerate() {
@@ -426,28 +331,7 @@ impl<const N: usize> GridBound<N> {
                 self.next[k] = best;
             }
             std::mem::swap(&mut self.cost, &mut self.next);
-            // Re-journal the step (new bits/serve on divergence, always
-            // the recomputed frontier).
-            if t < warm.steps.len() {
-                let entry = &mut warm.steps[t];
-                if !serve_reused {
-                    entry.req_bits = crate::grid::step_req_bits(step);
-                    entry.serve.clear();
-                    entry.serve.extend_from_slice(&self.serve);
-                }
-                entry.frontier.clear();
-                entry.frontier.extend_from_slice(&self.cost);
-            } else {
-                warm.steps.push(WarmBoundStep {
-                    req_bits: crate::grid::step_req_bits(step),
-                    serve: self.serve.clone(),
-                    frontier: self.cost.clone(),
-                });
-            }
         }
-        // Entries beyond a recomputed step chained through replaced
-        // frontiers — drop them (a pure prefix hit never gets here).
-        warm.steps.truncate(window.len());
         self.cost.iter().copied().fold(f64::INFINITY, f64::min)
     }
 }
@@ -620,43 +504,6 @@ mod tests {
                 probe.lower_bound()
             );
             assert!(probe.lower_bound() > 0.0);
-        }
-    }
-
-    #[test]
-    fn warm_window_bounds_are_bit_equal_to_cold() {
-        // Drive one warm GridBound through a schedule that exercises
-        // every cache path — exact repeats (full-match shortcut),
-        // shared prefixes with divergent tails, shrunk windows, and a
-        // bounding-box move (cache invalidation) — and demand each
-        // bound is bit-equal to a cold solve from a fresh arena.
-        let a = P2::xy(0.0, 0.0);
-        let b = P2::xy(8.0, 6.0);
-        let c = P2::xy(3.0, 5.0);
-        let far = P2::xy(20.0, -4.0); // moves the bounding box
-        let mk =
-            |pts: &[Point<2>]| -> Vec<Vec<Point<2>>> { pts.iter().map(|p| vec![*p, c]).collect() };
-        let schedule: Vec<Vec<Vec<Point<2>>>> = vec![
-            mk(&[a, b, a, b]),
-            mk(&[a, b, a, b]),   // identical: full journal hit
-            mk(&[a, b, b, a]),   // shared 2-step prefix, divergent tail
-            mk(&[a, b]),         // shrunk window (pure prefix)
-            mk(&[a, b, a, b]),   // regrow past the truncated journal
-            mk(&[a, far, a, b]), // bbox moves: cache must reset
-            mk(&[a, b, a, b]),   // bbox moves back
-            mk(&[b, a, a, b]),   // divergence at step 0
-        ];
-        for order in [ServingOrder::MoveFirst, ServingOrder::AnswerFirst] {
-            let mut warm = GridBound::<2>::new(9);
-            for window in &schedule {
-                let got = warm.window_bound(2.0, 0.5, order, window);
-                let cold = GridBound::<2>::new(9).window_bound(2.0, 0.5, order, window);
-                assert_eq!(
-                    got.to_bits(),
-                    cold.to_bits(),
-                    "warm bound {got} != cold bound {cold} ({order:?})"
-                );
-            }
         }
     }
 

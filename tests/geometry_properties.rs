@@ -3,10 +3,10 @@
 //! checked over random inputs.
 
 use mobile_server::geometry::median::{
-    centroid, geometric_median, median_optimality_gap, sum_of_distances, weighted_center,
-    MedianOptions,
+    centroid, collinear, geometric_median, median_optimality_gap, sum_of_distances,
+    weighted_center, weighted_center_classic, MedianOptions, MedianSolver,
 };
-use mobile_server::geometry::{step_towards, P2};
+use mobile_server::geometry::{step_towards, Point, P2, P3};
 use proptest::prelude::*;
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<P2>> {
@@ -94,6 +94,24 @@ proptest! {
     }
 
     #[test]
+    fn closed_form_medians_match_the_classic_oracle(
+        quad in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 4..5),
+        space in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0), 3..4),
+        scale_exp in -3i32..4,
+    ) {
+        // Triangles and quads in the plane at scales 1e-3…1e3, and
+        // triangles in space: where the certified closed form fires, warm
+        // and cold agree bit for bit, the gap is certified, and the
+        // objective is no worse than the seed's iterative oracle.
+        let scale = 10f64.powi(scale_exp);
+        let quad: Vec<P2> = quad.iter().map(|&(x, y)| P2::xy(x, y) * scale).collect();
+        let space: Vec<P3> = space.iter().map(|&(x, y, z)| P3::new([x, y, z])).collect();
+        check_small_set(&quad[..3]);
+        check_small_set(&quad);
+        check_small_set(&space);
+    }
+
+    #[test]
     fn step_towards_is_a_contraction_toward_the_target(
         ax in -20.0f64..20.0, ay in -20.0f64..20.0,
         bx in -20.0f64..20.0, by in -20.0f64..20.0,
@@ -126,6 +144,36 @@ proptest! {
         prop_assert!((a.distance(&b) - b.distance(&a)).abs() < 1e-12);
         prop_assert!(a.distance(&a) == 0.0);
     }
+}
+
+/// One three- or four-point set against the classic oracle; see
+/// `closed_form_medians_match_the_classic_oracle`. Collinear sets take
+/// the exact 1-D path instead and are skipped.
+fn check_small_set<const N: usize>(pts: &[Point<N>]) {
+    if collinear(pts, 1e-12).is_some() {
+        return;
+    }
+    let opts = MedianOptions::default();
+    let reference = Point::<N>::origin();
+    let cold = weighted_center(pts, &reference, opts);
+    let mut solver = MedianSolver::<N>::new(opts);
+    solver.seed(Point::splat(7.0));
+    let warm = solver.center(pts, &reference);
+    if solver.telemetry.last_iterations == 0 {
+        assert_eq!(warm.0.map(f64::to_bits), cold.0.map(f64::to_bits));
+        assert!(median_optimality_gap(pts, &cold) <= 1e-10 * pts.len() as f64);
+    } else {
+        assert!(warm.distance(&cold) < 1e-9 * (1.0 + cold.norm()));
+    }
+    let classic = weighted_center_classic(pts, &vec![1.0; pts.len()], &reference, opts);
+    let (obj, oracle) = (
+        sum_of_distances(pts, &cold),
+        sum_of_distances(pts, &classic),
+    );
+    assert!(
+        obj - oracle <= 1e-12 * oracle,
+        "{obj} vs {oracle} on {pts:?}"
+    );
 }
 
 #[test]

@@ -22,12 +22,12 @@ use mobile_server::core::simulator::{
     run, run_batch, run_batch_with, run_streaming_batch_with, BatchOptions,
 };
 use mobile_server::geometry::median::{
-    collinear, median_optimality_gap, weighted_center, weighted_center_classic,
+    collinear, median_optimality_gap, sum_of_distances, weighted_center, weighted_center_classic,
     weighted_center_weighted, MedianOptions, MedianSolver,
 };
 use mobile_server::geometry::sample::SeededSampler;
 use mobile_server::geometry::soa::{
-    self, nearest_index_points, sum_distances_points, sum_distances_points_scalar,
+    nearest_index_points, sum_distances_points, sum_distances_points_scalar,
     weighted_sum_distances_points, weighted_sum_distances_points_scalar, SoaPoints,
 };
 use mobile_server::offline::{grid_optimum, grid_optimum_unpruned, GridDp, TransitionKernel};
@@ -56,8 +56,109 @@ fn dir(a: f64) -> P2 {
 
 /// Exact coordinates, for asserting that a solver returned an input point
 /// bit for bit.
-fn bits(p: P2) -> [u64; 2] {
+fn bits<const N: usize>(p: Point<N>) -> [u64; N] {
     p.0.map(f64::to_bits)
+}
+
+/// Solves a three- or four-point set warm (with `solver`'s carried state)
+/// and cold, against the classic oracle. The closed form fired when the
+/// warm solve billed no iteration; warm and cold must then be bit-equal
+/// and certified (`gap ≤ 1e-10·n`). A rejected candidate takes the
+/// iterative path, where warm and cold agree within 1e-9. Either way the
+/// objective is no worse than the oracle's beyond 1e-12 relative (the
+/// oracle's plain Weiszfeld can stop short near a 120° vertex, so it may
+/// be worse); positions are left to the caller, since near-degenerate sets
+/// have flat valleys. Returns the cold center and whether the closed form
+/// fired.
+fn small_set_parity<const N: usize>(
+    solver: &mut MedianSolver<N>,
+    pts: &[Point<N>],
+    at: &str,
+) -> (Point<N>, bool) {
+    let reference = Point::<N>::splat(0.5);
+    let opts = MedianOptions::default();
+    let warm = solver.center(pts, &reference);
+    let fired = solver.telemetry.last_iterations == 0;
+    let cold = weighted_center(pts, &reference, opts);
+    let classic = weighted_center_classic(pts, &vec![1.0; pts.len()], &reference, opts);
+    if fired {
+        assert_eq!(
+            bits(warm),
+            bits(cold),
+            "{at}: warm {warm:?} vs cold {cold:?}"
+        );
+        let gap = median_optimality_gap(pts, &cold);
+        assert!(gap <= 1e-10 * pts.len() as f64, "{at}: gap {gap}");
+    } else {
+        assert!(
+            warm.distance(&cold) < 1e-9,
+            "{at}: warm {warm:?} vs cold {cold:?}"
+        );
+    }
+    let (obj, oracle) = (
+        sum_of_distances(pts, &cold),
+        sum_of_distances(pts, &classic),
+    );
+    assert!(
+        obj - oracle <= 1e-12 * oracle,
+        "{at}: objective {obj} vs oracle {oracle} on {pts:?}"
+    );
+    (cold, fired)
+}
+
+/// A three- or four-point shape for the closed forms, with the input
+/// point the median must be returned as bit for bit, if it is one:
+///
+/// * `0` — an apex angle of 120° + 1e-7 rad (Torricelli's vertex case
+///   with almost no margin);
+/// * `1` — an apex angle of 120° − 1e-6 rad (the Fermat point a hair
+///   inside, where the candidate may be rejected);
+/// * `2` — a point on an edge of the other three's triangle (its median
+///   up to rounding, so no index);
+/// * `3` — `{A, A, B, C}`: the duplicate is the median;
+/// * `4` — an anchor-optimal set ([`anchor_optimal_set`] kinds 0–2)
+///   offset by 1e9;
+/// * `5` — a 1e-6-wide cluster of two or three points and one far point.
+fn small_shape(kind: usize, s: &mut SeededSampler) -> (Vec<P2>, Option<usize>) {
+    use std::f64::consts::TAU;
+    let apex: P2 = s.point_in_cube(5.0);
+    let phi = s.uniform(0.0, TAU);
+    match kind {
+        0 | 1 => {
+            let theta = 120f64.to_radians() + if kind == 0 { 1e-7 } else { -1e-6 };
+            let pts = vec![
+                apex + dir(phi) * s.uniform(0.5, 5.0),
+                apex,
+                apex + dir(phi + theta) * s.uniform(0.5, 5.0),
+            ];
+            (pts, (kind == 0).then_some(1))
+        }
+        2 => {
+            let (a, b, c) = (
+                apex + dir(phi) * s.uniform(1.0, 5.0),
+                apex + dir(phi + 2.1) * s.uniform(1.0, 5.0),
+                apex + dir(phi + 4.2) * s.uniform(1.0, 5.0),
+            );
+            (vec![a, b, c, b + (c - b) * s.uniform(0.2, 0.8)], None)
+        }
+        3 => {
+            let b = apex + dir(phi) * s.uniform(0.5, 5.0);
+            let c = apex + dir(phi + s.uniform(0.3, 2.8)) * s.uniform(0.5, 5.0);
+            (vec![apex, b, apex, c], Some(0))
+        }
+        4 => {
+            let (pts, anchor) = anchor_optimal_set(s.int_inclusive(0, 2), s);
+            let far = P2::xy(1e9, -1e9);
+            (pts.iter().map(|p| *p + far).collect(), Some(anchor))
+        }
+        _ => {
+            let mut pts: Vec<P2> = (0..s.int_inclusive(2, 3))
+                .map(|_| apex + s.point_in_cube::<2>(0.5e-6))
+                .collect();
+            pts.push(apex + dir(phi) * s.uniform(1.0, 10.0));
+            (pts, None)
+        }
+    }
 }
 
 /// A request set whose geometric median is one of its points, with that
@@ -123,11 +224,19 @@ fn rigid_drift(p: P2, t: usize) -> P2 {
 
 #[test]
 fn warm_median_matches_cold_and_classic_within_1e9() {
-    for seed in 0..4u64 {
-        let sets = drifting_sets(seed, 3 + seed as usize * 7, 120);
+    for (seed, n) in [(0u64, 3), (1, 10), (2, 17), (3, 24), (4, 4), (5, 4)] {
+        let sets = drifting_sets(seed, n, 120);
         let reference = P2::xy(0.5, -0.5);
         let mut solver = MedianSolver::<2>::new(MedianOptions::default());
         for (t, pts) in sets.iter().enumerate() {
+            if n <= 4 {
+                // Well-conditioned small sets: the closed form fires.
+                let at = format!("seed {seed} step {t}");
+                assert!(
+                    small_set_parity(&mut solver, pts, &at).1,
+                    "{at}: not closed form"
+                );
+            }
             let warm = solver.center(pts, &reference);
             let cold = weighted_center(pts, &reference, MedianOptions::default());
             let classic = weighted_center_classic(
@@ -149,12 +258,19 @@ fn warm_median_matches_cold_and_classic_within_1e9() {
                 "seed {seed} step {t}: warm center not optimal"
             );
         }
-        // The warm start must actually engage on this workload.
-        assert!(solver.telemetry.warm_starts > 0);
+        // The warm start must actually engage on this workload; closed
+        // forms never warm start.
+        if n <= 4 {
+            assert_eq!(solver.telemetry.warm_starts, 0);
+            assert_eq!(solver.telemetry.iterations, 0);
+        } else {
+            assert!(solver.telemetry.warm_starts > 0);
+        }
     }
 
     // Median on an input point: warm (from the previous step's anchor)
-    // and cold solves must return that very point.
+    // and cold solves must return that very point. Kinds 0–2 have three
+    // or four points and take the closed form.
     for kind in 0..4 {
         for seed in 0..4u64 {
             let (base, anchor) =
@@ -176,8 +292,44 @@ fn warm_median_matches_cold_and_classic_within_1e9() {
                 assert_eq!(bits(cold), bits(pts[anchor]), "{at}: cold {cold:?}");
                 assert!(warm.distance(&classic) < 1e-9, "{at}: classic {classic:?}");
             }
-            assert!(solver.telemetry.warm_starts > 0);
+            assert_eq!(solver.telemetry.warm_starts > 0, kind == 3, "kind {kind}");
         }
+    }
+
+    // Constructed three- and four-point shapes, drifting rigidly: the
+    // closed form must fire on every well-conditioned one (all but the
+    // hair-inside Fermat point and the tight cluster), and anchor-optimal
+    // ones return their anchor bit for bit.
+    for kind in 0..6 {
+        for seed in 0..4u64 {
+            let mut s = SeededSampler::new(500 + 10 * kind as u64 + seed);
+            let (base, anchor) = small_shape(kind, &mut s);
+            let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+            for t in 0..60 {
+                let pts: Vec<P2> = base.iter().map(|p| rigid_drift(*p, t)).collect();
+                let at = format!("shape {kind} seed {seed} step {t}");
+                let (cold, fired) = small_set_parity(&mut solver, &pts, &at);
+                assert!(fired || kind == 1 || kind == 5, "{at}: not closed form");
+                if let Some(k) = anchor {
+                    assert_eq!(bits(cold), bits(pts[k]), "{at}: {cold:?}");
+                }
+                if kind == 2 {
+                    assert!(cold.distance(&pts[3]) < 1e-12, "{at}: {cold:?}");
+                }
+            }
+        }
+    }
+
+    // Triangles in space take the closed form too.
+    let mut s = SeededSampler::new(77);
+    let mut solver = MedianSolver::<3>::new(MedianOptions::default());
+    for t in 0..200 {
+        let pts: Vec<P3> = (0..3).map(|_| s.point_in_cube(5.0)).collect();
+        let at = format!("space triangle {t}");
+        assert!(
+            small_set_parity(&mut solver, &pts, &at).1,
+            "{at}: not closed form"
+        );
     }
 }
 
@@ -308,30 +460,6 @@ proptest! {
     }
 
     #[test]
-    fn chunked_weiszfeld_accumulator_is_bit_equal_to_scalar_oracle(
-        cloud in arb_cloud(120), pick in any::<u64>()
-    ) {
-        let mut pts = cloud;
-        // Sometimes place the iterate exactly on an input point so the
-        // coincident (Vardi–Zhang) branch is exercised.
-        let y = if pick % 2 == 0 {
-            pts[pick as usize % pts.len()]
-        } else {
-            P2::xy(0.1, 0.9)
-        };
-        pts.push(P2::xy(-3.0, 2.0));
-        let w: Vec<f64> = (0..pts.len()).map(|i| 1.0 + (i % 3) as f64).collect();
-        let fast = soa::weiszfeld_accumulate(&pts, &w, &y, 1e-14);
-        let slow = soa::weiszfeld_accumulate_scalar(&pts, &w, &y, 1e-14);
-        prop_assert_eq!(fast.denom.to_bits(), slow.denom.to_bits());
-        prop_assert_eq!(fast.coincident_weight.to_bits(), slow.coincident_weight.to_bits());
-        for i in 0..2 {
-            prop_assert_eq!(fast.num.0[i].to_bits(), slow.num.0[i].to_bits());
-            prop_assert_eq!(fast.r_vec.0[i].to_bits(), slow.r_vec.0[i].to_bits());
-        }
-    }
-
-    #[test]
     fn nearest_scan_matches_scalar_argmin(pts in arb_cloud(150)) {
         let c = P2::xy(1.0, 1.0);
         let (idx, dist) = nearest_index_points(&pts, &c).unwrap();
@@ -393,6 +521,23 @@ proptest! {
             prop_assert_eq!(bits(cold), bits(set[anchor]), "cold {:?} on {:?}", cold, set);
             prop_assert_eq!(bits(warm), bits(set[anchor]), "warm {:?} on {:?}", warm, set);
             prop_assert!(cold.distance(&classic) < 1e-7, "{:?} vs {:?}", cold, classic);
+        }
+
+        // Three and four points of the same draw, and {A, A, B, C}: the
+        // closed forms, warm-seeded from the draw's center.
+        if pts.len() >= 4 {
+            let dup = [pts[0], pts[1], pts[0], pts[2]];
+            for (i, set) in [&pts[..3], &pts[..4], &dup[..]].into_iter().enumerate() {
+                if collinear(set, 1e-12).is_some() {
+                    continue;
+                }
+                let mut solver = MedianSolver::<2>::new(opts);
+                solver.seed(fast);
+                let (cold, _) = small_set_parity(&mut solver, set, &format!("set {i}"));
+                if i == 2 {
+                    prop_assert_eq!(bits(cold), bits(pts[0]), "{:?} on {:?}", cold, set);
+                }
+            }
         }
     }
 }
