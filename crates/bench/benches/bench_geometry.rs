@@ -1,9 +1,7 @@
 //! Microbenchmarks of the geometry substrate: the geometric median is the
-//! inner loop of every MtC decision, and the KD-tree backs workload
-//! diagnostics.
+//! inner loop of every MtC decision.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use msp_geometry::kdtree::KdTree;
 use msp_geometry::median::{geometric_median, weighted_center, MedianOptions};
 use msp_geometry::sample::SeededSampler;
 use msp_geometry::P2;
@@ -37,26 +35,9 @@ fn bench_collinear_center(c: &mut Criterion) {
     });
 }
 
-fn bench_kdtree(c: &mut Criterion) {
-    let mut s = SeededSampler::new(3);
-    let pts: Vec<P2> = (0..10_000).map(|_| s.point_in_cube(100.0)).collect();
-    let tree = KdTree::build(&pts);
-    let queries: Vec<P2> = (0..100).map(|_| s.point_in_cube(110.0)).collect();
-    c.bench_function("kdtree_build_10k", |b| {
-        b.iter(|| KdTree::build(black_box(&pts)))
-    });
-    c.bench_function("kdtree_nearest_100q_of_10k", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(tree.nearest(q));
-            }
-        })
-    });
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_geometric_median, bench_collinear_center, bench_kdtree
+    targets = bench_geometric_median, bench_collinear_center
 );
 criterion_main!(benches);

@@ -1,8 +1,7 @@
 //! Axis-aligned bounding boxes over `N`-dimensional point sets.
 //!
-//! Used by workload generators (to confine drifting hotspots to an arena),
-//! the KD-tree (node extents), and the offline grid brute-force solver
-//! (discretization domain).
+//! Used by workload generators (to confine drifting hotspots to an arena)
+//! and the offline grid brute-force solver (discretization domain).
 
 use crate::point::Point;
 
@@ -93,15 +92,14 @@ impl<const N: usize> Aabb<N> {
         self.max[i] - self.min[i]
     }
 
-    /// Index of the widest dimension (split axis for the KD-tree).
+    /// Index of the widest dimension.
     pub fn widest_dim(&self) -> usize {
         (0..N)
             .max_by(|&a, &b| self.extent(a).total_cmp(&self.extent(b)))
             .unwrap_or(0)
     }
 
-    /// Squared distance from `p` to the box (zero inside); the KD-tree
-    /// pruning bound.
+    /// Squared distance from `p` to the box (zero inside).
     pub fn distance_sq_to(&self, p: &Point<N>) -> f64 {
         let mut s = 0.0;
         for i in 0..N {

@@ -16,8 +16,6 @@
 //!   closest to the algorithm's server") and the warm-starting,
 //!   allocation-free [`MedianSolver`] used by simulation hot loops.
 //! * [`bbox`] — axis-aligned bounding boxes.
-//! * [`kdtree`] — a KD-tree for nearest-neighbour queries over request
-//!   clouds (used by workload generators and diagnostics).
 //! * [`sample`] — deterministic, seedable random sampling of points.
 //! * [`motion`] — bounded-step motion helpers (`step_towards`), the core
 //!   primitive for any speed-limited server.
@@ -26,7 +24,6 @@
 //!   hot path (service pricing, Weiszfeld accumulators, grid-DP scans).
 
 pub mod bbox;
-pub mod kdtree;
 pub mod median;
 pub mod motion;
 pub mod point;

@@ -4,13 +4,17 @@
 //! A *corpus* is a directory of [`TraceFormat::BlockV3`] traces — one per
 //! registry scenario, named `<scenario>.msp3` — plus a `MANIFEST.tsv`
 //! recording, per trace, the step count and the bit-exact cost totals of
-//! a reference replay (Move-to-Center at the scenario's default δ). The
-//! manifest turns the corpus into a regression oracle:
-//! [`sweep_corpus`] replays every trace through
-//! [`StreamingSim`] and compares the fresh totals against
-//! the recorded bits, so any change to the simulator, the algorithm, or
-//! the codec that shifts a single ULP anywhere in the corpus is caught by
-//! one call.
+//! a reference replay (Move-to-Center at the scenario's default δ,
+//! Move-First) over the recorded steps. Those totals are computed while
+//! recording: every step the trace writer consumes is also fed to the
+//! reference replay, so the recorder never reads back what it wrote.
+//! The manifest turns the corpus into a regression oracle:
+//! [`sweep_corpus`] decodes every trace, replays it through
+//! [`StreamingSim`], and compares the fresh totals against the recorded
+//! bits. That checks codec and simulator end to end — the original steps
+//! against their decoded bytes — so any change to the simulator, the
+//! algorithm, or the codec that shifts a single ULP anywhere in the
+//! corpus is caught by one call.
 //!
 //! All corpus operations fan over the persistent executor pool
 //! ([`parallel_map_indexed`]) at whole-trace or block granularity and are
@@ -21,9 +25,11 @@
 
 use crate::durable::{record_stream_to_path, AtomicFile};
 use crate::registry::{lookup_or_err, registry, ScenarioError, ScenarioKnobs, ScenarioSpec};
+use crate::stream::RequestStream;
 use crate::trace::{BlockTraceReader, StreamDiff, TraceError, TraceFormat};
 use msp_analysis::sweep::parallel_map_indexed;
 use msp_core::cost::ServingOrder;
+use msp_core::model::{Step, StreamParams};
 use msp_core::mtc::MoveToCenter;
 use msp_core::simulator::StreamingSim;
 use std::fs;
@@ -111,9 +117,12 @@ fn unsupported_dim(name: &str, dim: usize) -> ScenarioError {
 }
 
 /// Records every registry scenario into `dir` (created if missing) as a
-/// v3 block trace plus the `MANIFEST.tsv` regression oracle. Scenarios
-/// record in parallel over the executor pool; each trace and the
-/// manifest are committed atomically ([`AtomicFile`]), so a crashed
+/// v3 block trace plus the `MANIFEST.tsv` regression oracle. Each row
+/// holds Move-to-Center's totals over the recorded steps, priced in the
+/// recording pass itself; [`sweep_corpus`] later replays the decoded
+/// traces against them, checking codec and simulator end to end.
+/// Scenarios record in parallel over the executor pool; each trace and
+/// the manifest are committed atomically ([`AtomicFile`]), so a crashed
 /// recorder leaves no torn corpus behind.
 ///
 /// `seed` feeds every generator-backed scenario; `horizon` (when `Some`)
@@ -150,12 +159,15 @@ fn record_entry<const N: usize>(
         horizon,
         delta: None,
     };
-    let mut stream = spec.stream_with::<N>(seed, &knobs)?;
+    let mut stream = PricedStream {
+        inner: spec.stream_with::<N>(seed, &knobs)?,
+        delta: spec.default_delta,
+        sim: None,
+    };
     let path = corpus_trace_path(dir, spec.name);
-    let steps = record_stream_to_path(stream.as_mut(), TraceFormat::DURABLE, &path)?;
-    let bytes = fs::read(&path).map_err(TraceError::Io)?;
-    let (movement, service, replayed) = replay_totals::<N>(&bytes, spec.default_delta)?;
-    debug_assert_eq!(replayed, steps);
+    let steps = record_stream_to_path(&mut stream, TraceFormat::DURABLE, &path)?;
+    let (movement, service, priced) = stream.totals();
+    debug_assert_eq!(priced, steps);
     Ok(CorpusEntry {
         name: spec.name.to_string(),
         steps,
@@ -165,21 +177,68 @@ fn record_entry<const N: usize>(
     })
 }
 
-/// Zero-copy reference replay: Move-to-Center at `delta`, frames fed as
-/// borrowed slices ([`StreamingSim::feed_requests`]). Returns
+/// A scenario stream that prices every step it hands out: each step the
+/// trace writer consumes is also fed to the reference replay
+/// ([`reference_sim`]), so a manifest row comes out of the recording
+/// pass itself. [`RequestStream::rewind`] restarts the stream and drops
+/// the totals with it.
+struct PricedStream<const N: usize> {
+    inner: Box<dyn RequestStream<N> + Send>,
+    delta: f64,
+    /// Started by the first step after a rewind.
+    sim: Option<StreamingSim<N, MoveToCenter<N>>>,
+}
+
+impl<const N: usize> PricedStream<N> {
+    /// `(movement, service, steps)` over the steps handed out since the
+    /// last rewind.
+    fn totals(&self) -> (f64, f64, usize) {
+        self.sim.as_ref().map_or((0.0, 0.0, 0), |sim| {
+            let cp = sim.checkpoint();
+            (cp.movement, cp.service, cp.step)
+        })
+    }
+}
+
+impl<const N: usize> RequestStream<N> for PricedStream<N> {
+    fn params(&self) -> StreamParams<N> {
+        self.inner.params()
+    }
+    fn next_step(&mut self) -> Option<Step<N>> {
+        let step = self.inner.next_step()?;
+        let (inner, delta) = (&self.inner, self.delta);
+        self.sim
+            .get_or_insert_with(|| reference_sim(&inner.params(), delta))
+            .feed(&step);
+        Some(step)
+    }
+    fn len_hint(&self) -> Option<usize> {
+        self.inner.len_hint()
+    }
+    fn rewind(&mut self) {
+        self.inner.rewind();
+        self.sim = None;
+    }
+}
+
+/// The reference replay every manifest row prices: Move-to-Center at
+/// `delta`, Move-First.
+fn reference_sim<const N: usize>(
+    params: &StreamParams<N>,
+    delta: f64,
+) -> StreamingSim<N, MoveToCenter<N>> {
+    StreamingSim::new(params, MoveToCenter::new(), delta, ServingOrder::MoveFirst)
+}
+
+/// Zero-copy reference replay of a v3 trace, frames fed as borrowed
+/// slices ([`StreamingSim::feed_requests`]). Returns
 /// `(movement, service, steps)`.
 fn replay_totals<const N: usize>(
     bytes: &[u8],
     delta: f64,
 ) -> Result<(f64, f64, usize), TraceError> {
     let mut reader = BlockTraceReader::<N>::open(bytes)?;
-    let params = reader.trace_params();
-    let mut sim = StreamingSim::new(
-        &params,
-        MoveToCenter::<N>::new(),
-        delta,
-        ServingOrder::MoveFirst,
-    );
+    let mut sim = reference_sim(&reader.trace_params(), delta);
     while let Some(frame) = reader.next_frame()? {
         sim.feed_requests(frame);
     }
@@ -290,11 +349,12 @@ fn scan_bytes<const N: usize>(bytes: &[u8]) -> Result<(usize, usize), TraceError
     Ok((steps, reader.blocks()))
 }
 
-/// Corpus-level differential regression sweep: every trace is replayed
-/// through [`StreamingSim`] (zero-copy, Move-to-Center at the manifest
-/// δ) and the fresh cost totals are compared **bit-for-bit** against the
-/// recorded ones. Replays fan over the pool; outcomes come back in
-/// manifest order regardless of thread count.
+/// Corpus-level differential regression sweep: every trace is decoded
+/// and replayed through [`StreamingSim`] (zero-copy, Move-to-Center at
+/// the manifest δ) and the fresh cost totals are compared
+/// **bit-for-bit** against the recorded ones, which were priced on the
+/// original steps while recording. Replays fan over the pool; outcomes
+/// come back in manifest order regardless of thread count.
 pub fn sweep_corpus(
     dir: impl AsRef<Path>,
     threads: usize,
@@ -501,6 +561,39 @@ mod tests {
             assert!(o.is_clean(), "{}: {:?}", o.name, o.mismatch);
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The manifest is priced while recording; its rows must equal what a
+    /// second pass over the committed bytes gives (decode every frame of
+    /// the `.msp3` file and replay it), for 1-D and 2-D scenarios, at a
+    /// horizon of whole blocks and at one that leaves a short last block.
+    #[test]
+    fn manifest_totals_equal_a_replay_of_the_committed_traces() {
+        for horizon in [40, 63] {
+            let dir = temp_corpus_dir("manifest");
+            let entries = record_registry_corpus(&dir, 7, Some(horizon)).unwrap();
+            let mut dims = Vec::new();
+            for entry in &entries {
+                let spec = lookup_or_err(&entry.name).unwrap();
+                let bytes = fs::read(corpus_trace_path(&dir, &entry.name)).unwrap();
+                let delta = f64::from_bits(entry.delta_bits);
+                let (movement, service, steps) = match spec.dim {
+                    1 => replay_totals::<1>(&bytes, delta).unwrap(),
+                    2 => replay_totals::<2>(&bytes, delta).unwrap(),
+                    other => panic!("{}: dimension {other}", entry.name),
+                };
+                assert_eq!(steps, entry.steps, "{} at T={horizon}", entry.name);
+                assert_eq!(
+                    (movement.to_bits(), service.to_bits()),
+                    (entry.movement_bits, entry.service_bits),
+                    "{} at T={horizon}",
+                    entry.name
+                );
+                dims.push(spec.dim);
+            }
+            assert!(dims.contains(&1) && dims.contains(&2), "{dims:?}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -92,10 +92,14 @@ fn corrupt(at: impl std::fmt::Display, message: impl Into<String>) -> JournalErr
     }
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-16 tables for [`crc32`]: row 0 is the classic bytewise
+/// table, and row `k` maps a byte to its CRC contribution once `k`
+/// further bytes have been shifted in, so one 16-byte chunk folds into
+/// the running CRC with 16 independent lookups.
+const CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -108,19 +112,53 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut row = 1;
+    while row < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[row - 1][i];
+            tables[row][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        row += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the checksum
-/// guarding every journal record. Exposed so external tooling can verify
-/// records against `docs/CHECKPOINT_FORMAT.md` without this crate.
+/// guarding every journal record, and every block and index trailer of
+/// a block v3 trace. Table-sliced: 16 bytes per step through 16
+/// compile-time lookup tables, then a bytewise tail; the value is the
+/// plain bytewise CRC's. Exposed so external tooling can verify records
+/// against `docs/CHECKPOINT_FORMAT.md` without this crate.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(16);
+    for b in &mut chunks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -682,6 +720,58 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The plain shift-register CRC, one bit at a time: the parity
+    /// oracle of the table-sliced [`crc32`].
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64*).
+    fn noise_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bitwise_loop() {
+        // Every length 0..=64 at every start offset 0..16 covers the
+        // bytewise tail alone, whole 16-byte chunks, and every split of
+        // a chunk and a tail, at every alignment.
+        let buf = noise_bytes(64 + 16, 0x5EED);
+        for start in 0..16 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "offset {start}, length {len}"
+                );
+            }
+        }
+        for seed in [1u64, 2017, 0xDEAD_BEEF] {
+            let bytes = noise_bytes(1 << 20, seed);
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "1 MiB, seed {seed}");
+        }
     }
 
     #[test]

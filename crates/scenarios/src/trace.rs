@@ -148,12 +148,16 @@ pub struct TraceWriter<const N: usize, W: Write> {
     sink: W,
     format: TraceFormat,
     steps: usize,
-    /// BlockV3 state: steps buffered for the in-flight block, byte
-    /// offsets of the flushed blocks, and bytes emitted so far (offsets
-    /// are tracked by counting, so the sink need not be seekable).
-    pending: Vec<Step<N>>,
+    /// BlockV3 state: the in-flight block as per-step request counts
+    /// plus every request in one flat run, the byte offsets of the
+    /// flushed blocks, bytes emitted so far (offsets are tracked by
+    /// counting, so the sink need not be seekable), and the encode
+    /// buffer every block and the trailer reuse.
+    pending_counts: Vec<u32>,
+    pending_points: Vec<Point<N>>,
     block_offsets: Vec<u64>,
     written: u64,
+    buf: Vec<u8>,
 }
 
 impl<const N: usize, W: Write> TraceWriter<N, W> {
@@ -203,9 +207,11 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
             sink,
             format,
             steps: 0,
-            pending: Vec::new(),
+            pending_counts: Vec::new(),
+            pending_points: Vec::new(),
             block_offsets: Vec::new(),
             written,
+            buf: Vec::new(),
         })
     }
 
@@ -241,8 +247,9 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
                 }
             }
             TraceFormat::BlockV3 { block } => {
-                self.pending.push(step.clone());
-                if self.pending.len() == block {
+                self.pending_counts.push(step.requests.len() as u32);
+                self.pending_points.extend_from_slice(&step.requests);
+                if self.pending_counts.len() == block {
                     self.flush_block()?;
                 }
             }
@@ -254,12 +261,13 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
     /// Encodes and writes the buffered steps as one v3 block, recording
     /// its byte offset for the index trailer.
     fn flush_block(&mut self) -> Result<(), TraceError> {
-        debug_assert!(!self.pending.is_empty());
-        let bytes = encode_block(&self.pending);
+        debug_assert!(!self.pending_counts.is_empty());
+        encode_block(&self.pending_counts, &self.pending_points, &mut self.buf);
         self.block_offsets.push(self.written);
-        self.sink.write_all(&bytes)?;
-        self.written += bytes.len() as u64;
-        self.pending.clear();
+        self.sink.write_all(&self.buf)?;
+        self.written += self.buf.len() as u64;
+        self.pending_counts.clear();
+        self.pending_points.clear();
         obs::incr(obs::Counter::TraceBlocksWritten);
         Ok(())
     }
@@ -272,24 +280,25 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
     /// Writes the format trailer, flushes, and returns the sink.
     pub fn finish(mut self) -> Result<W, TraceError> {
         if let TraceFormat::BlockV3 { .. } = self.format {
-            if !self.pending.is_empty() {
+            if !self.pending_counts.is_empty() {
                 self.flush_block()?;
             }
-            let mut trailer = Vec::with_capacity(24 + 8 * self.block_offsets.len());
+            let trailer = &mut self.buf;
+            trailer.clear();
             trailer.extend_from_slice(INDEX_MARKER);
             trailer.extend_from_slice(&(self.block_offsets.len() as u64).to_le_bytes());
             for off in &self.block_offsets {
                 trailer.extend_from_slice(&off.to_le_bytes());
             }
             trailer.extend_from_slice(&(self.steps as u64).to_le_bytes());
-            let crc = crc32(&trailer);
+            let crc = crc32(trailer);
             trailer.extend_from_slice(&crc.to_le_bytes());
             // The final u32 lets a reader locate the trailer from EOF:
             // it is the length of everything from the IDX3 marker to
             // the CRC inclusive.
             let trailer_len = trailer.len() as u32;
             trailer.extend_from_slice(&trailer_len.to_le_bytes());
-            self.sink.write_all(&trailer)?;
+            self.sink.write_all(trailer)?;
         }
         self.sink.flush()?;
         Ok(self.sink)
@@ -742,73 +751,72 @@ pub fn diff_streams<const N: usize>(
 // Block trace v3 codec
 // ---------------------------------------------------------------------------
 
-/// Encodes one v3 block: a delta payload when every coordinate
-/// reconstructs bit-exactly, raw `f64` frames otherwise (the per-block
-/// escape hatch). The CRC-32 covers marker, mode, counts, and payload.
-fn encode_block<const N: usize>(steps: &[Step<N>]) -> Vec<u8> {
-    let (mode, payload) = match try_delta_payload(steps) {
-        Some(p) => (BLOCK_MODE_DELTA, p),
-        None => (BLOCK_MODE_RAW, raw_payload(steps)),
-    };
-    let mut out = Vec::with_capacity(BLOCK_HEADER_LEN + payload.len() + 4);
+/// Encodes one v3 block into `out` (cleared first): marker, mode, step
+/// count, payload length, payload, and a CRC-32 over all of those. The
+/// block holds `counts.len()` steps whose requests lie back to back in
+/// `points`. The payload is written in delta mode first; when any
+/// coordinate would not reconstruct bit-exactly, it is rewritten as raw
+/// `f64` frames (the per-block escape hatch).
+fn encode_block<const N: usize>(counts: &[u32], points: &[Point<N>], out: &mut Vec<u8>) {
+    out.clear();
     out.extend_from_slice(BLOCK_MARKER);
-    out.push(mode);
-    out.extend_from_slice(&(steps.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-fn raw_payload<const N: usize>(steps: &[Step<N>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for step in steps {
-        out.extend_from_slice(&(step.requests.len() as u32).to_le_bytes());
-        for v in &step.requests {
-            for c in v.coords() {
+    out.push(BLOCK_MODE_DELTA);
+    out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // payload length, set below
+    if !push_delta_payload(counts, points, out) {
+        out.truncate(BLOCK_HEADER_LEN);
+        out[4] = BLOCK_MODE_RAW;
+        let mut rest = points;
+        for &count in counts {
+            let (frame, tail) = rest.split_at(count as usize);
+            out.extend_from_slice(&count.to_le_bytes());
+            for c in frame.iter().flat_map(|v| v.coords()) {
                 out.extend_from_slice(&c.to_bits().to_le_bytes());
             }
+            rest = tail;
         }
     }
-    out
+    let payload_len = (out.len() - BLOCK_HEADER_LEN) as u32;
+    out[9..BLOCK_HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(out);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Delta payload: a base point stored as `f64` bits, then per step a
-/// request count and `f32` deltas against a per-dimension running
-/// predictor (seeded from the base, updated to each reconstructed value).
-/// Returns `None` — triggering the raw escape hatch — unless **every**
-/// coordinate of the block reconstructs bit-exactly as
-/// `pred + (delta as f64)`.
-fn try_delta_payload<const N: usize>(steps: &[Step<N>]) -> Option<Vec<u8>> {
-    let base = steps
-        .iter()
-        .find_map(|s| s.requests.first())
-        .copied()
-        .unwrap_or_else(Point::origin);
-    let mut out = Vec::new();
+/// Appends a delta payload to `out`: a base point stored as `f64` bits
+/// (the block's first request, or the origin when every step is empty),
+/// then per step a request count and `f32` deltas against a
+/// per-dimension running predictor (seeded from the base, updated to
+/// each reconstructed value). Returns `false` — leaving a partial
+/// payload for the caller to discard — as soon as a coordinate does not
+/// reconstruct bit-exactly as `pred + (delta as f64)`.
+fn push_delta_payload<const N: usize>(
+    counts: &[u32],
+    points: &[Point<N>],
+    out: &mut Vec<u8>,
+) -> bool {
+    let base = points.first().copied().unwrap_or_else(Point::origin);
     for c in base.coords() {
         out.extend_from_slice(&c.to_bits().to_le_bytes());
     }
     let mut pred = *base.coords();
-    for step in steps {
-        out.extend_from_slice(&(step.requests.len() as u32).to_le_bytes());
-        for v in &step.requests {
-            for (j, c) in v.coords().iter().enumerate() {
-                let delta = (c - pred[j]) as f32;
-                if !delta.is_finite() {
-                    return None;
-                }
-                let recon = pred[j] + delta as f64;
-                if recon.to_bits() != c.to_bits() {
-                    return None;
+    let mut rest = points;
+    for &count in counts {
+        let (frame, tail) = rest.split_at(count as usize);
+        out.extend_from_slice(&count.to_le_bytes());
+        for v in frame {
+            for (p, c) in pred.iter_mut().zip(v.coords()) {
+                let delta = (c - *p) as f32;
+                let recon = *p + delta as f64;
+                if !delta.is_finite() || recon.to_bits() != c.to_bits() {
+                    return false;
                 }
                 out.extend_from_slice(&delta.to_le_bytes());
-                pred[j] = recon;
+                *p = recon;
             }
         }
+        rest = tail;
     }
-    Some(out)
+    true
 }
 
 /// A v3 block decoded into reusable scratch: `points` holds every request
@@ -1518,6 +1526,96 @@ mod tests {
             .map(|b| bytes[reader.offsets[b] as usize + 4])
             .collect();
         assert_eq!(modes, vec![BLOCK_MODE_DELTA, BLOCK_MODE_RAW]);
+    }
+
+    /// Eleven steps at three per block: a delta block, a block the
+    /// escape hatch sends raw (`-0.0` under a positive predictor), a
+    /// block of only empty steps (delta base at the origin), and a short
+    /// last block.
+    fn wire_instance() -> Instance<2> {
+        Instance::new(
+            4.0,
+            1.5,
+            P2::xy(0.5, -0.25),
+            vec![
+                Step::new(vec![P2::xy(1.0, 2.0), P2::xy(-3.5, 4.25)]),
+                Step::new(vec![]),
+                Step::single(P2::xy(0.125, -7.0)),
+                Step::single(P2::xy(0.75, 1.0)),
+                Step::single(P2::xy(-0.0, f64::MIN_POSITIVE)),
+                Step::new(vec![P2::xy(3.0, -1.5), P2::xy(2.0, 2.0)]),
+                Step::new(vec![]),
+                Step::new(vec![]),
+                Step::new(vec![]),
+                Step::single(P2::xy(6.0, -2.0)),
+                Step::new(vec![P2::xy(6.5, -2.5), P2::xy(7.0, 1.0)]),
+            ],
+        )
+    }
+
+    /// Pins the v3 wire format byte for byte, from the `MSP3` header to
+    /// the trailer length: block markers, modes, counts, delta and raw
+    /// payloads, every block CRC and the index trailer. The round-trip
+    /// tests cannot see an encoder and a checksum that drift together;
+    /// this literal can.
+    #[test]
+    fn block_v3_wire_bytes_are_pinned() {
+        const WIRE: &str = concat!(
+            // header: magic, version 1, dim 2, d 4, m 1.5, start, block 3
+            "4d535033010002000000000000001040000000000000f83f000000000000e03f",
+            "000000000000d0bf03000000",
+            // block 0: BLK3, delta, 3 steps, 52 payload bytes; base (1, 2)
+            "424c4b33010300000034000000",
+            "000000000000f03f0000000000000040020000000000000000000000000090c0",
+            "00001040000000000100000000006840000034c1",
+            "6e73bac6",
+            // block 1: raw (-0.0 defeats every delta), 3 steps, 76 bytes
+            "424c4b3300030000004c000000",
+            "01000000000000000000e83f000000000000f03f010000000000000000000080",
+            "0000000000001000020000000000000000000840000000000000f8bf00000000",
+            "000000400000000000000040",
+            "7e0398fa",
+            // block 2: delta, 3 empty steps, base at the origin
+            "424c4b3301030000001c000000",
+            "00000000000000000000000000000000000000000000000000000000",
+            "1d48e93d",
+            // block 3: delta, the short last block of 2 steps
+            "424c4b33010200000030000000",
+            "000000000000184000000000000000c001000000000000000000000002000000",
+            "0000003f000000bf0000003f00006040",
+            "14b508f5",
+            // trailer: IDX3, 4 block offsets, 11 steps, CRC, length 56
+            "494458330400000000000000",
+            "2c000000000000007100000000000000ce00000000000000fb00000000000000",
+            "0b00000000000000",
+            "5b65f929",
+            "38000000",
+        );
+        let bytes = record_to_vec(
+            &mut InstanceStream::new(wire_instance()),
+            TraceFormat::BlockV3 { block: 3 },
+        )
+        .unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, WIRE);
+        let reader = BlockTraceReader::<2>::open(&bytes).unwrap();
+        let modes: Vec<u8> = (0..reader.blocks())
+            .map(|b| bytes[reader.offsets[b] as usize + 4])
+            .collect();
+        assert_eq!(
+            modes,
+            [
+                BLOCK_MODE_DELTA,
+                BLOCK_MODE_RAW,
+                BLOCK_MODE_DELTA,
+                BLOCK_MODE_DELTA
+            ]
+        );
+        let bits = |inst: &Instance<2>| -> Vec<Vec<[u64; 2]>> {
+            let frame = |s: &Step<2>| s.requests.iter().map(bits_of).collect();
+            inst.steps.iter().map(frame).collect()
+        };
+        assert_eq!(bits(&read_trace(&bytes).unwrap()), bits(&wire_instance()));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`core`] (`msp-core`) — the model, cost accounting, the
 //!   **Move-to-Center** algorithm, baselines, the simulator, and the
 //!   Moving-Client variant.
-//! * [`geometry`] (`msp-geometry`) — points, medians, KD-tree, sampling.
+//! * [`geometry`] (`msp-geometry`) — points, medians, sampling.
 //! * [`offline`] (`msp-offline`) — exact 1-D and near-exact N-D offline
 //!   optimum solvers.
 //! * [`adversary`] (`msp-adversary`) — the lower-bound constructions of

@@ -175,34 +175,3 @@ fn check_small_set<const N: usize>(pts: &[Point<N>]) {
         "{obj} vs {oracle} on {pts:?}"
     );
 }
-
-#[test]
-fn kdtree_agrees_with_linear_scan_on_structured_inputs() {
-    use mobile_server::geometry::kdtree::KdTree;
-    // Degenerate layouts that stress the splitter: a grid, a line, a
-    // single cluster with duplicates.
-    let mut layouts: Vec<Vec<P2>> = Vec::new();
-    layouts.push(
-        (0..10)
-            .flat_map(|i| (0..10).map(move |j| P2::xy(i as f64, j as f64)))
-            .collect(),
-    );
-    layouts.push((0..64).map(|i| P2::xy(i as f64 * 0.5, 0.0)).collect());
-    layouts.push(vec![P2::xy(3.0, 3.0); 32]);
-    for pts in layouts {
-        let tree = KdTree::build(&pts);
-        for q in [
-            P2::xy(4.2, 4.9),
-            P2::xy(-1.0, 3.0),
-            P2::xy(100.0, 100.0),
-            P2::origin(),
-        ] {
-            let (_, d_tree) = tree.nearest(&q).unwrap();
-            let d_brute = pts
-                .iter()
-                .map(|p| p.distance(&q))
-                .fold(f64::INFINITY, f64::min);
-            assert!((d_tree - d_brute).abs() < 1e-9);
-        }
-    }
-}
