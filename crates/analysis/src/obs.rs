@@ -3,11 +3,10 @@
 //! deterministic JSON [`MetricsSnapshot`].
 //!
 //! Every tier of the system reports through this module — the executor
-//! pool (`sweep`), the grid DP and its distance-transform kernel
-//! (`msp-offline`), the median solver (via `msp-core`'s Move-to-Center),
-//! the streaming simulator, the checkpoint journal and the session
-//! service (`msp-scenarios` — the `service.*` metric family), and the
-//! live ratio probe. The registry is the *only* shared state:
+//! pool (`sweep`), the grid DP (`msp-offline`), the median solver (via
+//! `msp-core`'s Move-to-Center), the streaming simulator, the checkpoint
+//! journal and the session service (`msp-scenarios` — the `service.*`
+//! metric family), and the live ratio probe. The registry is the *only* shared state:
 //! metric identities are a closed enum, storage is static, and nothing
 //! here allocates or locks on the hot path.
 //!
@@ -31,7 +30,7 @@
 //! atomic shards chosen per thread, so concurrent pool workers do not
 //! contend on a single line; histograms record into power-of-two buckets
 //! with a handful of relaxed atomic adds. Hot loops accumulate locally
-//! and flush once per row/block/dispatch, keeping the instrumented path
+//! and flush once per step/block/dispatch, keeping the instrumented path
 //! within 1% of the uninstrumented one (the `obs_overhead` pair in the
 //! `BENCH_*.json` records tracks this).
 //!
@@ -59,7 +58,7 @@ pub const SHARDS: usize = 8;
 
 /// Identity string of the snapshot schema; bumped when the key set or
 /// layout changes so downstream consumers can validate what they parse.
-pub const SCHEMA: &str = "msp-metrics-v1";
+pub const SCHEMA: &str = "msp-metrics-v2";
 
 // ---------------------------------------------------------------------
 // Metric identities
@@ -104,7 +103,8 @@ metric_enum! {
         ExecutorTicketsRevoked => "executor.tickets_revoked",
         /// Supervised-lane retry attempts after a failure or panic.
         ExecutorRetries => "executor.retries",
-        /// Grid-DP solves started (`GridDp::solve_with`).
+        /// Grid-DP passes started (`GridDp::solve`, `solve_unpruned`,
+        /// `prefix_optima`).
         GridSolves => "grid_dp.solves",
         /// Grid-DP transition steps executed.
         GridSteps => "grid_dp.steps",
@@ -112,16 +112,6 @@ metric_enum! {
         GridAllPairsCells => "grid_dp.allpairs_cells",
         /// Candidate cells scanned by the windowed kernel.
         GridWindowedCells => "grid_dp.windowed_cells",
-        /// Target rows swept by the distance-transform kernel.
-        GridDtRows => "grid_dp.dt_rows",
-        /// Admissible (source row, target row) pairs in DT sweeps.
-        GridDtPairs => "grid_dp.dt_pairs",
-        /// SMAWK row-minima reductions run by the DT kernel (one per
-        /// row pair that survives the whole-pair improvement bound).
-        GridSmawkRows => "grid.smawk_rows",
-        /// Cells whose frontier or service values were reused from a
-        /// warm journal instead of recomputed (`GridDp::solve_warm`).
-        GridWarmReuseCells => "grid.warm_reuse_cells",
         /// Geometric-median solves (routed from `MedianTelemetry`).
         MedianSolves => "median.solves",
         /// Total Weiszfeld iterations across median solves.
@@ -715,7 +705,7 @@ mod tests {
             assert_eq!(c.name(), *name);
         }
         let rendered = snap.to_json().to_string();
-        assert!(rendered.contains("\"schema\":\"msp-metrics-v1\""));
+        assert!(rendered.contains("\"schema\":\"msp-metrics-v2\""));
         for c in Counter::ALL {
             assert!(rendered.contains(c.name()), "missing {}", c.name());
         }

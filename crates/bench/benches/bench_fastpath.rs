@@ -5,12 +5,11 @@
 //! * warm-started drifting-cluster median solves vs cold starts,
 //! * multi-δ batched simulation (cross-lane seeded and strict) vs
 //!   repeated single runs,
-//! * radius-pruned grid DP vs the all-pairs transition scan, and the
-//!   lower-envelope distance-transform kernel vs the windowed one.
+//! * radius-pruned grid DP vs the all-pairs transition scan.
 //!
 //! The `perf_report` binary measures the same pairs and records the
-//! speedups in `BENCH_4.json`; these Criterion wrappers keep the numbers
-//! under `cargo bench` alongside the rest of the suite.
+//! speedups in the `BENCH_*.json` records; these Criterion wrappers keep
+//! the numbers under `cargo bench` alongside the rest of the suite.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use msp_core::cost::{service_cost, service_cost_naive, ServingOrder};
@@ -21,7 +20,7 @@ use msp_geometry::median::{weighted_center, weighted_center_classic, MedianOptio
 use msp_geometry::sample::SeededSampler;
 use msp_geometry::soa::SoaPoints;
 use msp_geometry::P2;
-use msp_offline::grid::{grid_optimum, grid_optimum_unpruned, GridDp, TransitionKernel};
+use msp_offline::grid::{grid_optimum_unpruned, GridDp};
 use msp_workloads::{DriftingHotspot, DriftingHotspotConfig, RequestCount};
 
 /// A drifting cluster: the per-step request sets of a hotspot wandering
@@ -196,27 +195,7 @@ fn bench_grid_dp(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("windowed", cells), &inst, |b, inst| {
             let mut dp = GridDp::new(inst, cells);
-            b.iter(|| {
-                dp.solve_with(
-                    black_box(inst),
-                    ServingOrder::MoveFirst,
-                    TransitionKernel::Windowed,
-                )
-            })
-        });
-        // The distance-transform kernel (what `grid_optimum` prices).
-        group.bench_with_input(BenchmarkId::new("dt", cells), &inst, |b, inst| {
-            let mut dp = GridDp::new(inst, cells);
-            b.iter(|| {
-                dp.solve_with(
-                    black_box(inst),
-                    ServingOrder::MoveFirst,
-                    TransitionKernel::DistanceTransform,
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("dt_oneshot", cells), &inst, |b, inst| {
-            b.iter(|| grid_optimum(black_box(inst), cells, ServingOrder::MoveFirst))
+            b.iter(|| dp.solve(black_box(inst), ServingOrder::MoveFirst))
         });
     }
     group.finish();

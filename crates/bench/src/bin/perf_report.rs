@@ -20,23 +20,10 @@
 //! * `grid_dp_*` — the radius-pruned windowed transition kernel vs the
 //!   all-pairs scan (both sides share the hoisted SoA service scan, so
 //!   the baseline is *stricter* than `BENCH_1.json`'s),
-//! * `grid_dp_smawk_*` (PR 4, reworked PR 10) — the SMAWK min-plus
-//!   distance-transform kernel vs the PR-3 windowed kernel: the window
-//!   factor the totally-monotone row reduction removes, measured on the
-//!   same reused `GridDp` (successor of the retired `grid_dp_dt_*`
-//!   pairs, same shapes),
 //! * `executor_pooled_fanout` (PR 5) — repeated small fan-outs (the
 //!   per-block dispatch shape of the streaming batch engine) through the
 //!   persistent worker pool vs the pre-PR-5 scoped spawn/join executor,
 //!   both at a pinned 2-thread request,
-//! * `grid_dp_dt_par_*` (PR 5) — the distance-transform kernel with its
-//!   per-target-row fan over the pool vs single-threaded rows
-//!   (bit-identical results; the ratio scales with the core count and
-//!   records ≈ 1× on a single-core box),
-//! * `cross_instance_warm_fan` (PR 5) — a warm-chained seed fan
-//!   (`run_with_warm_hint`, each instance seeded by its predecessor's
-//!   converged solver state) vs cold per-instance runs over
-//!   seed-adjacent planar instances,
 //! * `obs_overhead_streaming` (PR 7) — the same streaming MtC sweep with
 //!   the [`msp_analysis::obs`] metrics registry **enabled** (baseline)
 //!   vs **disabled** (fast): the instrumentation tax on the hot path.
@@ -51,11 +38,12 @@
 //!   across the two configurations,
 //! * `corpus_seek_vs_scan` (PR 9) — O(1) `seek_to_step` through the
 //!   block-v3 index trailer vs scanning frames from the start of the
-//!   trace to the same probe steps (identical frames asserted),
-//! * `sweep_warm_dp` (PR 10) — a horizon sweep pricing OPT at every
-//!   prefix mark through one warm [`GridDp::solve_warm`] journal
-//!   (each mark replays the shared step prefix for free) vs per-mark
-//!   cold re-solves of the same prefixes, bit-equal OPTs asserted.
+//!   trace to the same probe steps (identical frames asserted).
+//!
+//! Older records also carry pairs whose code has since been deleted
+//! (`docs/BENCHMARKS.md` lists them); they stay in those files as
+//! history, and `--check` skips them because nothing measures them any
+//! more.
 //!
 //! Usage:
 //!   `cargo run --release -p msp-bench --bin perf_report [-- FLAGS] [out.json]`
@@ -82,7 +70,7 @@ use msp_geometry::median::{weighted_center, weighted_center_classic, MedianOptio
 use msp_geometry::sample::SeededSampler;
 use msp_geometry::soa::SoaPoints;
 use msp_geometry::P2;
-use msp_offline::grid::{GridDp, TransitionKernel};
+use msp_offline::grid::GridDp;
 use msp_workloads::{DriftingHotspot, DriftingHotspotConfig, RequestCount};
 
 /// Median of `reps` wall-clock timings of `f` (after one warm-up call).
@@ -107,14 +95,14 @@ struct Comparison {
 }
 
 /// Whether a bench's fast path takes a different *code path* depending on
-/// the resolved sweep-pool width (e.g. the pooled dispatch inlines on a
-/// 1-thread pool, and the DT row fan is width-bound by the pool). Such
-/// entries embed the recording pool width in the record, and `--check`
-/// only gates them when the checking machine resolves the **same** width
-/// — a cross-width comparison would measure different code paths, the
-/// same cross-shape mistake as checking quick runs against full records.
+/// the resolved sweep-pool width (the pooled dispatch inlines on a
+/// 1-thread pool). Such entries embed the recording pool width in the
+/// record, and `--check` only gates them when the checking machine
+/// resolves the **same** width — a cross-width comparison would measure
+/// different code paths, the same cross-shape mistake as checking quick
+/// runs against full records.
 fn pool_sensitive(name: &str) -> bool {
-    name == "executor_pooled_fanout" || name.starts_with("grid_dp_dt_par_")
+    name == "executor_pooled_fanout"
 }
 
 impl Comparison {
@@ -154,12 +142,8 @@ struct Shapes {
     /// Small fan-outs per timing sample of the executor pair (the
     /// per-block dispatch shape).
     fanouts: usize,
-    /// Seed-adjacent instances per timing sample of the warm-fan pair.
-    warm_fan_instances: usize,
     /// Sessions in the service-churn fleet.
     churn_sessions: usize,
-    /// Prefix marks (stride 4) in the warm-DP horizon sweep.
-    warm_dp_marks: usize,
     reps: usize,
 }
 
@@ -171,9 +155,7 @@ impl Shapes {
             grid_cells: [41, 61],
             kernel_evals: 256,
             fanouts: 512,
-            warm_fan_instances: 48,
             churn_sessions: 48,
-            warm_dp_marks: 12,
             reps: 9,
         }
     }
@@ -189,16 +171,12 @@ impl Shapes {
         Shapes {
             drift_steps: 96,
             sweep_horizon: 300,
-            // Large enough that the distance-transform ratio is signal
-            // rather than noise (at ≤ 21 cells the DT and windowed
-            // kernels cost about the same and the ratio hovers at 1×,
-            // which no 0.8× floor can gate stably).
+            // Kept at the recorded sizes so `grid_dp_31/41` stay
+            // comparable with the quick reference record.
             grid_cells: [31, 41],
             kernel_evals: 128,
             fanouts: 192,
-            warm_fan_instances: 24,
             churn_sessions: 24,
-            warm_dp_marks: 8,
             reps: 13,
         }
     }
@@ -484,138 +462,12 @@ fn grid_comparison(cells: usize, sh: &Shapes) -> Comparison {
     }
 }
 
-/// PR 4 (reworked PR 10): the SMAWK distance-transform transition kernel
-/// vs the PR-3 windowed kernel — the baseline here is the *previous
-/// record's fast path*, so the speedup is the window factor the
-/// totally-monotone row reduction removes.
-fn grid_smawk_comparison(cells: usize, sh: &Shapes) -> Comparison {
-    let inst = grid_instance();
-    let mut dp = GridDp::new(&inst, cells);
-    // Sequential rows on both sides: this entry isolates the PR-4
-    // envelope-kernel win, so the PR-5 row fan is pinned off — otherwise
-    // the ratio would depend on the runner's pool width (the row-fan
-    // contribution is measured separately, by the width-tagged
-    // `grid_dp_dt_par_*` entries).
-    dp.set_row_threads(1);
-    // Both sides are fast solves (no all-pairs baseline), so the full
-    // repetition budget is affordable — and needed: these medians gate CI
-    // at the 0.8× floor, and short timings are the noisiest in the record.
-    let baseline_ns = time_ns(sh.reps, || {
-        dp.solve_with(&inst, ServingOrder::MoveFirst, TransitionKernel::Windowed)
-    });
-    let fast_ns = time_ns(sh.reps, || {
-        dp.solve_with(
-            &inst,
-            ServingOrder::MoveFirst,
-            TransitionKernel::DistanceTransform,
-        )
-    });
-    let windowed = dp.solve_with(&inst, ServingOrder::MoveFirst, TransitionKernel::Windowed);
-    let dt = dp.solve_with(
-        &inst,
-        ServingOrder::MoveFirst,
-        TransitionKernel::DistanceTransform,
-    );
-    assert!(
-        dt >= windowed && (dt - windowed).abs() <= 1e-9 * (1.0 + windowed.abs()),
-        "dt/windowed parity broken: {dt} vs {windowed}"
-    );
-    Comparison {
-        name: format!("grid_dp_smawk_{cells}"),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{cells}×{cells} planar grid, T=6, m=0.4, reused GridDp scratch: radius-pruned \
-             window scan vs SMAWK min-plus distance transform (one totally-monotone row \
-             reduction per admissible row pair)"
-        ),
-    }
-}
-
-/// PR 10: a horizon sweep pricing the exact OPT at every prefix mark —
-/// the denominator discipline of every walk/ratio experiment — through
-/// **one** warm [`GridDp::solve_warm`] journal vs per-mark cold
-/// re-solves of the same prefixes on the same covering arena. The warm
-/// chain replays each mark's shared step prefix from the journal, so the
-/// sweep pays each DP transition once (O(T) total steps) instead of once
-/// per mark (O(T²/stride)); results are bit-equal (asserted). Rows are
-/// pinned sequential so the pair is machine-independent.
-fn sweep_warm_dp_comparison(sh: &Shapes) -> Comparison {
-    let t_max = 4 * sh.warm_dp_marks;
-    let steps: Vec<Step<2>> = (0..t_max)
-        .map(|t| {
-            let a = t as f64 * 0.9;
-            Step::new(vec![P2::xy(a.cos(), a.sin()), P2::xy(-0.4 * a.sin(), 0.7)])
-        })
-        .collect();
-    let inst = Instance::new(2.0, 0.4, P2::origin(), steps);
-    let cells = sh.grid_cells[0];
-    let prefixes: Vec<Instance<2>> = (1..=sh.warm_dp_marks).map(|k| inst.prefix(4 * k)).collect();
-    let mut dp = GridDp::new(&inst, cells);
-    dp.set_row_threads(1);
-    let baseline_ns = time_ns(sh.reps, || {
-        let mut acc = 0.0;
-        for p in &prefixes {
-            dp.reset_warm();
-            acc += dp.solve_warm(
-                p,
-                ServingOrder::MoveFirst,
-                TransitionKernel::DistanceTransform,
-            );
-        }
-        acc
-    });
-    let fast_ns = time_ns(sh.reps, || {
-        dp.reset_warm();
-        let mut acc = 0.0;
-        for p in &prefixes {
-            acc += dp.solve_warm(
-                p,
-                ServingOrder::MoveFirst,
-                TransitionKernel::DistanceTransform,
-            );
-        }
-        acc
-    });
-    // Bit-equality of the warm chain against cold per-prefix solves.
-    dp.reset_warm();
-    for p in &prefixes {
-        let warm = dp.solve_warm(
-            p,
-            ServingOrder::MoveFirst,
-            TransitionKernel::DistanceTransform,
-        );
-        let cold = GridDp::new(&inst, cells).set_row_threads(1).solve_warm(
-            p,
-            ServingOrder::MoveFirst,
-            TransitionKernel::DistanceTransform,
-        );
-        assert!(
-            warm.to_bits() == cold.to_bits(),
-            "warm/cold sweep parity broken: {warm} vs {cold} at T={}",
-            p.horizon()
-        );
-    }
-    Comparison {
-        name: "sweep_warm_dp".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{} prefix marks (stride 4, T={t_max}) on a {cells}×{cells} planar grid, m=0.4, \
-             sequential rows: per-mark cold GridDp re-solves vs one warm journal chained \
-             across the sweep (bit-equal OPTs)",
-            sh.warm_dp_marks
-        ),
-    }
-}
-
 /// PR 5: repeated small fan-outs through the persistent worker pool vs
 /// the pre-PR-5 scoped executor (`scoped_for_each_mut`, retained as the
 /// parity oracle), both at a **pinned 2-thread request** so the shape is
 /// machine-independent. This is the dispatch pattern the streaming batch
-/// engine hits once per 256-step block and the DT kernel once per DP
-/// step; the measured gap is exactly the per-call spawn/join barrier the
-/// pool removes.
+/// engine hits once per 256-step block; the measured gap is exactly the
+/// per-call spawn/join barrier the pool removes.
 fn executor_fanout_comparison(sh: &Shapes) -> Comparison {
     fn fan_work(i: usize, v: &mut u64) {
         // A few hundred nanoseconds of arithmetic per item: enough to be
@@ -653,150 +505,6 @@ fn executor_fanout_comparison(sh: &Shapes) -> Comparison {
              std::thread::scope spawn/join (pre-PR-5 executor) vs the persistent \
              work-stealing pool ({} resolved pool threads)",
             msp_analysis::pool_threads()
-        ),
-    }
-}
-
-/// PR 5: the distance-transform kernel with its per-target-row fan over
-/// the pool vs the same kernel pinned to single-threaded rows. Results
-/// are bit-identical (asserted below); the ratio is the row-level
-/// parallel speedup and scales with the core count — on a single-core
-/// reference box it records ≈ 1× and is informational under the gate's
-/// below-1× rule.
-fn grid_dt_par_comparison(cells: usize, sh: &Shapes) -> Comparison {
-    let inst = grid_instance();
-    let mut dp = GridDp::new(&inst, cells);
-    dp.set_row_threads(1);
-    let baseline_ns = time_ns(sh.reps, || {
-        dp.solve_with(
-            &inst,
-            ServingOrder::MoveFirst,
-            TransitionKernel::DistanceTransform,
-        )
-    });
-    dp.set_row_threads(0);
-    let fast_ns = time_ns(sh.reps, || {
-        dp.solve_with(
-            &inst,
-            ServingOrder::MoveFirst,
-            TransitionKernel::DistanceTransform,
-        )
-    });
-    let par = dp.solve_with(
-        &inst,
-        ServingOrder::MoveFirst,
-        TransitionKernel::DistanceTransform,
-    );
-    dp.set_row_threads(1);
-    let seq = dp.solve_with(
-        &inst,
-        ServingOrder::MoveFirst,
-        TransitionKernel::DistanceTransform,
-    );
-    assert!(
-        par.to_bits() == seq.to_bits(),
-        "parallel/sequential DT row parity broken: {par} vs {seq}"
-    );
-    Comparison {
-        name: format!("grid_dp_dt_par_{cells}"),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{cells}×{cells} planar grid, T=6, m=0.4, reused GridDp scratch: distance-transform \
-             kernel with sequential rows vs per-target-row fan over the sweep pool \
-             ({} resolved pool threads; bit-identical results)",
-            msp_analysis::pool_threads()
-        ),
-    }
-}
-
-/// PR 5: cross-instance warm seeding. A fan of seed-adjacent planar
-/// instances (shared hotspot location, per-seed request jitter — the
-/// `mean_over_seeds` family shape) run cold per instance vs warm-chained
-/// via `run_with_warm_hint`: each instance's first median solve starts
-/// from the predecessor's converged center instead of a cold start. Short
-/// horizons put the cold start on the critical path, which is exactly the
-/// fan shape the chaining targets.
-fn warm_fan_comparison(sh: &Shapes) -> Comparison {
-    use msp_core::simulator::run_with_warm_hint;
-
-    let k = sh.warm_fan_instances;
-    let instances: Vec<Instance<2>> = (0..k as u64)
-        .map(|seed| {
-            let mut s = SeededSampler::new(900 + seed);
-            let hotspot = P2::xy(1.4, -0.9);
-            // A skewed request cloud: a tight hotspot cluster plus a ring
-            // of fixed far outliers. The centroid (the cold solver's
-            // starting iterate) is pulled well away from the geometric
-            // median, so the cold start costs real Weiszfeld iterations —
-            // while the predecessor instance's converged center is
-            // already at the median. Symmetric clouds would hide the
-            // chaining win (their centroid ≈ median).
-            let outliers: Vec<P2> = (0..10)
-                .map(|j| {
-                    let a = 0.628 * j as f64 + s.uniform(0.0, 0.3);
-                    hotspot + P2::xy(4.0 * a.cos(), 4.0 * a.sin())
-                })
-                .collect();
-            let steps: Vec<Step<2>> = (0..4)
-                .map(|_| {
-                    let mut reqs: Vec<P2> =
-                        (0..38).map(|_| hotspot + s.point_in_cube(0.08)).collect();
-                    reqs.extend(outliers.iter().copied());
-                    Step::new(reqs)
-                })
-                .collect();
-            Instance::new(3.0, 0.5, P2::origin(), steps)
-        })
-        .collect();
-
-    let baseline_ns = time_ns(sh.reps, || {
-        let mut total = 0.0;
-        for inst in &instances {
-            let mut alg = MoveToCenter::new();
-            total += run(inst, &mut alg, 0.2, ServingOrder::MoveFirst).total_cost();
-        }
-        total
-    });
-    let fast_ns = time_ns(sh.reps, || {
-        let mut total = 0.0;
-        let mut warm: Option<MoveToCenter<2>> = None;
-        for inst in &instances {
-            let mut alg = MoveToCenter::new();
-            total +=
-                run_with_warm_hint(inst, &mut alg, warm.as_ref(), 0.2, ServingOrder::MoveFirst)
-                    .total_cost();
-            warm = Some(alg);
-        }
-        total
-    });
-    // Parity sanity: chained totals agree with cold totals to solver
-    // tolerance (hints are numerics, never policy).
-    {
-        let mut warm: Option<MoveToCenter<2>> = None;
-        for inst in &instances {
-            let mut cold_alg = MoveToCenter::new();
-            let cold = run(inst, &mut cold_alg, 0.2, ServingOrder::MoveFirst).total_cost();
-            let mut alg = MoveToCenter::new();
-            let chained =
-                run_with_warm_hint(inst, &mut alg, warm.as_ref(), 0.2, ServingOrder::MoveFirst)
-                    .total_cost();
-            assert!(
-                (chained - cold).abs() <= 1e-8 * (1.0 + cold.abs()),
-                "warm-fan parity broken: {chained} vs {cold}"
-            );
-            warm = Some(alg);
-        }
-    }
-    Comparison {
-        name: "cross_instance_warm_fan".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{k} seed-adjacent planar instances (T=4, 38-point hotspot cluster + 10 fixed far \
-             outliers — centroid far from median); cold MoveToCenter per instance vs \
-             warm-chained run_with_warm_hint (predecessor's converged median seeds each \
-             first solve)"
         ),
     }
 }
@@ -1028,9 +736,11 @@ Flags:
                      of the value recorded under the same name in <file>
   --help             this message
 
-The default output is BENCH_16.json. docs/BENCHMARKS.md explains how the
-BENCH_*.json records are produced, what the 0.8x CI gate means, and how to
-regenerate the references after a hardware change.";
+The default output is BENCH_16.json. Pairs recorded in <file> that this
+binary no longer measures (their code was deleted) are skipped by --check.
+docs/BENCHMARKS.md explains how the BENCH_*.json records are produced, what
+the 0.8x CI gate means, and how to regenerate the references after a
+hardware change.";
 
 fn main() {
     let mut quick = false;
@@ -1082,13 +792,7 @@ fn main() {
         streaming_batch_comparison(&sh),
         grid_comparison(sh.grid_cells[0], &sh),
         grid_comparison(sh.grid_cells[1], &sh),
-        grid_smawk_comparison(sh.grid_cells[0], &sh),
-        grid_smawk_comparison(sh.grid_cells[1], &sh),
-        sweep_warm_dp_comparison(&sh),
         executor_fanout_comparison(&sh),
-        grid_dt_par_comparison(sh.grid_cells[0], &sh),
-        grid_dt_par_comparison(sh.grid_cells[1], &sh),
-        warm_fan_comparison(&sh),
         obs_overhead_comparison(&sh),
         session_churn_comparison(&sh),
         corpus_seek_vs_scan(&sh),
@@ -1145,8 +849,8 @@ fn main() {
             if pool_sensitive(&c.name) && *rec_pool != Some(msp_analysis::pool_threads()) {
                 // A pool-width mismatch means the recorded and measured
                 // fast paths are different code paths (inline vs real
-                // dispatch; different row-fan widths) — not comparable,
-                // same rule as quick-vs-full shapes.
+                // dispatch) — not comparable, same rule as quick-vs-full
+                // shapes.
                 println!(
                     "check: {:<26} informational ({:.2}× at {} pool threads vs recorded {want:.2}× \
                      at {} — width mismatch, not gated)",

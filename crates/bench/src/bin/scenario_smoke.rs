@@ -14,8 +14,8 @@
 //!
 //! With `--metrics` the run enables the process-wide observability
 //! registry ([`msp_analysis::obs`]), drives a probed streaming run plus
-//! a warm grid-DP sweep (so the `grid.smawk_rows` and
-//! `grid.warm_reuse_cells` counters are exercised, not just declared),
+//! a one-pass grid-DP horizon sweep (so the `grid_dp.steps` and
+//! `grid_dp.windowed_cells` counters are exercised, not just declared),
 //! validates the resulting [`msp_analysis::MetricsSnapshot`] (every
 //! counter present, totals monotone across the run, no timestamps — the
 //! snapshot must be deterministic modulo timing histograms), and dumps
@@ -61,7 +61,7 @@ OPTIONS:
                        torn-write salvage plus journal crash/resume,
                        with every fault placement derived from <n>.
     --metrics          Enable the observability registry, run a probed
-                       grid smoke (asserting the grid.* counters move),
+                       grid smoke (asserting the grid_dp.* counters move),
                        validate the post-run snapshot schema, and dump
                        it as JSON.
     --chaos            Drive a mixed session-service fleet through a
@@ -743,18 +743,18 @@ fn chaos_smoke(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Exercises the PR 10 grid counters under `--metrics`: a probed
-/// streaming run (the probe's windowed DP bounds every 8-step block),
-/// plus a warm grid-DP horizon sweep (SMAWK row reductions + journal
-/// replay) — so [`validate_metrics`] can demand `grid.smawk_rows` and
-/// `grid.warm_reuse_cells` both moved during the run.
+/// Exercises the grid counters under `--metrics`: a probed streaming run
+/// (the probe's windowed DP bounds every 8-step block), plus a one-pass
+/// grid-DP horizon sweep ([`msp_offline::GridDp::prefix_optima`]) — so
+/// [`validate_metrics`] can demand `grid_dp.steps` and
+/// `grid_dp.windowed_cells` both moved during the run.
 fn grid_metrics_smoke() -> Result<(), String> {
     use msp_core::model::{Instance, Step};
     use msp_geometry::P2;
-    use msp_offline::{run_streaming_probed, GridDp, ProbeOptions, TransitionKernel};
+    use msp_offline::{run_streaming_probed, GridDp, ProbeOptions};
 
     // Period-2 corner requests: every 8-step probe block closes a window
-    // bound, and the sweep below replays identical prefixes.
+    // bound.
     let steps: Vec<Step<2>> = (0..48)
         .map(|t| {
             Step::single(if t % 2 == 0 {
@@ -780,19 +780,11 @@ fn grid_metrics_smoke() -> Result<(), String> {
     if samples.is_empty() {
         return Err("probed smoke run produced no ratio samples".into());
     }
-    // Warm horizon sweep: the repeated final mark is a pure journal
-    // replay, the growing marks replay their shared prefixes.
-    let mut dp = GridDp::new(&inst, 15);
-    let mut opt = 0.0;
-    for t in [16usize, 32, 48, 48] {
-        opt = dp.solve_warm(
-            &inst.prefix(t),
-            ServingOrder::MoveFirst,
-            TransitionKernel::DistanceTransform,
-        );
-    }
-    if !(opt.is_finite() && opt > 0.0) {
-        return Err(format!("grid smoke OPT not positive: {opt}"));
+    // Horizon sweep: one forward pass prices all three marks.
+    let optima =
+        GridDp::new(&inst, 15).prefix_optima(&inst, ServingOrder::MoveFirst, &[16, 32, 48]);
+    if !optima.iter().all(|&opt| opt.is_finite() && opt > 0.0) {
+        return Err(format!("grid smoke OPT not positive: {optima:?}"));
     }
     Ok(())
 }
@@ -831,10 +823,9 @@ fn validate_metrics(
     if sessions_after <= sessions_before {
         return Err("smoke run recorded no streaming sessions".into());
     }
-    // The probed grid smoke must have driven both PR 10 grid counters:
-    // SMAWK row reductions from the DT kernel and warm-journal reuse
-    // from the warm horizon sweep.
-    for name in ["grid.smawk_rows", "grid.warm_reuse_cells"] {
+    // The grid smoke must have driven the grid DP: transition steps and
+    // windowed-scan cells from the one-pass horizon sweep.
+    for name in ["grid_dp.steps", "grid_dp.windowed_cells"] {
         let b = before.counter(name).unwrap_or(0);
         if after.counter(name).unwrap_or(0) <= b {
             return Err(format!("{name} did not move across the probed grid smoke"));
@@ -929,7 +920,7 @@ fn main() {
         let _ = std::panic::take_hook();
     }
     if metrics_before.is_some() {
-        println!("grid smoke: probed streaming run + warm grid-DP sweep (grid.* counters)");
+        println!("grid smoke: probed streaming run + one-pass grid-DP sweep (grid_dp.* counters)");
         if let Err(e) = grid_metrics_smoke() {
             eprintln!("FAIL grid metrics smoke: {e}");
             failures += 1;

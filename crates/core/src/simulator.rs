@@ -99,32 +99,8 @@ pub fn run<const N: usize, A: OnlineAlgorithm<N>>(
     delta: f64,
     order: ServingOrder,
 ) -> RunResult<N> {
-    run_with_warm_hint(instance, algorithm, None, delta, order)
-}
-
-/// [`run`] with an optional **cross-instance warm hint**: after the reset
-/// (which clears the algorithm's numerical warm state so reruns stay
-/// bit-identical), `warm` — typically the final state of the same
-/// algorithm on a *seed-adjacent* instance of a fan — is offered once via
-/// [`OnlineAlgorithm::warm_hint`] before the first decision. Exactly the
-/// cross-lane δ-seeding discipline of [`run_batch`], applied across the
-/// instance boundary instead of across lanes: the hint is a starting
-/// iterate, never policy, so results agree with the unhinted [`run`] to
-/// well within solver tolerance (pinned by tests). `None` is bit-equal to
-/// [`run`]. Seed fans chain this through
-/// `msp_bench::runner::warm_seed_fan`.
-pub fn run_with_warm_hint<const N: usize, A: OnlineAlgorithm<N>>(
-    instance: &Instance<N>,
-    algorithm: &mut A,
-    warm: Option<&A>,
-    delta: f64,
-    order: ServingOrder,
-) -> RunResult<N> {
     let ctx = AlgContext::new(instance, delta);
     algorithm.reset(&ctx);
-    if let Some(neighbor) = warm {
-        algorithm.warm_hint(neighbor);
-    }
     let budget = ctx.online_budget();
 
     let mut positions = Vec::with_capacity(instance.horizon() + 1);

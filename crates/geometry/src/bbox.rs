@@ -15,7 +15,8 @@ pub struct Aabb<const N: usize> {
 }
 
 impl<const N: usize> Aabb<N> {
-    /// The empty box (inverted bounds); the identity for [`Aabb::union`].
+    /// The empty box (inverted bounds): contains nothing until the first
+    /// [`Aabb::insert`].
     pub fn empty() -> Self {
         Aabb {
             min: Point::splat(f64::INFINITY),
@@ -59,14 +60,6 @@ impl<const N: usize> Aabb<N> {
         self.max = self.max.max_components(p);
     }
 
-    /// Smallest box containing both operands.
-    pub fn union(&self, other: &Self) -> Self {
-        Aabb {
-            min: self.min.min_components(&other.min),
-            max: self.max.max_components(&other.max),
-        }
-    }
-
     /// Membership test (closed box).
     pub fn contains(&self, p: &Point<N>) -> bool {
         (0..N).all(|i| self.min[i] <= p[i] && p[i] <= self.max[i])
@@ -80,23 +73,6 @@ impl<const N: usize> Aabb<N> {
             out[i] = out[i].clamp(self.min[i], self.max[i]);
         }
         out
-    }
-
-    /// Centre point of the box.
-    pub fn center(&self) -> Point<N> {
-        (self.min + self.max) / 2.0
-    }
-
-    /// Edge length along dimension `i`.
-    pub fn extent(&self, i: usize) -> f64 {
-        self.max[i] - self.min[i]
-    }
-
-    /// Index of the widest dimension.
-    pub fn widest_dim(&self) -> usize {
-        (0..N)
-            .max_by(|&a, &b| self.extent(a).total_cmp(&self.extent(b)))
-            .unwrap_or(0)
     }
 
     /// Squared distance from `p` to the box (zero inside).
@@ -153,24 +129,6 @@ mod tests {
         assert_eq!(b.clamp(&P2::xy(-1.0, -1.0)), P2::xy(0.0, 0.0));
         let inside = P2::xy(0.3, 0.7);
         assert_eq!(b.clamp(&inside), inside);
-    }
-
-    #[test]
-    fn union_and_center() {
-        let a = Aabb::from_corners(P2::xy(0.0, 0.0), P2::xy(1.0, 1.0));
-        let c = Aabb::from_corners(P2::xy(2.0, 2.0), P2::xy(3.0, 3.0));
-        let u = a.union(&c);
-        assert_eq!(u.min, P2::xy(0.0, 0.0));
-        assert_eq!(u.max, P2::xy(3.0, 3.0));
-        assert_eq!(u.center(), P2::xy(1.5, 1.5));
-    }
-
-    #[test]
-    fn widest_dim_and_extent() {
-        let b = Aabb::from_corners(P2::xy(0.0, 0.0), P2::xy(10.0, 2.0));
-        assert_eq!(b.widest_dim(), 0);
-        assert_eq!(b.extent(0), 10.0);
-        assert_eq!(b.extent(1), 2.0);
     }
 
     #[test]

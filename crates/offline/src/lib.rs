@@ -23,12 +23,10 @@
 //! * [`convex`] — projected subgradient descent with Dykstra projections
 //!   for arbitrary dimension, polished by coordinate descent; converges to
 //!   the global optimum of the convex program (tolerance reported).
-//! * [`grid`] — brute-force dynamic program on a discretized arena with
-//!   pluggable transition kernels ([`grid::TransitionKernel`]): the
-//!   all-pairs `O(cells² · T)` oracle, the radius-pruned
-//!   `O(cells · windowᴺ · T)` neighbor-window scan, and the
-//!   lower-envelope distance transform (`O(cells · windowᴺ⁻¹ · T)`,
-//!   `O(cells · T)` on the line) built on SMAWK row minima. Only
+//! * [`grid`] — brute-force dynamic program on a discretized arena: the
+//!   radius-pruned `O(cells · windowᴺ · T)` neighbor-window scan, certified
+//!   bit for bit by the all-pairs `O(cells² · T)` oracle, plus one-pass
+//!   prefix optima for horizon sweeps ([`GridDp::prefix_optima`]). Only
 //!   practical for modest instances; exists to cross-validate the other
 //!   two solvers and to certify them in property tests.
 //! * [`probe`] — *online* certified **lower** bounds on the offline
@@ -44,7 +42,7 @@ pub mod probe;
 pub mod pwl;
 
 pub use convex::{ConvexSolver, ConvexSolverOptions};
-pub use grid::{grid_optimum, grid_optimum_unpruned, GridDp, TransitionKernel};
+pub use grid::{grid_optimum, grid_optimum_unpruned, GridDp};
 pub use line::{solve_line, solve_line_with_trajectory, IncrementalLineOpt, LineSolution};
 pub use probe::{run_streaming_probed, ProbeOptions, RatioProbe, RatioSample};
 pub use pwl::ConvexPwl;

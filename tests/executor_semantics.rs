@@ -13,9 +13,7 @@
 //!   machine-shaped options alike — the per-block dispatch now reuses
 //!   pool workers, and that must not perturb a single bit,
 //! * strict batch mode stays bit-equal to sequential `run` under the pool
-//!   (input-order result slots, not scheduling, carry determinism),
-//! * the grid DP's distance-transform row fan is bit-identical for every
-//!   row-thread setting.
+//!   (input-order result slots, not scheduling, carry determinism).
 //!
 //! The CI job `tests-2t` re-runs the whole suite with `MSP_THREADS=2` so
 //! these properties are exercised under worker contention, not only on
@@ -26,11 +24,8 @@ use mobile_server::analysis::sweep::{
     scoped_for_each_mut, scoped_map_indexed,
 };
 use mobile_server::core::cost::ServingOrder;
-use mobile_server::core::simulator::{
-    run, run_batch_with, run_streaming_batch_with, run_with_warm_hint, BatchOptions,
-};
+use mobile_server::core::simulator::{run, run_batch_with, run_streaming_batch_with, BatchOptions};
 use mobile_server::geometry::sample::SeededSampler;
-use mobile_server::offline::{GridDp, TransitionKernel};
 use mobile_server::prelude::*;
 use proptest::prelude::*;
 
@@ -193,81 +188,6 @@ fn strict_batch_under_the_pool_is_bit_equal_to_sequential_run() {
             i += 1;
         }
     }
-}
-
-/// The distance-transform row fan is a pure wall-clock knob: every
-/// row-thread setting produces bit-identical DP results, and the fanned
-/// kernel keeps the one-sided parity contract against the oracle.
-#[test]
-fn dt_row_fan_is_bit_identical_for_every_thread_setting() {
-    let mut s = SeededSampler::new(23);
-    let steps: Vec<Step<2>> = (0..5)
-        .map(|_| {
-            let r = s.int_inclusive(1, 3);
-            Step::new((0..r).map(|_| s.point_in_cube(1.3)).collect())
-        })
-        .collect();
-    let inst = Instance::new(1.5, 0.5, P2::origin(), steps);
-    for order in [ServingOrder::MoveFirst, ServingOrder::AnswerFirst] {
-        for cells in [13, 29] {
-            let mut dp = GridDp::new(&inst, cells);
-            dp.set_row_threads(1);
-            let sequential = dp.solve_with(&inst, order, TransitionKernel::DistanceTransform);
-            let oracle = dp.solve_with(&inst, order, TransitionKernel::AllPairs);
-            for threads in [0usize, 2, 3, 8] {
-                dp.set_row_threads(threads);
-                let fanned = dp.solve_with(&inst, order, TransitionKernel::DistanceTransform);
-                assert_eq!(
-                    fanned.to_bits(),
-                    sequential.to_bits(),
-                    "{order:?} cells={cells} threads={threads}"
-                );
-            }
-            assert!(sequential >= oracle, "{order:?} cells={cells}");
-            assert!(
-                (sequential - oracle).abs() <= 1e-9 * (1.0 + oracle.abs()),
-                "{order:?} cells={cells}: dt {sequential} vs oracle {oracle}"
-            );
-        }
-    }
-}
-
-/// Warm-chained runs stay within solver tolerance of cold runs (hints
-/// are numerics, never policy) — the cross-instance analogue of the
-/// cross-lane seeding contract.
-#[test]
-fn warm_hinted_runs_stay_within_solver_tolerance() {
-    let instances: Vec<Instance<2>> = (0..5).map(|s| block_instance(100 + s, 40)).collect();
-    let mut warm: Option<MoveToCenter<2>> = None;
-    for (k, inst) in instances.iter().enumerate() {
-        let mut cold_alg = MoveToCenter::new();
-        let cold = run(inst, &mut cold_alg, 0.25, ServingOrder::MoveFirst);
-        let mut alg = MoveToCenter::new();
-        let hinted =
-            run_with_warm_hint(inst, &mut alg, warm.as_ref(), 0.25, ServingOrder::MoveFirst);
-        for (t, (p, q)) in hinted.positions.iter().zip(&cold.positions).enumerate() {
-            assert!(
-                p.distance(q) < 1e-8,
-                "instance {k} step {t}: {p:?} vs {q:?}"
-            );
-        }
-        assert!(
-            (hinted.total_cost() - cold.total_cost()).abs() <= 1e-8 * (1.0 + cold.total_cost()),
-            "instance {k}"
-        );
-        warm = Some(alg);
-    }
-    // A None hint is exactly `run`, bit for bit.
-    let inst = &instances[0];
-    let mut a = MoveToCenter::new();
-    let mut b = MoveToCenter::new();
-    let plain = run(inst, &mut a, 0.25, ServingOrder::MoveFirst);
-    let unhinted = run_with_warm_hint(inst, &mut b, None, 0.25, ServingOrder::MoveFirst);
-    assert_eq!(plain.positions, unhinted.positions);
-    assert_eq!(
-        plain.total_cost().to_bits(),
-        unhinted.total_cost().to_bits()
-    );
 }
 
 /// Many repeated fan-outs (the streaming-block dispatch shape) through

@@ -4,11 +4,9 @@
 //! * warm-started [`MedianSolver`] vs the cold free function vs the seed's
 //!   classic solver,
 //! * `run_batch` vs repeated `run` calls,
-//! * the grid DP's transition kernels vs the all-pairs scan: windowed is
-//!   exactly equal (the pruned window provably enumerates the same
-//!   transition set); the distance transform is never below and within
-//!   tie-breaking tolerance (the full kernel matrix lives in
-//!   `tests/transition_kernels.rs`),
+//! * the grid DP's windowed scan vs the all-pairs scan: exactly equal
+//!   (the pruned window provably enumerates the same transition set; the
+//!   full parity matrix lives in `tests/transition_kernels.rs`),
 //! * (PR 3) the chunked SoA distance kernels vs their scalar oracles —
 //!   proptests with explicit f64 tolerance bounds, bit-equality where the
 //!   kernel promises it,
@@ -30,7 +28,7 @@ use mobile_server::geometry::soa::{
     nearest_index_points, sum_distances_points, sum_distances_points_scalar,
     weighted_sum_distances_points, weighted_sum_distances_points_scalar, SoaPoints,
 };
-use mobile_server::offline::{grid_optimum, grid_optimum_unpruned, GridDp, TransitionKernel};
+use mobile_server::offline::{grid_optimum, grid_optimum_unpruned, GridDp};
 use mobile_server::prelude::*;
 use proptest::prelude::*;
 
@@ -398,23 +396,14 @@ fn grid_dp_kernels_agree_with_all_pairs_on_random_instances() {
         for order in [ServingOrder::MoveFirst, ServingOrder::AnswerFirst] {
             for cells in [11, 19, 27] {
                 let mut dp = GridDp::new(&inst, cells);
-                let full = dp.solve_with(&inst, order, TransitionKernel::AllPairs);
-                let pruned = dp.solve_with(&inst, order, TransitionKernel::Windowed);
-                let dt = dp.solve_with(&inst, order, TransitionKernel::DistanceTransform);
+                let full = dp.solve_unpruned(&inst, order);
+                let pruned = dp.solve(&inst, order);
                 assert_eq!(
                     pruned, full,
                     "seed {seed} {order:?} cells={cells}: {pruned} vs {full}"
                 );
-                // The DT kernel admits only oracle-feasible candidates at
-                // oracle-identical values: never below, and off only by
-                // envelope tie-breaking.
-                assert!(dt >= full, "seed {seed} {order:?} cells={cells}");
-                assert!(
-                    (dt - full).abs() <= 1e-9 * (1.0 + full.abs()),
-                    "seed {seed} {order:?} cells={cells}: dt {dt} vs {full}"
-                );
-                // grid_optimum is the DT kernel: same numbers, one shot.
-                assert_eq!(dt, grid_optimum(&inst, cells, order));
+                // grid_optimum is the windowed scan: same numbers, one shot.
+                assert_eq!(pruned, grid_optimum(&inst, cells, order));
             }
         }
     }
@@ -683,10 +672,9 @@ fn grid_dp_reuse_matches_one_shot_solves() {
     for order in [ServingOrder::MoveFirst, ServingOrder::AnswerFirst] {
         let pruned = dp.solve(&inst, order);
         let full = dp.solve_unpruned(&inst, order);
-        let dt = dp.solve_with(&inst, order, TransitionKernel::DistanceTransform);
         assert_eq!(pruned, full, "{order:?}");
         assert_eq!(full, grid_optimum_unpruned(&inst, 15, order), "{order:?}");
-        assert_eq!(dt, grid_optimum(&inst, 15, order), "{order:?}");
+        assert_eq!(pruned, grid_optimum(&inst, 15, order), "{order:?}");
     }
 }
 

@@ -1,58 +1,74 @@
-//! The transition-kernel parity matrix for the offline grid DP.
+//! The parity matrix of the offline grid DP's two transition scans.
 //!
-//! Every [`TransitionKernel`] must compute the same per-step relaxation
-//! minima over the same reach-constrained transition set:
-//!
-//! * **Windowed vs AllPairs** — exact bit equality: the pruned window
-//!   provably enumerates the oracle's transition set and evaluates the
-//!   same expressions.
-//! * **DistanceTransform vs AllPairs** — one-sided tie-breaking parity:
-//!   the envelope admits only oracle-feasible candidates priced with the
-//!   oracle's own expression, so the result is never *below* the oracle
-//!   and differs only where floating-point envelope crossovers resolve a
-//!   near-tie to another source (bounded here at 1e-9 relative).
+//! The windowed scan ([`GridDp::solve`], what `grid_optimum` prices) must
+//! be **bit-equal** to the all-pairs oracle ([`GridDp::solve_unpruned`]):
+//! the pruned window provably enumerates the oracle's transition set and
+//! evaluates the same expressions.
 //!
 //! Proptests sweep random instances in N = 1, 2, 3; the deterministic
 //! edge-case suite covers the minimal 2-cells-per-axis grid, a zero
-//! movement budget (reach collapses to the start-snap slack, so the DT
-//! kernel's out-of-reach fallback carries whole steps), requests pinned
-//! to the arena corners, and empty (silent) steps.
+//! movement budget (reach collapses to the start-snap slack), requests
+//! pinned to the arena corners, and empty (silent) steps.
 //!
-//! The warm-solve contract rides the same matrix:
-//! [`GridDp::solve_warm`] must be **bit-equal** to a cold solve of the
-//! same prefix for every kernel, order, row-thread request, and
-//! arbitrary (non-monotone) sweep schedule — the journal may only ever
-//! skip work whose inputs match at the bit level.
+//! The one-pass prefix contract rides the same file:
+//! [`GridDp::prefix_optima`] must return, at every mark, the value a
+//! fresh solver's single-mark pass returns — bit for bit — with the
+//! full-horizon mark equal to [`GridDp::solve`] and the optima
+//! nondecreasing in the mark.
 
 use mobile_server::core::cost::ServingOrder;
 use mobile_server::geometry::sample::SeededSampler;
-use mobile_server::offline::{GridDp, TransitionKernel};
+use mobile_server::offline::GridDp;
 use mobile_server::prelude::*;
 use proptest::prelude::*;
 
 const ORDERS: [ServingOrder; 2] = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
 
-/// Solve with every kernel and cross-check the parity contracts.
+/// Solve with both scans and check their bit-equality in both orders.
 fn assert_kernel_matrix<const N: usize>(inst: &Instance<N>, cells: usize, ctx: &str) {
     let mut dp = GridDp::new(inst, cells);
     for order in ORDERS {
-        let full = dp.solve_with(inst, order, TransitionKernel::AllPairs);
-        let windowed = dp.solve_with(inst, order, TransitionKernel::Windowed);
-        let dt = dp.solve_with(inst, order, TransitionKernel::DistanceTransform);
+        let full = dp.solve_unpruned(inst, order);
+        let windowed = dp.solve(inst, order);
         assert_eq!(
             windowed.to_bits(),
             full.to_bits(),
             "{ctx} {order:?}: windowed {windowed} vs all-pairs {full}"
         );
-        if full.is_finite() {
-            assert!(dt >= full, "{ctx} {order:?}: dt {dt} undercuts {full}");
-            assert!(
-                (dt - full).abs() <= 1e-9 * (1.0 + full.abs()),
-                "{ctx} {order:?}: dt {dt} vs all-pairs {full}"
+    }
+}
+
+/// One forward pass over `marks` (ascending, ending at the horizon)
+/// against fresh single-mark passes, [`GridDp::solve`], and monotonicity.
+fn assert_prefix_optima<const N: usize>(
+    inst: &Instance<N>,
+    cells: usize,
+    marks: &[usize],
+    ctx: &str,
+) {
+    for order in ORDERS {
+        let mut dp = GridDp::new(inst, cells);
+        let optima = dp.prefix_optima(inst, order, marks);
+        assert_eq!(optima.len(), marks.len(), "{ctx} {order:?}");
+        for (&t, &opt) in marks.iter().zip(&optima) {
+            let single = GridDp::new(inst, cells).prefix_optima(inst, order, &[t])[0];
+            assert_eq!(
+                opt.to_bits(),
+                single.to_bits(),
+                "{ctx} {order:?} t={t}: one pass {opt} vs single mark {single}"
             );
-        } else {
-            assert!(dt.is_infinite(), "{ctx} {order:?}: dt {dt} vs ∞ oracle");
         }
+        assert!(
+            optima.windows(2).all(|w| w[0] <= w[1]),
+            "{ctx} {order:?}: prefix optima decrease: {optima:?}"
+        );
+        let full = dp.solve(inst, order);
+        let last = optima[optima.len() - 1];
+        assert_eq!(
+            last.to_bits(),
+            full.to_bits(),
+            "{ctx} {order:?}: mark T {last} vs solve {full}"
+        );
     }
 }
 
@@ -106,9 +122,8 @@ proptest! {
         }
     }
 
-    /// Tiny budgets make the unconstrained envelope winner out of reach
-    /// for most (cell, row) pairs, so this sweep lives almost entirely in
-    /// the DT kernel's exact fallback path.
+    /// Tiny budgets shrink the window to a cell or two per axis, so the
+    /// exact distance check rejects most of the window's candidates.
     #[test]
     fn kernels_agree_when_the_budget_starves_the_window(
         seed in any::<u64>(), d in 1.0f64..8.0
@@ -119,52 +134,32 @@ proptest! {
         }
     }
 
-    /// Warm solves across an arbitrary (non-monotone) schedule of prefix
-    /// horizons are bit-equal to cold solves of the same prefixes, for
-    /// every kernel, order, and row-thread request — shrinking, growing,
-    /// and repeated horizons all hit the journal's reuse/truncate paths.
-    /// Runs under `MSP_THREADS=1/2/auto` in CI (the pool width caps the
-    /// effective fan; results may not depend on it).
+    /// One forward pass prices every prefix of random line and planar
+    /// instances exactly as single-mark passes do, at random mark sets
+    /// (mark 0, the empty prefix, included when drawn).
     #[test]
-    fn warm_solves_match_cold_across_random_sweep_schedules(
+    fn prefix_optima_match_single_mark_passes(
         seed in any::<u64>(),
         d in 1.0f64..6.0,
         m in 0.05f64..1.2,
-        schedule in prop::collection::vec(1usize..7, 3..8)
+        drawn in prop::collection::vec(any::<bool>(), 8)
     ) {
-        let inst = random_instance::<2>(seed, 6, 3, d, m);
-        for threads in [1usize, 2, 0] {
-            let mut warm = GridDp::new(&inst, 13);
-            warm.set_row_threads(threads);
-            for order in ORDERS {
-                for kernel in [
-                    TransitionKernel::AllPairs,
-                    TransitionKernel::Windowed,
-                    TransitionKernel::DistanceTransform,
-                ] {
-                    for &t in &schedule {
-                        let prefix = inst.prefix(t);
-                        let got = warm.solve_warm(&prefix, order, kernel);
-                        let mut cold = GridDp::new(&inst, 13);
-                        cold.set_row_threads(threads);
-                        let want = cold.solve_warm(&prefix, order, kernel);
-                        prop_assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "seed={} threads={} {:?} {:?} T={}: warm {} vs cold {}",
-                            seed, threads, order, kernel, t, got, want
-                        );
-                    }
-                }
-            }
-        }
+        let horizon = drawn.len();
+        let marks: Vec<usize> = (0..horizon)
+            .filter(|&t| drawn[t])
+            .chain([horizon])
+            .collect();
+        let line = random_instance::<1>(seed, horizon, 3, d, m);
+        assert_prefix_optima(&line, 33, &marks, &format!("1-D seed={seed} marks={marks:?}"));
+        let plane = random_instance::<2>(seed, horizon, 3, d, m);
+        assert_prefix_optima(&plane, 11, &marks, &format!("2-D seed={seed} marks={marks:?}"));
     }
 }
 
 #[test]
 fn minimal_two_cell_grids_agree_in_every_dimension() {
     // cells_per_axis = 2 is the smallest legal arena: every axis has just
-    // its two endpoints, so the envelope rows hold two cones.
+    // its two endpoints.
     let line = random_instance::<1>(7, 5, 2, 2.0, 0.6);
     assert_kernel_matrix(&line, 2, "minimal 1-D");
     let plane = random_instance::<2>(8, 5, 2, 2.0, 0.6);
@@ -177,8 +172,7 @@ fn minimal_two_cell_grids_agree_in_every_dimension() {
 fn vanishing_movement_budget_reaches_only_the_snap_slack() {
     // m = 1e-9 (the model requires m > 0): the server may never leave its
     // start cell except for the half-diagonal discretization slack, so
-    // reach ≈ slack and almost every envelope winner is infeasible — the
-    // fallback path IS the kernel here.
+    // reach ≈ slack and the window holds only the nearest neighbors.
     let steps = vec![
         Step::new(vec![P2::xy(0.8, 0.3)]),
         Step::new(vec![P2::xy(-0.5, 0.9), P2::xy(0.2, -0.7)]),
@@ -194,8 +188,8 @@ fn vanishing_movement_budget_reaches_only_the_snap_slack() {
 #[test]
 fn requests_on_arena_corners_agree() {
     // The bounding box is derived from the requests, so extreme requests
-    // sit exactly on the (padded) arena corners; corner rows exercise the
-    // envelope's clamped windows on every axis.
+    // sit exactly on the (padded) arena corners; corner cells exercise the
+    // clamped windows on every axis.
     let steps = vec![
         Step::new(vec![P2::xy(-2.0, -2.0), P2::xy(2.0, 2.0)]),
         Step::new(vec![P2::xy(2.0, -2.0)]),
@@ -209,8 +203,7 @@ fn requests_on_arena_corners_agree() {
 
 #[test]
 fn single_request_line_hugging_the_boundary_agrees() {
-    // 1-D instance whose lone request sits on the arena edge each step;
-    // the DT path here is a single envelope sweep per step.
+    // 1-D instance whose lone request sits on the arena edge each step.
     let steps: Vec<Step<1>> = (0..6)
         .map(|t| Step::single(P1::new([if t % 2 == 0 { 2.0 } else { -2.0 }])))
         .collect();
@@ -220,13 +213,17 @@ fn single_request_line_hugging_the_boundary_agrees() {
     }
 }
 
+/// `grid_optimum` prices the windowed scan, so it is bit-equal to its
+/// all-pairs oracle `grid_optimum_unpruned`.
 #[test]
 fn dt_default_kernel_is_what_grid_optimum_prices() {
-    use mobile_server::offline::grid_optimum;
+    use mobile_server::offline::{grid_optimum, grid_optimum_unpruned};
     let inst = random_instance::<2>(42, 5, 3, 2.0, 0.5);
-    let mut dp = GridDp::new(&inst, 15);
     for order in ORDERS {
-        let dt = dp.solve_with(&inst, order, TransitionKernel::DistanceTransform);
-        assert_eq!(dt.to_bits(), grid_optimum(&inst, 15, order).to_bits());
+        assert_eq!(
+            grid_optimum(&inst, 15, order).to_bits(),
+            grid_optimum_unpruned(&inst, 15, order).to_bits(),
+            "{order:?}"
+        );
     }
 }
