@@ -314,9 +314,8 @@ pub fn pool_stats() -> PoolStats {
 /// pool is the parallelism ceiling, so requests beyond it change the
 /// partition shape but not the worker count).
 ///
-/// Exposed so engines that partition work *before* fanning out (e.g. the
-/// simulator's δ-lane chunking, the grid DP's row chunking) can size their
-/// partitions consistently with what [`parallel_map_indexed`] /
+/// Exposed so callers that partition work *before* fanning out can size
+/// their partitions consistently with what [`parallel_map_indexed`] /
 /// [`parallel_for_each_mut`] will do.
 pub fn effective_threads(requested: usize) -> usize {
     if IN_SWEEP.with(Cell::get) {
@@ -447,13 +446,12 @@ where
 /// workers (0 = the resolved pool size) with the same dynamic work
 /// stealing and nested-sweep sequential fallback as
 /// [`parallel_map_indexed`]. This is the executor for stateful shards —
-/// e.g. independent δ-lane groups of a batched simulation, each owning
-/// its algorithm clones and cost accumulators, or the grid DP's
-/// distance-transform row chunks — where results are written into the
-/// items rather than collected. Because the pool persists, engines that
-/// fan out repeatedly (one call per 256-step stream block, one call per
-/// DP step) reuse the same workers instead of paying a spawn/join
-/// barrier per call.
+/// e.g. the independent δ-lanes of a batched simulation, each owning its
+/// algorithm clone and cost accumulators — where results are written
+/// into the items rather than collected. Because the pool persists,
+/// engines that fan out repeatedly (one call per 256-step stream block)
+/// reuse the same workers instead of paying a spawn/join barrier per
+/// call.
 pub fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
 where
     T: Send,

@@ -3,8 +3,7 @@
 //! * chunked distance kernels (service cost, SoA service scan) vs their
 //!   scalar oracles,
 //! * warm-started drifting-cluster median solves vs cold starts,
-//! * multi-δ batched simulation (cross-lane seeded and strict) vs
-//!   repeated single runs,
+//! * multi-δ batched simulation vs repeated single runs,
 //! * radius-pruned grid DP vs the all-pairs transition scan.
 //!
 //! The `perf_report` binary measures the same pairs and records the
@@ -15,7 +14,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use msp_core::cost::{service_cost, service_cost_naive, ServingOrder};
 use msp_core::model::{Instance, Step};
 use msp_core::mtc::MoveToCenter;
-use msp_core::simulator::{run, run_batch, run_batch_with, BatchOptions};
+use msp_core::simulator::{run, run_batch};
 use msp_geometry::median::{weighted_center, weighted_center_classic, MedianOptions, MedianSolver};
 use msp_geometry::sample::SeededSampler;
 use msp_geometry::soa::SoaPoints;
@@ -123,24 +122,6 @@ fn bench_multi_delta_batch(c: &mut Criterion) {
                 .sum::<f64>()
         })
     });
-    group.bench_with_input(
-        BenchmarkId::from_parameter("batched_strict"),
-        &inst,
-        |b, inst| {
-            b.iter(|| {
-                run_batch_with(
-                    black_box(inst),
-                    &MoveToCenter::new(),
-                    &deltas,
-                    &orders,
-                    BatchOptions::strict(),
-                )
-                .iter()
-                .map(|r| r.total_cost())
-                .sum::<f64>()
-            })
-        },
-    );
     group.finish();
 }
 

@@ -13,6 +13,18 @@
 
 use msp_bench::{all_experiments, Scale};
 
+/// The usage line plus the known experiment ids.
+fn usage() -> String {
+    format!(
+        "usage: experiments [--full|--smoke] [--json] [--csv DIR] [ids…]\nids: {}",
+        all_experiments()
+            .iter()
+            .map(|(id, _)| *id)
+            .collect::<Vec<_>>()
+            .join(" ")
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Quick;
@@ -32,18 +44,15 @@ fn main() {
             "--json" => emit_json = true,
             "--csv" => expect_csv_dir = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--full|--smoke] [--json] [--csv DIR] [ids…]\nids: {}",
-                    all_experiments()
-                        .iter()
-                        .map(|(id, _)| *id)
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                );
+                eprintln!("{}", usage());
                 return;
             }
             other => wanted.push(other.to_string()),
         }
+    }
+    if expect_csv_dir {
+        eprintln!("--csv needs a directory\n{}", usage());
+        std::process::exit(2);
     }
 
     let suite = all_experiments();

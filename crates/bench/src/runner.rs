@@ -14,7 +14,7 @@ use msp_core::algorithm::OnlineAlgorithm;
 use msp_core::cost::ServingOrder;
 use msp_core::model::Instance;
 use msp_core::ratio::competitive_ratio;
-use msp_core::simulator::{run, run_batch_with, BatchOptions, StreamingSim};
+use msp_core::simulator::{run, run_batch, StreamingSim};
 use msp_offline::convex::{ConvexSolver, ConvexSolverOptions};
 use msp_offline::grid::GridDp;
 use msp_offline::line::{solve_line, IncrementalLineOpt};
@@ -131,13 +131,8 @@ pub fn stats_from_values(values: &[f64]) -> SeedStats {
 /// instance, against a **single** exact-OPT solve, with all δ trajectories
 /// simulated in one batched pass. Equivalent to calling [`line_ratio`] per
 /// δ, at roughly `1/deltas.len()` of the OPT cost plus the batched
-/// simulation savings.
-///
-/// Runs under [`BatchOptions::strict`]: published experiment tables must
-/// be bit-reproducible across machines, so the core-count-dependent lane
-/// grouping and cross-lane seeding of the default engine are disabled
-/// (on the line the median is solved exactly without iteration, so
-/// seeding would buy nothing here anyway).
+/// simulation savings. Each ratio is bit-equal to [`line_ratio`]'s, since
+/// every δ-lane of [`run_batch`] is bit-equal to its sequential run.
 pub fn batch_line_ratios<A: OnlineAlgorithm<1> + Clone + Send>(
     instance: &Instance<1>,
     algorithm: &A,
@@ -145,16 +140,10 @@ pub fn batch_line_ratios<A: OnlineAlgorithm<1> + Clone + Send>(
     order: ServingOrder,
 ) -> Vec<f64> {
     let opt = solve_line(instance, order).cost;
-    run_batch_with(
-        instance,
-        algorithm,
-        deltas,
-        &[order],
-        BatchOptions::strict(),
-    )
-    .into_iter()
-    .map(|res| competitive_ratio(res.total_cost(), opt))
-    .collect()
+    run_batch(instance, algorithm, deltas, &[order])
+        .into_iter()
+        .map(|res| competitive_ratio(res.total_cost(), opt))
+        .collect()
 }
 
 /// Competitive ratios of `algorithm` at every prefix horizon in `marks`
@@ -163,7 +152,8 @@ pub fn batch_line_ratios<A: OnlineAlgorithm<1> + Clone + Send>(
 /// exact optimum-so-far, so the per-prefix from-scratch OPT re-solves of
 /// a horizon sweep disappear. Agrees exactly with [`line_ratio`] on
 /// separately materialized prefix instances (online decisions and the PWL
-/// DP are both causal) — pinned by tests.
+/// DP are both causal) — pinned by tests. A mark of 0 prices the empty
+/// prefix, whose ratio is 1.
 ///
 /// # Panics
 /// Panics when `marks` is not strictly ascending or exceeds the horizon.
@@ -184,22 +174,19 @@ pub fn prefix_line_ratios<A: OnlineAlgorithm<1>>(
     );
     let mut sim = StreamingSim::new(&instance.params(), algorithm, delta, order);
     let mut opt = IncrementalLineOpt::new(instance.d, instance.max_move, instance.start.x(), order);
-    let mut out = Vec::with_capacity(marks.len());
-    let mut next_mark = marks.iter().copied().peekable();
-    for step in &instance.steps {
-        if next_mark.peek().is_none() {
-            break;
-        }
-        sim.feed(step);
-        let reqs: Vec<f64> = step.requests.iter().map(|v| v.x()).collect();
-        opt.push_step(&reqs);
-        if next_mark.peek() == Some(&sim.steps()) {
-            next_mark.next();
-            out.push(competitive_ratio(sim.total_cost(), opt.current_opt()));
-        }
-    }
-    assert_eq!(out.len(), marks.len(), "marks beyond the processed prefix");
-    out
+    let mut steps = instance.steps.iter();
+    marks
+        .iter()
+        .map(|&t| {
+            while sim.steps() < t {
+                let step = steps.next().expect("marks checked against the horizon");
+                sim.feed(step);
+                let reqs: Vec<f64> = step.requests.iter().map(|v| v.x()).collect();
+                opt.push_step(&reqs);
+            }
+            competitive_ratio(sim.total_cost(), opt.current_opt())
+        })
+        .collect()
 }
 
 /// N-dimensional analogue of [`prefix_line_ratios`]: competitive ratios
@@ -301,8 +288,9 @@ mod tests {
         for (&delta, &batch_ratio) in deltas.iter().zip(&batched) {
             let mut alg = MoveToCenter::new();
             let sequential = line_ratio(&inst, &mut alg, delta, ServingOrder::MoveFirst);
-            assert!(
-                (batch_ratio - sequential).abs() < 1e-9,
+            assert_eq!(
+                batch_ratio.to_bits(),
+                sequential.to_bits(),
                 "δ={delta}: {batch_ratio} vs {sequential}"
             );
         }
@@ -314,7 +302,7 @@ mod tests {
             .map(|t| Step::single(P1::new([(t as f64 * 0.4).sin() * 5.0])))
             .collect();
         let inst = Instance::new(2.0, 1.0, P1::origin(), steps);
-        let marks = [10usize, 40, 75, 120];
+        let marks = [0usize, 10, 40, 75, 120];
         for order in [ServingOrder::MoveFirst, ServingOrder::AnswerFirst] {
             let incremental = prefix_line_ratios(&inst, MoveToCenter::new(), 0.3, order, &marks);
             for (&t, &inc) in marks.iter().zip(&incremental) {

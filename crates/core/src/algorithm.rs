@@ -83,21 +83,6 @@ pub trait OnlineAlgorithm<const N: usize> {
         requests: &[Point<N>],
         ctx: &AlgContext<N>,
     ) -> Point<N>;
-
-    /// Offers the internal state of a *neighboring configuration* of the
-    /// same algorithm (e.g. the adjacent δ-lane of a batched sweep, which
-    /// just decided on the **same step**) as a numerical warm-start hint.
-    ///
-    /// Implementations may only use the hint to accelerate convergence —
-    /// never to change which point they would decide on beyond solver
-    /// tolerance — so batched engines stay interchangeable with
-    /// sequential runs. The default is a no-op; [`crate::mtc::MoveToCenter`]
-    /// seeds its median solver from the neighbor's last center.
-    fn warm_hint(&mut self, _neighbor: &Self)
-    where
-        Self: Sized,
-    {
-    }
 }
 
 /// Failure decoding a persisted warm-state blob (see [`WarmStateCodec`]).
@@ -133,13 +118,12 @@ impl std::error::Error for WarmStateError {}
 /// [`crate::simulator::StreamCheckpoint`] so that a crashed streaming run
 /// can resume *bit-equal* to the uninterrupted run.
 ///
-/// The contract mirrors [`OnlineAlgorithm::warm_hint`]: the encoded state
-/// is everything that influences future `decide` calls beyond the
-/// algorithm's configuration. Scratch buffers and telemetry are excluded;
-/// numerical warm iterates (e.g. the median solver's previous center) are
-/// included **bit-exactly**, because resuming with different starting
-/// iterates would produce decisions that differ at the last ulp and
-/// diverge from the uninterrupted trajectory.
+/// The encoded state is everything that influences future `decide` calls
+/// beyond the algorithm's configuration. Scratch buffers and telemetry
+/// are excluded; numerical warm iterates (e.g. the median solver's
+/// previous center) are included **bit-exactly**, because resuming with
+/// different starting iterates would produce decisions that differ at the
+/// last ulp and diverge from the uninterrupted trajectory.
 ///
 /// Round-trip law, pinned by tests: for any reachable state `s`,
 /// `decode(encode(s))` after a [`OnlineAlgorithm::reset`] restores a state

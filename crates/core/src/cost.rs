@@ -34,6 +34,16 @@ impl ServingOrder {
             ServingOrder::AnswerFirst => "answer-first",
         }
     }
+
+    /// The endpoint of a move that pays the step's service cost: `after`
+    /// (the new position) under Move-First, `before` under Answer-First.
+    #[inline]
+    pub(crate) fn serve_from<'a, T: ?Sized>(self, before: &'a T, after: &'a T) -> &'a T {
+        match self {
+            ServingOrder::MoveFirst => after,
+            ServingOrder::AnswerFirst => before,
+        }
+    }
 }
 
 /// Cost incurred in a single time step, split by source.
@@ -123,11 +133,7 @@ pub fn evaluate_trajectory<const N: usize>(
         let from = &positions[t];
         let to = &positions[t + 1];
         let movement = instance.d * from.distance(to);
-        let serve_from = match order {
-            ServingOrder::MoveFirst => to,
-            ServingOrder::AnswerFirst => from,
-        };
-        let service = service_cost(serve_from, &step.requests);
+        let service = service_cost(order.serve_from(from, to), &step.requests);
         out.movement += movement;
         out.service += service;
         out.per_step.push(StepCost { movement, service });

@@ -145,11 +145,7 @@ pub fn run_fleet<const N: usize, A: FleetAlgorithm<N>>(
             movement += instance.d * s.distance(&clamped);
             next.push(clamped);
         }
-        let serve_from = match order {
-            ServingOrder::MoveFirst => &next,
-            ServingOrder::AnswerFirst => &servers,
-        };
-        let service = fleet_service_cost(serve_from, &step.requests);
+        let service = fleet_service_cost(order.serve_from(&servers, &next), &step.requests);
         cost.movement += movement;
         cost.service += service;
         cost.per_step.push(StepCost { movement, service });

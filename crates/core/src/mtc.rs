@@ -177,18 +177,6 @@ impl<const N: usize> OnlineAlgorithm<N> for MoveToCenter<N> {
         let step = pull.min(ctx.online_budget());
         step_towards(current, &c, step)
     }
-
-    fn warm_hint(&mut self, neighbor: &Self) {
-        // The geometric median depends on the request set, not on the
-        // server position (the position only breaks ties on collinear
-        // sets, which are solved exactly without iteration). A neighboring
-        // δ-lane that just solved the *same step* therefore holds an
-        // essentially converged starting iterate: seeding from it
-        // collapses this lane's solve to a verification pass.
-        if let Some(center) = neighbor.solver.warm_state() {
-            self.solver.seed(center);
-        }
-    }
 }
 
 impl<const N: usize> WarmStateCodec for MoveToCenter<N> {
@@ -335,48 +323,6 @@ mod tests {
             let next = mtc.decide(&cur, &reqs, &ctx);
             assert!(next.distance(&cur) <= ctx.online_budget() + 1e-9);
         }
-    }
-
-    #[test]
-    fn warm_hint_seeds_the_solver_from_a_neighbor() {
-        // Two "lanes" on the same request set: after lane A decides, a
-        // hint from A must let lane B solve from A's center — engaging the
-        // warm-start counter and converging in a handful of iterations —
-        // while deciding the same point A did (same position, same δ).
-        // Five requests: three or four would take the solver's closed
-        // form, which has no warm start to prime.
-        let ctx = ctx2(4.0, 0.5, 0.2);
-        let reqs = [
-            P2::xy(1.0, 0.4),
-            P2::xy(0.5, -0.7),
-            P2::xy(1.5, 0.9),
-            P2::xy(0.2, 0.3),
-            P2::xy(1.3, -0.4),
-        ];
-        let mut lane_a = MoveToCenter::<2>::new();
-        lane_a.reset(&ctx);
-        let decision_a = lane_a.decide(&P2::origin(), &reqs, &ctx);
-
-        let mut lane_b = MoveToCenter::<2>::new();
-        lane_b.reset(&ctx);
-        lane_b.warm_hint(&lane_a);
-        let decision_b = lane_b.decide(&P2::origin(), &reqs, &ctx);
-
-        assert!(decision_b.distance(&decision_a) < 1e-9);
-        let t = lane_b.median_telemetry();
-        assert_eq!(t.warm_starts, 1, "hint must prime the warm start");
-        assert!(
-            t.last_iterations <= 4,
-            "seeded solve should be a verification pass, took {}",
-            t.last_iterations
-        );
-        // A hint from a never-used neighbor is a no-op.
-        let mut lane_c = MoveToCenter::<2>::new();
-        lane_c.reset(&ctx);
-        let fresh = MoveToCenter::<2>::new();
-        lane_c.warm_hint(&fresh);
-        let _ = lane_c.decide(&P2::origin(), &reqs, &ctx);
-        assert_eq!(lane_c.median_telemetry().warm_starts, 0);
     }
 
     #[test]

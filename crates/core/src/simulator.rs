@@ -5,18 +5,24 @@
 //! Entry points:
 //!
 //! * [`run`] — one `(algorithm, δ, order)` combination, the classic path.
-//! * [`run_batch`] — the multi-configuration fast path: one pass over the
+//! * [`run_batch`] — the multi-configuration path: one pass over the
 //!   steps prices every requested δ under every requested serving order.
 //!   The decision trajectory depends only on δ (the model reveals the
 //!   requests before the move in *both* orders, so the serving order is a
 //!   pure pricing choice), which lets a single decision sequence per δ be
 //!   priced under all orders simultaneously — halving the number of
-//!   expensive median solves for the common both-orders sweep.
+//!   expensive median solves for the common both-orders sweep. The
+//!   δ-lanes are independent runs and fan out over the sweep pool.
 //! * [`run_streaming`] / [`run_streaming_batch`] — the open-ended paths:
 //!   steps arrive from any iterator (a workload generator, a trace file, a
 //!   network feed) and only running totals are kept, so memory is O(1) in
 //!   the horizon. [`StreamingSim`] is the underlying push-style engine
 //!   with checkpoint/resume support for multi-million-step runs.
+//!
+//! Every engine steps through one private step function (decide, clamp
+//! the proposal to the budget `(1+δ)m`, price the move), so each
+//! `(δ, order)` result of a batch or streaming engine is bit-equal to
+//! [`run`] on the same steps, on every machine and at every pool width.
 
 use crate::algorithm::{AlgContext, OnlineAlgorithm, WarmStateCodec, WarmStateError};
 use crate::cost::{service_cost, CostBreakdown, ServingOrder, StepCost};
@@ -99,45 +105,13 @@ pub fn run<const N: usize, A: OnlineAlgorithm<N>>(
     delta: f64,
     order: ServingOrder,
 ) -> RunResult<N> {
-    let ctx = AlgContext::new(instance, delta);
-    algorithm.reset(&ctx);
-    let budget = ctx.online_budget();
-
-    let mut positions = Vec::with_capacity(instance.horizon() + 1);
-    positions.push(instance.start);
-    let mut cost = CostBreakdown {
-        per_step: Vec::with_capacity(instance.horizon()),
-        ..Default::default()
-    };
-
-    let mut current = instance.start;
-    for step in &instance.steps {
-        let proposal = algorithm.decide(&current, &step.requests, &ctx);
-        debug_assert!(
-            proposal.is_finite(),
-            "{} proposed a non-finite position",
-            algorithm.name()
-        );
-        let next = step_towards(&current, &proposal, budget);
-        let movement = instance.d * current.distance(&next);
-        let serve_from = match order {
-            ServingOrder::MoveFirst => &next,
-            ServingOrder::AnswerFirst => &current,
-        };
-        let service = service_cost(serve_from, &step.requests);
-        cost.movement += movement;
-        cost.service += service;
-        cost.per_step.push(StepCost { movement, service });
-        current = next;
-        positions.push(current);
-    }
-
+    let (positions, mut costs) = run_lane(instance, algorithm, delta, &[order]);
     RunResult {
         algorithm: algorithm.name(),
         order,
         delta,
         positions,
-        cost,
+        cost: costs.remove(0),
     }
 }
 
@@ -150,227 +124,94 @@ pub fn run_move_first<const N: usize, A: OnlineAlgorithm<N>>(
     run(instance, algorithm, delta, ServingOrder::MoveFirst)
 }
 
-/// Execution knobs of the batched engines ([`run_batch_with`],
-/// [`run_streaming_batch_with`]).
+/// The one step function of every engine: the algorithm decides, the
+/// proposal is clamped onto the segment towards it at the budget
+/// `(1+δ)m`, and the move is priced under each order in `orders`:
+/// `price(i, cost)` receives the cost under `orders[i]` (the orders share
+/// the move and differ only in the serving endpoint). Moves `current` to
+/// the clamped position and returns the step's length.
 ///
-/// δ-lanes are partitioned into **groups**; groups execute concurrently
-/// over [`msp_analysis::sweep::parallel_for_each_mut`] workers — the
-/// persistent work-stealing pool, so engines that fan out repeatedly
-/// (the streaming batch engine dispatches once per 256-step block) reuse
-/// the same workers instead of paying a spawn/join barrier per dispatch —
-/// while the lanes *inside* a group are stepped together, which enables cross-lane
-/// warm seeding: before lane `i` of a group decides on a step, it receives
-/// an [`OnlineAlgorithm::warm_hint`] from lane `i − 1`, which just solved
-/// the **same step** — for Move-to-Center that hands over an essentially
-/// converged median iterate, collapsing the solve to a verification pass.
-///
-/// Hints are numerics, not policy: every lane's trajectory agrees with its
-/// sequential [`run`] to well within solver tolerance (pinned by tests),
-/// but bit-exact reproducibility across machines additionally requires a
-/// fixed group shape — that is what [`BatchOptions::strict`] provides.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchOptions {
-    /// Worker threads for lane groups (0 = all available CPUs; nested
-    /// inside another sweep everything runs on the current worker).
-    pub threads: usize,
-    /// Lanes per group (0 = auto: `⌈lanes / threads⌉`, so one group per
-    /// worker — maximal seeding without idle cores).
-    pub lane_chunk: usize,
-    /// Whether neighboring lanes of a group exchange warm hints.
-    pub cross_lane_seed: bool,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            threads: 0,
-            lane_chunk: 0,
-            cross_lane_seed: true,
-        }
-    }
-}
-
-impl BatchOptions {
-    /// Bit-stable configuration: one lane per group, no cross-lane
-    /// seeding. Every lane performs exactly the arithmetic of its
-    /// sequential [`run`] (bit-equal output, pinned by tests), and the
-    /// result is independent of the machine's core count.
-    pub fn strict() -> Self {
-        BatchOptions {
-            threads: 0,
-            lane_chunk: 1,
-            cross_lane_seed: false,
-        }
-    }
-
-    /// Fully sequential strict configuration — the reference the parallel
-    /// paths are pinned against.
-    pub fn sequential() -> Self {
-        BatchOptions {
-            threads: 1,
-            lane_chunk: 1,
-            cross_lane_seed: false,
-        }
-    }
-
-    /// Resolved lanes-per-group for `n` lanes.
-    fn group_size(&self, n: usize) -> usize {
-        if self.lane_chunk > 0 {
-            self.lane_chunk
-        } else {
-            n.div_ceil(msp_analysis::sweep::effective_threads(self.threads).max(1))
-        }
-        .max(1)
-    }
-}
-
-/// One δ-lane of a batched run: its own algorithm clone (decisions depend
-/// on the augmented budget) pricing the shared trajectory under every
-/// requested order.
-struct BatchLane<const N: usize, A> {
-    ctx: AlgContext<N>,
-    budget: f64,
-    algorithm: A,
-    current: Point<N>,
-    positions: Vec<Point<N>>,
-    costs: Vec<CostBreakdown>, // one per serving order
-}
-
-/// Common surface of a batched δ-lane. Both engines — in-memory
-/// [`run_batch_with`] and streaming [`run_streaming_batch_with`] — drive
-/// their lanes exclusively through [`advance_lane_group`], so the
-/// step-major/lane-minor ordering and the cross-lane hint pattern (the
-/// bit-equality contract between the two engines) live in exactly one
-/// place.
-trait SeedableLane<const N: usize> {
-    /// The algorithm driving this lane.
-    type Alg: OnlineAlgorithm<N>;
-    fn algorithm(&self) -> &Self::Alg;
-    fn algorithm_mut(&mut self) -> &mut Self::Alg;
-    /// Advances the lane by one step, pricing the shared move under every
-    /// requested order (the orders differ only in the serving endpoint,
-    /// so the service sums are the only per-order work).
-    fn feed(&mut self, step: &Step<N>, orders: &[ServingOrder]);
-}
-
-/// The decide/clamp/price core shared by every batched lane: proposes,
-/// clamps to the budget, and invokes `price(order_index, movement,
-/// service)` once per requested order. Both lane kinds (in-memory and
-/// streaming) route through this single copy, so the pricing arithmetic —
-/// part of the engines' bit-equality contract — cannot diverge. Returns
-/// the clamped next position and the step length actually moved; the
-/// caller updates its own record.
-fn price_lane_step<const N: usize, A: OnlineAlgorithm<N>>(
+/// [`run`], [`run_batch`], [`run_streaming_batch`] and
+/// [`StreamingSim::feed_requests`] all step through here, so they compute
+/// every decision and every cost with the same float expressions.
+#[inline]
+fn advance<const N: usize, A: OnlineAlgorithm<N>>(
     algorithm: &mut A,
     ctx: &AlgContext<N>,
-    budget: f64,
-    current: &Point<N>,
-    step: &Step<N>,
+    current: &mut Point<N>,
+    requests: &[Point<N>],
     orders: &[ServingOrder],
-    mut price: impl FnMut(usize, f64, f64),
-) -> (Point<N>, f64) {
-    let proposal = algorithm.decide(current, &step.requests, ctx);
+    mut price: impl FnMut(usize, StepCost),
+) -> f64 {
+    let proposal = algorithm.decide(current, requests, ctx);
     debug_assert!(
         proposal.is_finite(),
         "{} proposed a non-finite position",
         algorithm.name()
     );
-    let next = step_towards(current, &proposal, budget);
+    let next = step_towards(current, &proposal, ctx.online_budget());
     let step_len = current.distance(&next);
     let movement = ctx.d * step_len;
-    for (oi, order) in orders.iter().enumerate() {
-        let serve_from = match order {
-            ServingOrder::MoveFirst => &next,
-            ServingOrder::AnswerFirst => current,
-        };
-        price(oi, movement, service_cost(serve_from, &step.requests));
+    for (i, order) in orders.iter().enumerate() {
+        let service = service_cost(order.serve_from(&*current, &next), requests);
+        price(i, StepCost { movement, service });
     }
-    (next, step_len)
+    *current = next;
+    step_len
 }
 
-impl<const N: usize, A: OnlineAlgorithm<N>> SeedableLane<N> for BatchLane<N, A> {
-    type Alg = A;
-
-    fn algorithm(&self) -> &A {
-        &self.algorithm
-    }
-
-    fn algorithm_mut(&mut self) -> &mut A {
-        &mut self.algorithm
-    }
-
-    fn feed(&mut self, step: &Step<N>, orders: &[ServingOrder]) {
-        let costs = &mut self.costs;
-        let (next, _) = price_lane_step(
-            &mut self.algorithm,
-            &self.ctx,
-            self.budget,
-            &self.current,
-            step,
+/// One δ-lane of the in-memory engines: resets `algorithm`, computes its
+/// decision sequence once and prices it under every order in `orders`.
+/// Returns the visited positions `P_0 … P_T` and one cost trace per order.
+fn run_lane<const N: usize, A: OnlineAlgorithm<N>>(
+    instance: &Instance<N>,
+    algorithm: &mut A,
+    delta: f64,
+    orders: &[ServingOrder],
+) -> (Vec<Point<N>>, Vec<CostBreakdown>) {
+    let ctx = AlgContext::new(instance, delta);
+    algorithm.reset(&ctx);
+    let mut positions = Vec::with_capacity(instance.horizon() + 1);
+    positions.push(instance.start);
+    let mut costs: Vec<CostBreakdown> = orders
+        .iter()
+        .map(|_| CostBreakdown {
+            per_step: Vec::with_capacity(instance.horizon()),
+            ..Default::default()
+        })
+        .collect();
+    let mut current = instance.start;
+    for step in &instance.steps {
+        advance(
+            algorithm,
+            &ctx,
+            &mut current,
+            &step.requests,
             orders,
-            |oi, movement, service| {
-                let cost = &mut costs[oi];
-                cost.movement += movement;
-                cost.service += service;
-                cost.per_step.push(StepCost { movement, service });
+            |i, step_cost| {
+                let cost = &mut costs[i];
+                cost.movement += step_cost.movement;
+                cost.service += step_cost.service;
+                cost.per_step.push(step_cost);
             },
         );
-        self.current = next;
-        self.positions.push(next);
+        positions.push(current);
     }
+    (positions, costs)
 }
 
-/// Steps every lane of one group through `steps`, exchanging warm hints
-/// between neighboring lanes when enabled: before lane `i` decides on a
-/// step, it is hinted from lane `i − 1`, which just solved the same step.
-fn advance_lane_group<const N: usize, L: SeedableLane<N>>(
-    lanes: &mut [L],
-    steps: &[Step<N>],
-    orders: &[ServingOrder],
-    cross_lane_seed: bool,
-) {
-    for step in steps {
-        for i in 0..lanes.len() {
-            let (done, rest) = lanes.split_at_mut(i);
-            let lane = &mut rest[0];
-            if cross_lane_seed {
-                if let Some(prev) = done.last() {
-                    lane.algorithm_mut().warm_hint(prev.algorithm());
-                }
-            }
-            lane.feed(step, orders);
-        }
-    }
-}
-
-/// Splits lanes into contiguous seeding groups of `group_size` (the last
-/// group may be short), preserving δ order.
-fn partition_groups<T>(lanes: Vec<T>, group_size: usize) -> Vec<Vec<T>> {
-    let mut groups = Vec::with_capacity(lanes.len().div_ceil(group_size.max(1)));
-    let mut lanes = lanes.into_iter();
-    loop {
-        let group: Vec<T> = lanes.by_ref().take(group_size).collect();
-        if group.is_empty() {
-            break;
-        }
-        groups.push(group);
-    }
-    groups
-}
-
-/// Runs `algorithm` over `instance` for every `(δ, order)` combination in
-/// a single pass over the steps, returning results in δ-major, order-minor
-/// sequence (`deltas.len() · orders.len()` entries).
+/// Runs `algorithm` over `instance` for every `(δ, order)` combination,
+/// returning results in δ-major, order-minor sequence (`deltas.len() ·
+/// orders.len()` entries).
 ///
-/// This is [`run_batch_with`] under [`BatchOptions::default`]: δ-lane
-/// groups fan out over all cores and neighboring lanes exchange warm
-/// hints. Per δ the decision sequence is computed **once** and priced
-/// under every serving order; results agree with [`run`] for the matching
-/// `(δ, order)` to well within solver tolerance (bit-equal under
-/// [`BatchOptions::strict`]) — pinned by tests. For warm-started
-/// algorithms such as [`crate::mtc::MoveToCenter`], batching additionally
-/// keeps each δ-lane's solver warm across the whole pass, exactly as the
-/// sequential path would.
+/// Per δ the decision sequence is computed **once** and priced under
+/// every serving order. The δ-lanes are independent runs, each with its
+/// own clone of `algorithm`, and fan out over the sweep pool
+/// ([`msp_analysis::sweep::parallel_for_each_mut`]) at pool width. Every
+/// result is bit-equal to [`run`] for the matching `(δ, order)`, on every
+/// machine — pinned by tests. For warm-started algorithms such as
+/// [`crate::mtc::MoveToCenter`], each δ-lane keeps its solver warm across
+/// the whole pass, exactly as the sequential path does.
 ///
 /// ```
 /// use msp_core::cost::ServingOrder;
@@ -406,65 +247,26 @@ pub fn run_batch<const N: usize, A: OnlineAlgorithm<N> + Clone + Send>(
     deltas: &[f64],
     orders: &[ServingOrder],
 ) -> Vec<RunResult<N>> {
-    run_batch_with(instance, algorithm, deltas, orders, BatchOptions::default())
-}
-
-/// [`run_batch`] with explicit [`BatchOptions`] (lane parallelism and
-/// cross-lane warm seeding).
-///
-/// # Panics
-/// Panics when `deltas` or `orders` is empty.
-pub fn run_batch_with<const N: usize, A: OnlineAlgorithm<N> + Clone + Send>(
-    instance: &Instance<N>,
-    algorithm: &A,
-    deltas: &[f64],
-    orders: &[ServingOrder],
-    opts: BatchOptions,
-) -> Vec<RunResult<N>> {
     assert!(!deltas.is_empty(), "run_batch needs at least one δ");
     assert!(!orders.is_empty(), "run_batch needs at least one order");
 
-    let lanes: Vec<BatchLane<N, A>> = deltas
+    let mut lanes: Vec<(A, Vec<Point<N>>, Vec<CostBreakdown>)> = deltas
         .iter()
-        .map(|&delta| {
-            let ctx = AlgContext::new(instance, delta);
-            let mut algorithm = algorithm.clone();
-            algorithm.reset(&ctx);
-            let mut positions = Vec::with_capacity(instance.horizon() + 1);
-            positions.push(instance.start);
-            BatchLane {
-                budget: ctx.online_budget(),
-                ctx,
-                algorithm,
-                current: instance.start,
-                positions,
-                costs: orders
-                    .iter()
-                    .map(|_| CostBreakdown {
-                        per_step: Vec::with_capacity(instance.horizon()),
-                        ..Default::default()
-                    })
-                    .collect(),
-            }
-        })
+        .map(|_| (algorithm.clone(), Vec::new(), Vec::new()))
         .collect();
-
-    let group_size = opts.group_size(lanes.len());
-    let mut groups = partition_groups(lanes, group_size);
-
-    msp_analysis::sweep::parallel_for_each_mut(&mut groups, opts.threads, |_, group| {
-        advance_lane_group(group, &instance.steps, orders, opts.cross_lane_seed);
+    msp_analysis::sweep::parallel_for_each_mut(&mut lanes, 0, |i, (alg, positions, costs)| {
+        (*positions, *costs) = run_lane(instance, alg, deltas[i], orders);
     });
 
     let mut out = Vec::with_capacity(deltas.len() * orders.len());
-    for (lane, &delta) in groups.into_iter().flatten().zip(deltas) {
-        let name = lane.algorithm.name();
-        for (&order, cost) in orders.iter().zip(lane.costs) {
+    for ((alg, positions, costs), &delta) in lanes.into_iter().zip(deltas) {
+        let name = alg.name();
+        for (&order, cost) in orders.iter().zip(costs) {
             out.push(RunResult {
                 algorithm: name.clone(),
                 order,
                 delta,
-                positions: lane.positions.clone(),
+                positions: positions.clone(),
                 cost,
             });
         }
@@ -523,13 +325,12 @@ pub struct StreamCheckpoint<const N: usize> {
 
 /// Push-style streaming simulation engine: feed steps one at a time,
 /// inspect running totals, snapshot checkpoints, and finish into a
-/// [`StreamRunResult`]. Decisions, clamping, and pricing use exactly the
-/// same arithmetic as [`run`], so a streamed pass over an instance's steps
-/// reproduces the batch result bit for bit (pinned by tests).
+/// [`StreamRunResult`]. Each step goes through the same step function as
+/// [`run`], so a streamed pass over an instance's steps reproduces the
+/// in-memory result bit for bit (pinned by tests).
 #[derive(Clone, Debug)]
 pub struct StreamingSim<const N: usize, A> {
     ctx: AlgContext<N>,
-    budget: f64,
     order: ServingOrder,
     algorithm: A,
     current: Point<N>,
@@ -555,7 +356,6 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
         algorithm.reset(&ctx);
         obs::incr(obs::Counter::StreamSessions);
         StreamingSim {
-            budget: ctx.online_budget(),
             ctx,
             order,
             algorithm,
@@ -582,7 +382,6 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
         let ctx = AlgContext::from_params(params, delta);
         obs::incr(obs::Counter::StreamSessions);
         StreamingSim {
-            budget: ctx.online_budget(),
             ctx,
             order,
             algorithm,
@@ -622,7 +421,6 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
         algorithm.decode_warm_state(warm_state)?;
         obs::incr(obs::Counter::StreamSessions);
         Ok(StreamingSim {
-            budget: ctx.online_budget(),
             ctx,
             order,
             algorithm,
@@ -658,31 +456,25 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
     /// without materializing a [`Step`] per frame. Bit-equal to `feed` on
     /// the same requests by construction (that method delegates here).
     pub fn feed_requests(&mut self, requests: &[Point<N>]) -> StepCost {
-        let proposal = self.algorithm.decide(&self.current, requests, &self.ctx);
-        debug_assert!(
-            proposal.is_finite(),
-            "{} proposed a non-finite position",
-            self.algorithm.name()
+        let mut cost = StepCost::default();
+        let step_len = advance(
+            &mut self.algorithm,
+            &self.ctx,
+            &mut self.current,
+            requests,
+            std::slice::from_ref(&self.order),
+            |_, step_cost| cost = step_cost,
         );
-        let next = step_towards(&self.current, &proposal, self.budget);
-        let step_len = self.current.distance(&next);
-        let movement = self.ctx.d * step_len;
-        let serve_from = match self.order {
-            ServingOrder::MoveFirst => &next,
-            ServingOrder::AnswerFirst => &self.current,
-        };
-        let service = service_cost(serve_from, requests);
-        self.movement += movement;
-        self.service += service;
+        self.movement += cost.movement;
+        self.service += cost.service;
         self.max_step_used = self.max_step_used.max(step_len);
-        self.current = next;
         self.steps += 1;
         self.obs_pending += 1;
         if self.obs_pending >= OBS_STEP_FLUSH {
             obs::add(obs::Counter::StreamSteps, u64::from(self.obs_pending));
             self.obs_pending = 0;
         }
-        StepCost { movement, service }
+        cost
     }
 
     /// Advances by at most `budget` steps pulled from `next`, stopping
@@ -773,7 +565,7 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
 
 /// Runs `algorithm` over an open-ended step stream with O(1) memory in the
 /// stream length. Costs agree with [`run`] on the same step sequence to
-/// floating-point identity (same decision/clamping/pricing arithmetic).
+/// floating-point identity (the same step function).
 pub fn run_streaming<const N: usize, A, I>(
     params: &StreamParams<N>,
     steps: I,
@@ -826,18 +618,19 @@ where
 
 /// Number of steps buffered per block by the streaming batch engine:
 /// large enough to amortize the per-block lane fan-out (a ticket push to
-/// the persistent sweep pool — lane groups reuse the same workers across
+/// the persistent sweep pool, which reuses the same workers across
 /// blocks, with no spawn/join barrier per block), small enough that
 /// memory stays bounded (`O(block · r)`) on open-ended streams.
 const STREAM_BATCH_BLOCK: usize = 256;
 
 /// Streaming counterpart of [`run_batch`]: one pass over an open-ended
 /// step stream prices every `(δ, order)` combination, keeping only running
-/// totals plus a bounded step buffer (`STREAM_BATCH_BLOCK` = 256 steps —
-/// the blocks let δ-lane groups fan out over cores without materializing
-/// the stream). Results are δ-major, order-minor, and match [`run_batch`] on
-/// the same steps bit for bit: the lane grouping, warm seeding, and
-/// pricing arithmetic are identical, only the step delivery is blocked.
+/// totals plus a bounded step buffer (`STREAM_BATCH_BLOCK` = 256 steps),
+/// so the stream is never materialized; each block fans the δ-lanes out
+/// over the sweep pool at pool width. Results are δ-major, order-minor,
+/// and each is bit-equal to [`run_streaming`] (and so to [`run`] and
+/// [`run_batch`]) for the matching `(δ, order)` on the same steps: only
+/// the step delivery is blocked.
 ///
 /// # Panics
 /// Panics when `deltas` or `orders` is empty.
@@ -847,34 +640,6 @@ pub fn run_streaming_batch<const N: usize, A, I>(
     algorithm: &A,
     deltas: &[f64],
     orders: &[ServingOrder],
-) -> Vec<StreamRunResult<N>>
-where
-    A: OnlineAlgorithm<N> + Clone + Send,
-    I: IntoIterator<Item = Step<N>>,
-{
-    run_streaming_batch_with(
-        params,
-        steps,
-        algorithm,
-        deltas,
-        orders,
-        BatchOptions::default(),
-    )
-}
-
-/// [`run_streaming_batch`] with explicit [`BatchOptions`]. The options
-/// must match the [`run_batch_with`] call being mirrored for bit-exact
-/// agreement (the default mirrors the default).
-///
-/// # Panics
-/// Panics when `deltas` or `orders` is empty.
-pub fn run_streaming_batch_with<const N: usize, A, I>(
-    params: &StreamParams<N>,
-    steps: I,
-    algorithm: &A,
-    deltas: &[f64],
-    orders: &[ServingOrder],
-    opts: BatchOptions,
 ) -> Vec<StreamRunResult<N>>
 where
     A: OnlineAlgorithm<N> + Clone + Send,
@@ -891,7 +656,6 @@ where
 
     struct Lane<const N: usize, A> {
         ctx: AlgContext<N>,
-        budget: f64,
         algorithm: A,
         current: Point<N>,
         max_step_used: f64,
@@ -899,45 +663,13 @@ where
         totals: Vec<(f64, f64)>,
     }
 
-    impl<const N: usize, A: OnlineAlgorithm<N>> SeedableLane<N> for Lane<N, A> {
-        type Alg = A;
-
-        fn algorithm(&self) -> &A {
-            &self.algorithm
-        }
-
-        fn algorithm_mut(&mut self) -> &mut A {
-            &mut self.algorithm
-        }
-
-        fn feed(&mut self, step: &Step<N>, orders: &[ServingOrder]) {
-            let totals = &mut self.totals;
-            let (next, step_len) = price_lane_step(
-                &mut self.algorithm,
-                &self.ctx,
-                self.budget,
-                &self.current,
-                step,
-                orders,
-                |oi, movement, service| {
-                    let (mv, sv) = &mut totals[oi];
-                    *mv += movement;
-                    *sv += service;
-                },
-            );
-            self.max_step_used = self.max_step_used.max(step_len);
-            self.current = next;
-        }
-    }
-
-    let lanes: Vec<Lane<N, A>> = deltas
+    let mut lanes: Vec<Lane<N, A>> = deltas
         .iter()
         .map(|&delta| {
             let ctx = AlgContext::from_params(params, delta);
             let mut algorithm = algorithm.clone();
             algorithm.reset(&ctx);
             Lane {
-                budget: ctx.online_budget(),
                 ctx,
                 algorithm,
                 current: params.start,
@@ -946,12 +678,6 @@ where
             }
         })
         .collect();
-
-    // Same group shape and the same `advance_lane_group` stepping as
-    // `run_batch_with`, so the cross-lane seeding pattern (and hence
-    // every decision) is identical.
-    let group_size = opts.group_size(lanes.len());
-    let mut groups = partition_groups(lanes, group_size);
 
     let mut steps_seen = 0usize;
     let mut steps = steps.into_iter();
@@ -966,13 +692,28 @@ where
         obs::incr(obs::Counter::StreamBlocks);
         obs::record(obs::Hist::StreamBlockFill, block.len() as u64);
         let block_ref = &block;
-        msp_analysis::sweep::parallel_for_each_mut(&mut groups, opts.threads, |_, group| {
-            advance_lane_group(group, block_ref, orders, opts.cross_lane_seed);
+        msp_analysis::sweep::parallel_for_each_mut(&mut lanes, 0, |_, lane| {
+            for step in block_ref {
+                let totals = &mut lane.totals;
+                let step_len = advance(
+                    &mut lane.algorithm,
+                    &lane.ctx,
+                    &mut lane.current,
+                    &step.requests,
+                    orders,
+                    |i, cost| {
+                        let (movement, service) = &mut totals[i];
+                        *movement += cost.movement;
+                        *service += cost.service;
+                    },
+                );
+                lane.max_step_used = lane.max_step_used.max(step_len);
+            }
         });
     }
 
     let mut out = Vec::with_capacity(deltas.len() * orders.len());
-    for (lane, &delta) in groups.into_iter().flatten().zip(deltas) {
+    for (lane, &delta) in lanes.into_iter().zip(deltas) {
         let name = lane.algorithm.name();
         for (&order, (movement, service)) in orders.iter().zip(lane.totals) {
             out.push(StreamRunResult {
@@ -1114,15 +855,14 @@ mod tests {
                 let b = &batch[i];
                 assert_eq!(b.delta, delta);
                 assert_eq!(b.order, order);
-                assert_eq!(b.positions.len(), single.positions.len());
-                // Default options may seed across lanes (the group shape
-                // follows the core count), so the guarantee is solver
-                // tolerance, not bit-equality — strict mode is pinned
-                // exactly in tests/perf_parity.rs.
-                for (p, q) in b.positions.iter().zip(&single.positions) {
-                    assert!(p.distance(q) < 1e-8, "δ={delta} {order:?}");
-                }
-                assert!((b.total_cost() - single.total_cost()).abs() < 1e-8);
+                // Each δ-lane is an independent run through the same
+                // step function: bit-equal, whatever the pool width.
+                assert_eq!(b.positions, single.positions, "δ={delta} {order:?}");
+                assert_eq!(
+                    b.total_cost().to_bits(),
+                    single.total_cost().to_bits(),
+                    "δ={delta} {order:?}"
+                );
                 i += 1;
             }
         }

@@ -894,8 +894,8 @@ impl<const N: usize> MedianSolver<N> {
         self.telemetry = MedianTelemetry::default();
     }
 
-    /// Primes the warm-start iterate explicitly (e.g. from a neighboring
-    /// δ-lane of a batched run whose server sits at almost the same spot).
+    /// Primes the warm-start iterate explicitly (e.g. when a warm-state
+    /// codec restores a checkpointed solver).
     pub fn seed(&mut self, center: Point<N>) {
         self.warm = Some(center);
     }

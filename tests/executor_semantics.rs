@@ -8,11 +8,11 @@
 //!   inputs and thread requests — proptest-pinned,
 //! * nested fans collapse to one thread on pool workers (the
 //!   no-oversubscription guarantee),
-//! * `run_streaming_batch` stays **bit-equal** to `run_batch` across the
-//!   256-step block boundary under the pool, for strict, grouped, and
-//!   machine-shaped options alike — the per-block dispatch now reuses
-//!   pool workers, and that must not perturb a single bit,
-//! * strict batch mode stays bit-equal to sequential `run` under the pool
+//! * `run_streaming_batch` stays **bit-equal** to `run_batch` and to
+//!   per-lane `run_streaming` passes across the 256-step block boundary
+//!   under the pool — the per-block dispatch reuses pool workers, and
+//!   that must not perturb a single bit,
+//! * `run_batch` stays bit-equal to sequential `run` under the pool
 //!   (input-order result slots, not scheduling, carry determinism).
 //!
 //! The CI job `tests-2t` re-runs the whole suite with `MSP_THREADS=2` so
@@ -24,7 +24,7 @@ use mobile_server::analysis::sweep::{
     scoped_for_each_mut, scoped_map_indexed,
 };
 use mobile_server::core::cost::ServingOrder;
-use mobile_server::core::simulator::{run, run_batch_with, run_streaming_batch_with, BatchOptions};
+use mobile_server::core::simulator::{run, run_batch, run_streaming, run_streaming_batch};
 use mobile_server::geometry::sample::SeededSampler;
 use mobile_server::prelude::*;
 use proptest::prelude::*;
@@ -116,64 +116,57 @@ fn block_instance(seed: u64, horizon: usize) -> Instance<2> {
     Instance::new(3.0, 0.8, P2::origin(), steps)
 }
 
-/// Streaming batch must mirror in-memory batch bit for bit under the
-/// pooled executor, across the block boundary, for every option shape —
-/// including the machine-shaped default whose group count follows the
-/// pool size.
+/// Streaming batch must mirror in-memory batch, and each lane a
+/// `run_streaming` pass, bit for bit under the pooled executor across the
+/// block boundary, whatever the pool width.
 #[test]
 fn streaming_batch_bit_equals_batch_across_blocks_under_the_pool() {
     let inst = block_instance(41, 640);
     let deltas = [0.0, 0.2, 0.45, 0.9];
     let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-    for opts in [
-        BatchOptions::default(),
-        BatchOptions::strict(),
-        BatchOptions::sequential(),
-        BatchOptions {
-            threads: 2,
-            lane_chunk: 3,
-            cross_lane_seed: true,
-        },
-        BatchOptions {
-            threads: 3,
-            lane_chunk: 2,
-            cross_lane_seed: false,
-        },
-    ] {
-        let batch = run_batch_with(&inst, &MoveToCenter::new(), &deltas, &orders, opts);
-        let streamed = run_streaming_batch_with(
+    let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
+    let streamed = run_streaming_batch(
+        &inst.params(),
+        inst.steps.iter().cloned(),
+        &MoveToCenter::new(),
+        &deltas,
+        &orders,
+    );
+    assert_eq!(streamed.len(), batch.len());
+    for (s, b) in streamed.iter().zip(&batch) {
+        let at = format!("δ={} {:?}", s.delta, s.order);
+        assert_eq!(s.delta, b.delta, "{at}");
+        assert_eq!(s.order, b.order, "{at}");
+        assert_eq!(s.movement.to_bits(), b.cost.movement.to_bits(), "{at}");
+        assert_eq!(s.service.to_bits(), b.cost.service.to_bits(), "{at}");
+        assert_eq!(s.final_position, *b.positions.last().unwrap(), "{at}");
+        let single = run_streaming(
             &inst.params(),
             inst.steps.iter().cloned(),
-            &MoveToCenter::new(),
-            &deltas,
-            &orders,
-            opts,
+            MoveToCenter::new(),
+            s.delta,
+            s.order,
         );
-        assert_eq!(streamed.len(), batch.len());
-        for (s, b) in streamed.iter().zip(&batch) {
-            assert_eq!(s.delta, b.delta, "{opts:?}");
-            assert_eq!(s.order, b.order, "{opts:?}");
-            assert_eq!(s.movement.to_bits(), b.cost.movement.to_bits(), "{opts:?}");
-            assert_eq!(s.service.to_bits(), b.cost.service.to_bits(), "{opts:?}");
-            assert_eq!(s.final_position, *b.positions.last().unwrap(), "{opts:?}");
-        }
+        assert_eq!(s.steps, single.steps, "{at}");
+        assert_eq!(s.movement.to_bits(), single.movement.to_bits(), "{at}");
+        assert_eq!(s.service.to_bits(), single.service.to_bits(), "{at}");
+        assert_eq!(s.final_position, single.final_position, "{at}");
+        assert_eq!(
+            s.max_step_used.to_bits(),
+            single.max_step_used.to_bits(),
+            "{at}"
+        );
     }
 }
 
-/// Strict batch mode under the pool is bit-equal to sequential `run` —
+/// The batch engine under the pool is bit-equal to sequential `run` —
 /// determinism comes from input-order result slots, not from scheduling.
 #[test]
 fn strict_batch_under_the_pool_is_bit_equal_to_sequential_run() {
     let inst = block_instance(7, 300);
     let deltas = [0.0, 0.3, 0.8];
     let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-    let batch = run_batch_with(
-        &inst,
-        &MoveToCenter::new(),
-        &deltas,
-        &orders,
-        BatchOptions::strict(),
-    );
+    let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
     let mut i = 0;
     for &delta in &deltas {
         for &order in &orders {

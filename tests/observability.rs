@@ -1,8 +1,8 @@
 //! Observability-tier contracts, end to end:
 //!
 //! * **Observation is read-only** — toggling the process-wide metrics
-//!   registry on or off produces *bit-equal* results from the strict
-//!   batch engine and the streaming batch engine, across scenario
+//!   registry on or off produces *bit-equal* results from the batch
+//!   engine and the streaming batch engine, across scenario
 //!   families × seeds (proptest). Instrumentation that fed back into a
 //!   decision would break this immediately.
 //! * **RatioProbe bounds are certified** — the live lower bound on the
@@ -17,9 +17,7 @@
 use mobile_server::analysis::obs;
 use mobile_server::core::cost::ServingOrder;
 use mobile_server::core::mtc::MoveToCenter;
-use mobile_server::core::simulator::{
-    run_batch_with, run_streaming_batch_with, BatchOptions, StreamCheckpoint,
-};
+use mobile_server::core::simulator::{run_batch, run_streaming_batch, StreamCheckpoint};
 use mobile_server::offline::grid::grid_optimum;
 use mobile_server::offline::probe::{ProbeOptions, RatioProbe};
 use mobile_server::offline::solve_line;
@@ -49,7 +47,7 @@ fn family_instance(family: usize, seed: u64, horizon: usize) -> Instance<2> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Strict batch results are bit-equal with metrics on and off.
+    /// Batch results are bit-equal with metrics on and off.
     #[test]
     fn batch_results_are_bit_equal_with_metrics_on_and_off(
         family in 0usize..FAMILIES.len(),
@@ -58,13 +56,9 @@ proptest! {
         let inst = family_instance(family, seed, 48);
         let _guard = TOGGLE.lock().unwrap();
         obs::enable();
-        let on = run_batch_with(
-            &inst, &MoveToCenter::new(), &DELTAS, &ORDERS, BatchOptions::strict(),
-        );
+        let on = run_batch(&inst, &MoveToCenter::new(), &DELTAS, &ORDERS);
         obs::disable();
-        let off = run_batch_with(
-            &inst, &MoveToCenter::new(), &DELTAS, &ORDERS, BatchOptions::strict(),
-        );
+        let off = run_batch(&inst, &MoveToCenter::new(), &DELTAS, &ORDERS);
         prop_assert_eq!(on.len(), off.len());
         for (a, b) in on.iter().zip(&off) {
             prop_assert_eq!(a.cost.movement.to_bits(), b.cost.movement.to_bits());
@@ -83,14 +77,12 @@ proptest! {
         let params = inst.params();
         let _guard = TOGGLE.lock().unwrap();
         obs::enable();
-        let on = run_streaming_batch_with(
-            &params, inst.steps.iter().cloned(), &MoveToCenter::new(),
-            &DELTAS, &ORDERS, BatchOptions::default(),
+        let on = run_streaming_batch(
+            &params, inst.steps.iter().cloned(), &MoveToCenter::new(), &DELTAS, &ORDERS,
         );
         obs::disable();
-        let off = run_streaming_batch_with(
-            &params, inst.steps.iter().cloned(), &MoveToCenter::new(),
-            &DELTAS, &ORDERS, BatchOptions::default(),
+        let off = run_streaming_batch(
+            &params, inst.steps.iter().cloned(), &MoveToCenter::new(), &DELTAS, &ORDERS,
         );
         prop_assert_eq!(on.len(), off.len());
         for (a, b) in on.iter().zip(&off) {

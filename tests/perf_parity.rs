@@ -10,15 +10,13 @@
 //! * (PR 3) the chunked SoA distance kernels vs their scalar oracles —
 //!   proptests with explicit f64 tolerance bounds, bit-equality where the
 //!   kernel promises it,
-//! * (PR 3) the lane-parallel / cross-lane-seeded batch engines vs the
-//!   sequential path: bit-equal under `BatchOptions::strict`, within
-//!   solver tolerance under the seeded default, and streaming-vs-batch
-//!   bit-equal across the stream-block boundary.
+//! * the lane-parallel batch engines vs the sequential path:
+//!   `run_batch` bit-equal to repeated `run` calls for every algorithm,
+//!   and `run_streaming_batch` bit-equal to `run_batch` across the
+//!   stream-block boundary.
 
 use mobile_server::core::cost::{service_cost, service_cost_naive, ServingOrder};
-use mobile_server::core::simulator::{
-    run, run_batch, run_batch_with, run_streaming_batch_with, BatchOptions,
-};
+use mobile_server::core::simulator::{run, run_batch, run_streaming_batch};
 use mobile_server::geometry::median::{
     collinear, median_optimality_gap, sum_of_distances, weighted_center, weighted_center_classic,
     weighted_center_weighted, MedianOptions, MedianSolver,
@@ -362,11 +360,10 @@ fn run_batch_matches_repeated_runs_for_all_algorithms() {
             let single = run(&inst, &mut mtc, delta, order);
             let b = &batch_mtc[i];
             assert_eq!(b.algorithm, single.algorithm);
-            for (p, q) in b.positions.iter().zip(&single.positions) {
-                assert!(p.distance(q) < 1e-9, "mtc δ={delta} {order:?}");
-            }
-            assert!(
-                (b.total_cost() - single.total_cost()).abs() < 1e-9 * (1.0 + single.total_cost()),
+            assert_eq!(b.positions, single.positions, "mtc δ={delta} {order:?}");
+            assert_eq!(
+                b.total_cost().to_bits(),
+                single.total_cost().to_bits(),
                 "mtc δ={delta} {order:?}"
             );
 
@@ -531,41 +528,13 @@ proptest! {
     }
 }
 
-/// The strict (unseeded, one-lane-per-group) batch engine must reproduce
-/// sequential `run` **bit for bit**: every lane performs exactly the same
-/// arithmetic, parallel fan-out only reorders wall-clock execution.
+/// The batch engine must reproduce sequential `run` **bit for bit**:
+/// every lane performs exactly the same arithmetic, parallel fan-out only
+/// reorders wall-clock execution.
 #[test]
 fn strict_parallel_run_batch_is_bit_equal_to_sequential_runs() {
     let inst = batch_instance(21, 70);
     let deltas = [0.0, 0.2, 0.5, 0.9];
-    let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-    for opts in [BatchOptions::strict(), BatchOptions::sequential()] {
-        let batch = run_batch_with(&inst, &MoveToCenter::new(), &deltas, &orders, opts);
-        let mut i = 0;
-        for &delta in &deltas {
-            for &order in &orders {
-                let mut alg = MoveToCenter::new();
-                let single = run(&inst, &mut alg, delta, order);
-                let b = &batch[i];
-                assert_eq!(b.positions, single.positions, "δ={delta} {order:?}");
-                assert_eq!(
-                    b.total_cost().to_bits(),
-                    single.total_cost().to_bits(),
-                    "δ={delta} {order:?}"
-                );
-                i += 1;
-            }
-        }
-    }
-}
-
-/// The default engine adds cross-lane warm seeding: decisions may differ
-/// from sequential runs only within solver tolerance (the hint is a
-/// starting iterate, never policy).
-#[test]
-fn seeded_run_batch_stays_within_solver_tolerance_of_runs() {
-    let inst = batch_instance(33, 90);
-    let deltas = [0.0, 0.1, 0.3, 0.6, 1.0];
     let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
     let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
     let mut i = 0;
@@ -574,14 +543,10 @@ fn seeded_run_batch_stays_within_solver_tolerance_of_runs() {
             let mut alg = MoveToCenter::new();
             let single = run(&inst, &mut alg, delta, order);
             let b = &batch[i];
-            for (t, (p, q)) in b.positions.iter().zip(&single.positions).enumerate() {
-                assert!(
-                    p.distance(q) < 1e-8,
-                    "δ={delta} {order:?} step {t}: {p:?} vs {q:?}"
-                );
-            }
-            assert!(
-                (b.total_cost() - single.total_cost()).abs() < 1e-8 * (1.0 + single.total_cost()),
+            assert_eq!(b.positions, single.positions, "δ={delta} {order:?}");
+            assert_eq!(
+                b.total_cost().to_bits(),
+                single.total_cost().to_bits(),
                 "δ={delta} {order:?}"
             );
             i += 1;
@@ -589,72 +554,29 @@ fn seeded_run_batch_stays_within_solver_tolerance_of_runs() {
     }
 }
 
-/// Streaming batch must mirror in-memory batch bit for bit under the same
-/// options, including when the horizon crosses the internal stream-block
-/// boundary (256 steps) and seeding is active.
+/// Streaming batch must mirror in-memory batch bit for bit, including
+/// when the horizon crosses the internal stream-block boundary (256
+/// steps).
 #[test]
 fn streaming_batch_bit_equals_batch_across_block_boundary() {
     let inst = batch_instance(5, 600);
     let deltas = [0.0, 0.25, 0.75];
     let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-    for opts in [
-        BatchOptions::default(),
-        BatchOptions::strict(),
-        BatchOptions {
-            threads: 1,
-            lane_chunk: 2,
-            cross_lane_seed: true,
-        },
-    ] {
-        let batch = run_batch_with(&inst, &MoveToCenter::new(), &deltas, &orders, opts);
-        let streamed = run_streaming_batch_with(
-            &inst.params(),
-            inst.steps.iter().cloned(),
-            &MoveToCenter::new(),
-            &deltas,
-            &orders,
-            opts,
-        );
-        assert_eq!(streamed.len(), batch.len());
-        for (s, b) in streamed.iter().zip(&batch) {
-            assert_eq!(s.delta, b.delta);
-            assert_eq!(s.order, b.order);
-            assert_eq!(s.movement.to_bits(), b.cost.movement.to_bits());
-            assert_eq!(s.service.to_bits(), b.cost.service.to_bits());
-            assert_eq!(s.final_position, *b.positions.last().unwrap());
-        }
-    }
-}
-
-/// A fully grouped, seeded batch must agree with isolated strict lanes —
-/// the hint pattern (every lane seeded from its left neighbor at the same
-/// step) is pure numerics.
-#[test]
-fn fully_grouped_seeded_batch_matches_strict_lanes() {
-    let inst = batch_instance(2, 120);
-    let deltas = [0.0, 0.1, 0.2, 0.4, 0.8];
-    let orders = [ServingOrder::MoveFirst];
-    let seeded = run_batch_with(
-        &inst,
+    let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
+    let streamed = run_streaming_batch(
+        &inst.params(),
+        inst.steps.iter().cloned(),
         &MoveToCenter::new(),
         &deltas,
         &orders,
-        BatchOptions {
-            threads: 1,
-            lane_chunk: deltas.len(),
-            cross_lane_seed: true,
-        },
     );
-    let strict = run_batch_with(
-        &inst,
-        &MoveToCenter::new(),
-        &deltas,
-        &orders,
-        BatchOptions::sequential(),
-    );
-    // Same answers (within tolerance)…
-    for (s, b) in seeded.iter().zip(&strict) {
-        assert!((s.total_cost() - b.total_cost()).abs() < 1e-8 * (1.0 + b.total_cost()));
+    assert_eq!(streamed.len(), batch.len());
+    for (s, b) in streamed.iter().zip(&batch) {
+        assert_eq!(s.delta, b.delta);
+        assert_eq!(s.order, b.order);
+        assert_eq!(s.movement.to_bits(), b.cost.movement.to_bits());
+        assert_eq!(s.service.to_bits(), b.cost.service.to_bits());
+        assert_eq!(s.final_position, *b.positions.last().unwrap());
     }
 }
 
