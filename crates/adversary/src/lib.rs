@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Lower-bound adversaries (Section 3 and Theorem 8 of the paper).

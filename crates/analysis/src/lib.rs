@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Statistics and reporting substrate for the experiment suite.
@@ -17,8 +18,7 @@
 //! * [`json`] — a minimal, dependency-free JSON emitter for machine-readable
 //!   experiment records.
 //! * [`sweep`] — an order-preserving parallel map over experiment cells on
-//!   a persistent work-stealing worker pool (`MSP_THREADS`-sizable, with
-//!   the scoped executor retained as parity oracle).
+//!   scoped threads (`MSP_THREADS`-sizable).
 //! * [`obs`] — the process-wide observability registry: lock-free sharded
 //!   counters, histograms, and span timers every tier reports through,
 //!   exportable as a deterministic JSON [`obs::MetricsSnapshot`].
@@ -39,7 +39,7 @@ pub use plot::{ascii_chart, Series};
 pub use regression::{fit_power_law, linear_fit, LinearFit, PowerLawFit};
 pub use stats::{StreamingSummary, Summary};
 pub use sweep::{
-    parallel_for_each_mut, parallel_map, pool_stats, pool_threads, try_parallel_map_indexed,
-    try_parallel_map_indexed_backoff, BackoffSchedule, LaneError, PoolStats,
+    parallel_for_each_mut, parallel_map, pool_threads, try_parallel_map_indexed,
+    try_parallel_map_indexed_backoff, BackoffSchedule, LaneError,
 };
 pub use table::Table;

@@ -3,7 +3,7 @@
 //! deterministic JSON [`MetricsSnapshot`].
 //!
 //! Every tier of the system reports through this module — the executor
-//! pool (`sweep`), the grid DP (`msp-offline`), the median solver (via
+//! (`sweep`), the grid DP (`msp-offline`), the median solver (via
 //! `msp-core`'s Move-to-Center), the streaming simulator, the checkpoint
 //! journal and the session service (`msp-scenarios` — the `service.*`
 //! metric family), and the live ratio probe. The registry is the *only* shared state:
@@ -14,7 +14,7 @@
 //!
 //! Observation is **read-only**: no instrumented code path branches on a
 //! metric value, so enabling or disabling metrics cannot change any
-//! simulation or solver result — strict-batch and streaming trajectories
+//! simulation or solver result — batch and streaming trajectories
 //! are bit-equal either way (pinned by `tests/observability.rs`).
 //! Snapshots carry **no timestamps or wall-clock fields**; timing
 //! distributions appear only as histogram summaries, so two runs of the
@@ -27,7 +27,7 @@
 //! Metrics are **disabled by default**. Disabled, every probe is a single
 //! relaxed atomic load (sub-nanosecond) and span timers never read the
 //! clock. Enabled, counters add into one of [`SHARDS`] cache-line-padded
-//! atomic shards chosen per thread, so concurrent pool workers do not
+//! atomic shards chosen per thread, so concurrent sweep workers do not
 //! contend on a single line; histograms record into power-of-two buckets
 //! with a handful of relaxed atomic adds. Hot loops accumulate locally
 //! and flush once per step/block/dispatch, keeping the instrumented path
@@ -52,13 +52,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Number of per-thread shards behind every counter. Eight lines absorb
-/// the pool's realistic worker counts; more would only pad the static
-/// footprint.
+/// realistic sweep widths; more would only pad the static footprint.
 pub const SHARDS: usize = 8;
 
 /// Identity string of the snapshot schema; bumped when the key set or
 /// layout changes so downstream consumers can validate what they parse.
-pub const SCHEMA: &str = "msp-metrics-v2";
+pub const SCHEMA: &str = "msp-metrics-v3";
 
 // ---------------------------------------------------------------------
 // Metric identities
@@ -91,16 +90,13 @@ metric_enum! {
     /// Monotone event counters. Units are events unless the name says
     /// otherwise; see `docs/OBSERVABILITY.md` for per-metric semantics.
     Counter {
-        /// Fan-outs dispatched to the executor pool (inline runs included).
+        /// Fan-outs run on two or more threads (width-1 fans run inline
+        /// and are not counted).
         ExecutorDispatches => "executor.dispatches",
-        /// Work items executed under pool dispatch (caller + workers).
+        /// Work items executed by those fan-outs (caller + spawned threads).
         ExecutorItems => "executor.items",
-        /// Work items claimed by pool workers (stolen from the caller).
-        ExecutorSteals => "executor.steals",
         /// Nested fans collapsed to sequential on a sweep worker.
         ExecutorNestedCollapses => "executor.nested_collapses",
-        /// Queued participation tickets revoked unclaimed at dispatch end.
-        ExecutorTicketsRevoked => "executor.tickets_revoked",
         /// Supervised-lane retry attempts after a failure or panic.
         ExecutorRetries => "executor.retries",
         /// Grid-DP passes started (`GridDp::solve`, `solve_unpruned`,
@@ -124,8 +120,6 @@ metric_enum! {
         StreamSteps => "stream.steps",
         /// Checkpoints snapshotted from live sessions.
         StreamCheckpoints => "stream.checkpoints",
-        /// Blocks processed by the streaming batch engine.
-        StreamBlocks => "stream.blocks",
         /// Records appended to checkpoint journals.
         JournalAppends => "journal.appends",
         /// Journal recoveries that reported a torn tail.
@@ -163,8 +157,6 @@ metric_enum! {
 metric_enum! {
     /// High-water-mark gauges (`record = fetch_max`).
     Gauge {
-        /// Deepest executor ticket queue observed at submit time.
-        ExecutorQueueDepthHwm => "executor.queue_depth_hwm",
         /// Most sessions simultaneously resident in a session service.
         ServiceResidentHwm => "service.resident_hwm",
     }
@@ -173,12 +165,10 @@ metric_enum! {
 metric_enum! {
     /// Distribution metrics: power-of-two bucketed histograms.
     Hist {
-        /// Wall-clock of one pool dispatch, nanoseconds.
+        /// Wall-clock of one multi-thread fan-out, nanoseconds.
         ExecutorDispatchNs => "executor.dispatch_ns",
         /// Wall-clock of one grid-DP transition step, nanoseconds.
         GridStepNs => "grid_dp.step_ns",
-        /// Steps delivered per streaming-batch block.
-        StreamBlockFill => "stream.block_fill",
         /// Wall-clock of one journal append (encode + write), nanoseconds.
         JournalAppendNs => "journal.append_ns",
         /// Wall-clock of the fsync inside a durable append, nanoseconds.
@@ -207,9 +197,7 @@ impl Hist {
             | Hist::JournalFsyncNs
             | Hist::ProbeBoundNs
             | Hist::ServiceResumeNs => "ns",
-            Hist::StreamBlockFill | Hist::JournalCheckpointGapSteps | Hist::ServiceAdvanceSteps => {
-                "steps"
-            }
+            Hist::JournalCheckpointGapSteps | Hist::ServiceAdvanceSteps => "steps",
             Hist::ProbeRatioPermille => "permille",
         }
     }
@@ -623,7 +611,7 @@ mod tests {
         let before = snapshot();
         add(Counter::GridSolves, 7);
         record(Hist::GridStepNs, 1234);
-        gauge_max(Gauge::ExecutorQueueDepthHwm, u64::MAX);
+        gauge_max(Gauge::ServiceResidentHwm, u64::MAX);
         let after = snapshot();
         if was_enabled {
             enable();
@@ -676,10 +664,10 @@ mod tests {
     fn gauge_keeps_the_high_water_mark() {
         let _flag = test_lock();
         enable();
-        gauge_max(Gauge::ExecutorQueueDepthHwm, 3);
-        gauge_max(Gauge::ExecutorQueueDepthHwm, 11);
-        gauge_max(Gauge::ExecutorQueueDepthHwm, 5);
-        assert!(snapshot().gauge("executor.queue_depth_hwm").unwrap() >= 11);
+        gauge_max(Gauge::ServiceResidentHwm, 3);
+        gauge_max(Gauge::ServiceResidentHwm, 11);
+        gauge_max(Gauge::ServiceResidentHwm, 5);
+        assert!(snapshot().gauge("service.resident_hwm").unwrap() >= 11);
     }
 
     #[test]
@@ -705,7 +693,7 @@ mod tests {
             assert_eq!(c.name(), *name);
         }
         let rendered = snap.to_json().to_string();
-        assert!(rendered.contains("\"schema\":\"msp-metrics-v2\""));
+        assert!(rendered.contains("\"schema\":\"msp-metrics-v3\""));
         for c in Counter::ALL {
             assert!(rendered.contains(c.name()), "missing {}", c.name());
         }

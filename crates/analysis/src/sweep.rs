@@ -1,45 +1,32 @@
-//! Order-preserving parallel execution for experiment sweeps, backed by a
-//! **persistent work-stealing worker pool**.
+//! Order-preserving parallel execution for experiment sweeps on scoped
+//! threads.
 //!
 //! Experiment grids are embarrassingly parallel: every cell is an
-//! independent (seeded) simulation. Through PR 3 the executor fanned cells
-//! out over `std::thread::scope` workers — correct, but every call paid a
-//! full spawn/join barrier, which the streaming batch engine (one fan-out
-//! per 256-step block) and the distance-transform DP (one fan-out per DP
-//! step) hit thousands of times per run. This module now keeps a single
-//! lazily-initialized pool of workers alive for the life of the process:
+//! independent (seeded) simulation. Each fan-out runs inside one
+//! [`std::thread::scope`]:
 //!
-//! * **Dispatch** pushes one *ticket* per participating worker onto a
-//!   shared queue (`Mutex<VecDeque>` + `Condvar` — no busy waiting);
-//!   parked workers wake, claim the ticket, and join the job's
-//!   atomic-cursor work-stealing loop — the same dynamic stealing
-//!   discipline the scoped executor used, so load balancing is unchanged.
-//! * **The caller participates.** The submitting thread runs the same
-//!   stealing loop instead of blocking, so a `threads = k` request uses
-//!   `k − 1` pool workers plus the caller, and small jobs often finish on
-//!   the caller alone before a worker even wakes.
-//! * **Borrowed closures still work.** Jobs erase the closure's lifetime
-//!   internally, and the dispatching call does not return until every
-//!   claimed ticket has finished (unclaimed tickets are revoked from the
-//!   queue) — the closure and its borrows provably outlive all worker
-//!   access, exactly as with scoped threads. Worker panics are caught,
-//!   forwarded, and re-raised on the caller.
-//! * **Results stay deterministic.** Outputs land in input-order slots, so
-//!   tables render identically regardless of scheduling, and
+//! * **The caller participates.** A fan of width `k` spawns `k − 1`
+//!   scoped threads; they and the caller claim items from one atomic
+//!   cursor, so cells of unequal cost balance dynamically.
+//! * **Borrowed closures work**, because the scope joins every thread
+//!   before the fan returns. A panic in any item stops further claims
+//!   and is re-raised on the caller, payload intact, once every thread
+//!   has stopped.
+//! * **Results stay deterministic.** Outputs land in input-order slots,
+//!   so tables render identically regardless of scheduling, and
 //!   [`parallel_map_indexed`] is output-identical to the sequential path
 //!   (pinned by proptest in `tests/executor_semantics.rs`).
+//! * **Width 1 runs inline.** It spawns nothing and counts no dispatch.
 //!
-//! The **no-oversubscription guarantee** is preserved: pool workers (and
-//! the caller while it participates) are flagged as sweep workers, so a
-//! nested fan — a seed fan inside a cell fan, a DT row fan inside a seed
-//! fan — runs sequentially on its worker instead of multiplying CPU-bound
-//! threads to `cores × cells`. Additionally the pool itself caps
-//! parallelism: a request for more threads than the pool owns is served by
-//! the whole pool, never by extra transient threads.
+//! The **no-oversubscription guarantee**: every participant is flagged as
+//! a sweep worker while it runs a fan, so a nested fan — a seed fan
+//! inside a cell fan — runs sequentially on its worker instead of
+//! multiplying CPU-bound threads to `cores × cells`; and no fan is wider
+//! than [`pool_threads`], whatever it requests.
 //!
 //! ## Sizing and `MSP_THREADS`
 //!
-//! The pool size is resolved **once**, at first use, as:
+//! The thread budget is resolved **once**, at first use, as:
 //!
 //! 1. the `MSP_THREADS` environment variable, when set to a positive
 //!    integer (the CI contention job pins `MSP_THREADS=2` so scheduling
@@ -47,35 +34,27 @@
 //!    runners);
 //! 2. otherwise [`std::thread::available_parallelism`];
 //! 3. otherwise — only when the platform cannot report a count — **1**,
-//!    i.e. fully sequential execution rather than an arbitrary guess (the
-//!    pre-PR-5 executor silently assumed 4 here).
+//!    i.e. fully sequential execution rather than an arbitrary guess.
 //!
 //! [`pool_threads`] exposes the resolved value so engines that partition
 //! work *before* fanning out can size their partitions consistently.
-//!
-//! The scoped executor is retained as [`scoped_map_indexed`] /
-//! [`scoped_for_each_mut`] — the parity oracle the pooled paths are tested
-//! against, and the baseline the `executor_pooled_fanout` entry of the
-//! `BENCH_*.json` records measures the pool against.
 
 use crate::obs;
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
-    /// True while the current thread is a sweep worker (a pool worker, or
-    /// the caller while it participates in a fan-out). Nested
-    /// `parallel_map*` calls (a seed fan inside a cell fan) then run
-    /// sequentially instead of multiplying CPU-bound threads to
-    /// `cores × cells`.
+    /// True while the current thread runs a fan (a spawned participant,
+    /// or the caller while it participates). Nested `parallel_map*`
+    /// calls (a seed fan inside a cell fan) then run sequentially instead
+    /// of multiplying CPU-bound threads to `cores × cells`.
     static IN_SWEEP: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Resolves the pool size once: `MSP_THREADS` override, else the
+/// Resolves the thread budget once: `MSP_THREADS` override, else the
 /// available CPU count, else 1 (sequential — never a silent guess).
 fn resolve_pool_threads() -> usize {
     if let Ok(raw) = std::env::var("MSP_THREADS") {
@@ -92,227 +71,21 @@ fn resolve_pool_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// One fan-out in flight: the work-stealing cursor plus the completion
-/// latch. The task pointer is the caller's borrowed closure with its
-/// lifetime erased; safety rests on the dispatch protocol — the
-/// dispatching call revokes unclaimed tickets and blocks until every
-/// claimed ticket has finished before returning, so no worker can touch
-/// the closure after the borrow ends.
-struct Job {
-    /// Next item index to claim.
-    cursor: AtomicUsize,
-    /// Total number of items.
-    n: usize,
-    /// The erased per-index task. Valid for the whole dispatch (see
-    /// above); workers only dereference it between claiming a ticket and
-    /// signalling `state`.
-    task: *const (dyn Fn(usize) + Sync),
-    /// Outstanding tickets (queued or running) plus the first worker
-    /// panic, if any.
-    state: Mutex<JobState>,
-    /// Signalled when `state.outstanding` reaches zero.
-    done: Condvar,
-}
-
-struct JobState {
-    outstanding: usize,
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-// SAFETY: `task` is only dereferenced while the dispatching call is
-// blocked in `dispatch` (workers signal `state` before releasing their
-// ticket), so the pointee — a `Sync` closure on the caller's stack —
-// is live and shareable for every access.
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
-
-impl Job {
-    /// Claims and runs items until the cursor is exhausted; returns how
-    /// many items this participant executed (the caller's share vs. the
-    /// pool workers' stolen share feeds the observability registry).
-    fn run_cursor(&self) -> usize {
-        // SAFETY: see the `Send`/`Sync` justification above.
-        let task = unsafe { &*self.task };
-        let mut ran = 0usize;
-        loop {
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= self.n {
-                break;
-            }
-            task(i);
-            ran += 1;
-        }
-        ran
-    }
-
-    /// One worker's participation: run the stealing loop, then retire the
-    /// ticket. Panics are captured into the job (first wins) and re-raised
-    /// by the dispatcher; the worker thread itself survives.
-    fn run_ticket(&self) {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let stolen = self.run_cursor();
-            obs::add(obs::Counter::ExecutorItems, stolen as u64);
-            obs::add(obs::Counter::ExecutorSteals, stolen as u64);
-        }));
-        let mut state = self.state.lock().expect("sweep job state poisoned");
-        if let Err(payload) = result {
-            // Park the cursor at the end so sibling workers stop claiming
-            // items of a job that is already doomed.
-            self.cursor.store(self.n, Ordering::Relaxed);
-            state.panic.get_or_insert(payload);
-        }
-        state.outstanding -= 1;
-        if state.outstanding == 0 {
-            self.done.notify_all();
-        }
-    }
-}
-
-/// The process-wide worker pool: a ticket queue and the resolved thread
-/// count. Workers are spawned once (detached — they park on the condvar
-/// between jobs and die with the process).
-struct Pool {
-    queue: Mutex<VecDeque<Arc<Job>>>,
-    available: Condvar,
-    /// Resolved parallelism (see [`pool_threads`]): the caller plus
-    /// `threads − 1` spawned workers.
-    threads: usize,
-}
-
-impl Pool {
-    fn global() -> &'static Pool {
-        static POOL: OnceLock<Pool> = OnceLock::new();
-        POOL.get_or_init(|| Pool {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            threads: resolve_pool_threads(),
-        })
-    }
-
-    /// Spawns the pool's worker threads exactly once (separate from
-    /// `global()` so the `OnceLock` closure never references the lock's
-    /// own storage).
-    fn ensure_workers(&'static self) {
-        static SPAWNED: OnceLock<()> = OnceLock::new();
-        SPAWNED.get_or_init(|| {
-            for idx in 1..self.threads {
-                std::thread::Builder::new()
-                    .name(format!("msp-sweep-{idx}"))
-                    .spawn(move || self.worker_loop())
-                    .expect("spawn sweep pool worker");
-            }
-        });
-    }
-
-    fn worker_loop(&self) {
-        IN_SWEEP.with(|flag| flag.set(true));
-        loop {
-            let job = {
-                let mut queue = self.queue.lock().expect("sweep queue poisoned");
-                loop {
-                    if let Some(job) = queue.pop_front() {
-                        break job;
-                    }
-                    queue = self.available.wait(queue).expect("sweep queue poisoned");
-                }
-            };
-            job.run_ticket();
-        }
-    }
-
-    /// Pushes `tickets` participation tickets for `job`.
-    fn submit(&self, job: &Arc<Job>, tickets: usize) {
-        let mut queue = self.queue.lock().expect("sweep queue poisoned");
-        for _ in 0..tickets {
-            queue.push_back(Arc::clone(job));
-        }
-        obs::gauge_max(obs::Gauge::ExecutorQueueDepthHwm, queue.len() as u64);
-        drop(queue);
-        for _ in 0..tickets {
-            self.available.notify_one();
-        }
-    }
-
-    /// Revokes every still-queued ticket of `job` (workers busy elsewhere
-    /// never claimed them; the caller has already drained the cursor) and
-    /// retires them, so the dispatcher only waits for tickets a worker
-    /// actually claimed.
-    fn revoke(&self, job: &Arc<Job>) {
-        let mut queue = self.queue.lock().expect("sweep queue poisoned");
-        let before = queue.len();
-        queue.retain(|queued| !Arc::ptr_eq(queued, job));
-        let revoked = before - queue.len();
-        drop(queue);
-        obs::add(obs::Counter::ExecutorTicketsRevoked, revoked as u64);
-        if revoked > 0 {
-            let mut state = job.state.lock().expect("sweep job state poisoned");
-            state.outstanding -= revoked;
-            if state.outstanding == 0 {
-                job.done.notify_all();
-            }
-        }
-    }
-}
-
-/// The resolved size of the persistent worker pool: the `MSP_THREADS`
+/// The resolved thread budget of every fan: the `MSP_THREADS`
 /// environment override when set to a positive integer, otherwise the
 /// available CPU count, otherwise 1. Resolved once at first use and
 /// stable for the life of the process; this is what a `threads = 0`
-/// request fans out to, and the hard ceiling on concurrent sweep workers.
+/// request fans out to, and the hard ceiling on any fan's width (the
+/// caller included).
 pub fn pool_threads() -> usize {
-    Pool::global().threads
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(resolve_pool_threads)
 }
 
-/// Point-in-time introspection of the persistent worker pool, read from
-/// the observability registry (see [`pool_stats`]).
-#[derive(Clone, Copy, Debug)]
-pub struct PoolStats {
-    /// Resolved pool size ([`pool_threads`]): the caller plus
-    /// `workers − 1` spawned threads.
-    pub workers: usize,
-    /// Fan-outs dispatched to the pool (inline single-thread runs
-    /// included).
-    pub dispatches: u64,
-    /// Work items executed under pool dispatch (caller + workers).
-    pub items: u64,
-    /// Work items claimed by pool workers — stolen from the caller's
-    /// cursor rather than run on the dispatching thread.
-    pub steals: u64,
-    /// Deepest ticket queue observed at submit time.
-    pub queue_depth_hwm: u64,
-    /// Nested fans collapsed to sequential on a sweep worker.
-    pub nested_collapses: u64,
-    /// Queued tickets revoked unclaimed when their dispatch finished.
-    pub tickets_revoked: u64,
-}
-
-/// Debug accessor for executor-pool introspection. The counters live in
-/// the [`crate::obs`] registry and populate only while metrics are
-/// enabled ([`crate::obs::enable`]); with metrics disabled every field
-/// except `workers` reads as its last collected value (zero in a fresh
-/// process). Reading is always safe and lock-free.
-pub fn pool_stats() -> PoolStats {
-    let snap = obs::snapshot();
-    let counter = |c: obs::Counter| snap.counter(c.name()).unwrap_or(0);
-    PoolStats {
-        workers: pool_threads(),
-        dispatches: counter(obs::Counter::ExecutorDispatches),
-        items: counter(obs::Counter::ExecutorItems),
-        steals: counter(obs::Counter::ExecutorSteals),
-        queue_depth_hwm: snap
-            .gauge(obs::Gauge::ExecutorQueueDepthHwm.name())
-            .unwrap_or(0),
-        nested_collapses: counter(obs::Counter::ExecutorNestedCollapses),
-        tickets_revoked: counter(obs::Counter::ExecutorTicketsRevoked),
-    }
-}
-
-/// The number of worker threads a sweep with the given request would
-/// actually use before clamping to the item count: 1 inside an existing
+/// The number of threads a sweep with the given request asks for, before
+/// clamping to [`pool_threads`] and the item count: 1 inside an existing
 /// sweep worker (nested fans run sequentially), [`pool_threads`] for `0`,
-/// otherwise the request itself (served by at most the whole pool — the
-/// pool is the parallelism ceiling, so requests beyond it change the
-/// partition shape but not the worker count).
+/// otherwise the request itself.
 ///
 /// Exposed so callers that partition work *before* fanning out can size
 /// their partitions consistently with what [`parallel_map_indexed`] /
@@ -328,130 +101,85 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Core dispatch: runs `task(0..n)` over the pool with up to `threads`
-/// participants (caller included), blocking until every index is done.
-/// Caller must have resolved `threads ≥ 2` and `n ≥ 2`.
-fn dispatch(n: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
-    let pool = Pool::global();
-    pool.ensure_workers();
+/// Runs `task(0..n)` on `width ≥ 2` participants — the caller and
+/// `width − 1` scoped threads claiming indices from one atomic cursor —
+/// and returns once every index is done. The first panic stops further
+/// claims and is re-raised on the caller after every participant has
+/// stopped.
+fn fan(n: usize, width: usize, task: &(dyn Fn(usize) + Sync)) {
     let span = obs::timer(obs::Hist::ExecutorDispatchNs);
     obs::incr(obs::Counter::ExecutorDispatches);
-    // Participants: the caller plus however many pool workers the request
-    // and the item count justify.
-    let tickets = threads.min(pool.threads).saturating_sub(1).min(n - 1);
-    if tickets == 0 {
-        // No pool workers to enlist (single-thread pool, or a one-item
-        // job): run inline. The caller is not flagged as a sweep worker
-        // here — with a sequential pool, nested fans are sequential anyway.
-        for i in 0..n {
-            task(i);
-        }
-        obs::add(obs::Counter::ExecutorItems, n as u64);
-        span.stop();
-        return;
-    }
-
-    // SAFETY: the borrow of `task` outlives this function call, and this
-    // function does not return until the caller's own loop is finished
-    // and every claimed ticket has retired (`revoke` + the wait below) —
-    // no worker dereferences the pointer after that.
-    let erased: *const (dyn Fn(usize) + Sync) = unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(task)
-    };
-    let job = Arc::new(Job {
-        cursor: AtomicUsize::new(0),
-        n,
-        task: erased,
-        state: Mutex::new(JobState {
-            outstanding: tickets,
-            panic: None,
-        }),
-        done: Condvar::new(),
-    });
-    pool.submit(&job, tickets);
-
-    // The caller participates as one more worker, flagged as a sweep
-    // worker so nested fans inside `task` run sequentially.
-    let caller_result = {
+    let cursor = AtomicUsize::new(0);
+    let participate = || {
         let was = IN_SWEEP.with(|flag| flag.replace(true));
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let ran = job.run_cursor();
-            obs::add(obs::Counter::ExecutorItems, ran as u64);
+            let mut ran = 0u64;
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                task(i);
+                ran += 1;
+            }
+            obs::add(obs::Counter::ExecutorItems, ran);
         }));
         IN_SWEEP.with(|flag| flag.set(was));
+        if result.is_err() {
+            // Park the cursor at the end so the other participants stop
+            // claiming items of a fan that is already doomed.
+            cursor.store(n, Ordering::Relaxed);
+        }
         result
     };
-
-    // Tickets no worker claimed carry no borrow of `task`; revoke them so
-    // a pool busy with other jobs cannot delay this (already finished)
-    // one, then wait out the claimed tickets.
-    pool.revoke(&job);
-    {
-        let mut state = job.state.lock().expect("sweep job state poisoned");
-        while state.outstanding > 0 {
-            state = job.done.wait(state).expect("sweep job state poisoned");
-        }
-        if let Some(payload) = state.panic.take() {
-            drop(state);
-            resume_unwind(payload);
-        }
-    }
-    if let Err(payload) = caller_result {
+    let panic = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..width).map(|_| scope.spawn(participate)).collect();
+        let own = participate();
+        spawned
+            .into_iter()
+            .map(|handle| handle.join().and_then(|result| result))
+            .chain([own])
+            .find_map(Result::err)
+    });
+    span.stop();
+    if let Some(payload) = panic {
         resume_unwind(payload);
     }
 }
 
-/// Applies `f` to every item on up to `threads` pooled workers (0 = the
-/// resolved pool size, see [`pool_threads`]), returning outputs in input
+/// Applies `f` to every item on up to `threads` threads (0 = the
+/// resolved budget, see [`pool_threads`]), returning outputs in input
 /// order.
 ///
-/// `f` must be `Sync` (shared across workers) and is given `(index, item)`
-/// so callers can derive per-cell seeds from the index. Calls nested
-/// inside another sweep's worker run sequentially on that worker — the
-/// outer sweep already owns the machine's parallelism. Output is
-/// identical to the sequential path for any thread count (input-order
-/// result slots; pinned by proptest).
+/// `f` must be `Sync` (shared across threads) and is given
+/// `(index, item)` so callers can derive per-cell seeds from the index.
+/// Calls nested inside another sweep's worker run sequentially on that
+/// worker — the outer sweep already owns the machine's parallelism.
+/// Output is identical to the sequential path for any thread count
+/// (input-order result slots; pinned by proptest).
 pub fn parallel_map_indexed<I, O, F>(items: &[I], threads: usize, f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
     F: Fn(usize, &I) -> O + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = effective_threads(threads).min(n);
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-
-    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    dispatch(n, threads, &|i| {
-        let out = f(i, &items[i]);
-        *slots[i].lock().expect("sweep slot poisoned") = Some(out);
+    let mut slots: Vec<Option<O>> = items.iter().map(|_| None).collect();
+    parallel_for_each_mut(&mut slots, threads, |i, slot| {
+        *slot = Some(f(i, &items[i]));
     });
-
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("missing sweep result")
-        })
+        .map(|slot| slot.expect("missing sweep result"))
         .collect()
 }
 
-/// Runs `f` on every item **in place** over up to `threads` pooled
-/// workers (0 = the resolved pool size) with the same dynamic work
-/// stealing and nested-sweep sequential fallback as
-/// [`parallel_map_indexed`]. This is the executor for stateful shards —
-/// e.g. the independent δ-lanes of a batched simulation, each owning its
-/// algorithm clone and cost accumulators — where results are written
-/// into the items rather than collected. Because the pool persists,
-/// engines that fan out repeatedly (one call per 256-step stream block)
-/// reuse the same workers instead of paying a spawn/join barrier per
-/// call.
+/// Runs `f` on every item **in place** on up to `threads` threads (0 =
+/// the resolved budget) with the same dynamic work claiming and
+/// nested-sweep sequential fallback as [`parallel_map_indexed`]. This is
+/// the executor for stateful shards — e.g. the independent δ-lanes of a
+/// batched simulation, each owning its algorithm clone and cost
+/// accumulators — where results are written into the items rather than
+/// collected.
 pub fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
 where
     T: Send,
@@ -461,8 +189,9 @@ where
     if n == 0 {
         return;
     }
-    let threads = effective_threads(threads).min(n);
-    if threads <= 1 {
+    // The effective request, capped by the thread budget and the items.
+    let width = effective_threads(threads).min(pool_threads()).min(n);
+    if width <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
@@ -470,7 +199,7 @@ where
     }
 
     let slots: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|r| Mutex::new(Some(r))).collect();
-    dispatch(n, threads, &|i| {
+    fan(n, width, &|i| {
         let item = slots[i]
             .lock()
             .expect("sweep slot poisoned")
@@ -535,8 +264,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// instead of all-or-nothing. Each item's closure runs under
 /// `catch_unwind` with up to `attempts` tries (0 is treated as 1), so a
 /// poisoned lane — a panic or an `Err` — is confined to its own output
-/// slot while every other lane completes; no panic ever reaches the pool
-/// dispatcher from here. This is the degraded-mode fan for long
+/// slot while every other lane completes; no panic ever reaches the fan
+/// from here. This is the degraded-mode fan for long
 /// multi-seed sweeps where losing one seed must not abort hours of
 /// sibling work.
 ///
@@ -666,7 +395,7 @@ where
     })
 }
 
-/// [`parallel_map_indexed`] without the index, using the whole pool.
+/// [`parallel_map_indexed`] without the index, at the full thread budget.
 pub fn parallel_map<I, O, F>(items: &[I], f: F) -> Vec<O>
 where
     I: Sync,
@@ -674,96 +403,6 @@ where
     F: Fn(&I) -> O + Sync,
 {
     parallel_map_indexed(items, 0, |_, item| f(item))
-}
-
-/// The pre-PR-5 scoped executor: spawns `threads` fresh
-/// `std::thread::scope` workers **per call** and joins them before
-/// returning. Retained as the parity oracle of [`parallel_map_indexed`]
-/// (identical input-order results — pinned by tests) and as the measured
-/// baseline of the `executor_pooled_fanout` entry in the `BENCH_*.json`
-/// records: the difference between this and the pooled path is exactly
-/// the per-call spawn/join barrier the persistent pool removes. Not a
-/// fast path — use [`parallel_map_indexed`].
-pub fn scoped_map_indexed<I, O, F>(items: &[I], threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = effective_threads(threads).min(n);
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                IN_SWEEP.with(|flag| flag.set(true));
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = f(i, &items[i]);
-                    *slots[i].lock().expect("sweep slot poisoned") = Some(out);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("missing sweep result")
-        })
-        .collect()
-}
-
-/// Scoped (spawn-per-call) twin of [`parallel_for_each_mut`]; see
-/// [`scoped_map_indexed`] for why it is retained.
-pub fn scoped_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let threads = effective_threads(threads).min(n);
-    if threads <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|r| Mutex::new(Some(r))).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                IN_SWEEP.with(|flag| flag.set(true));
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i]
-                        .lock()
-                        .expect("sweep slot poisoned")
-                        .take()
-                        .expect("sweep item claimed twice");
-                    f(i, item);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -862,7 +501,7 @@ mod tests {
         assert_eq!(effective_threads(3), 3);
         assert!(effective_threads(0) >= 1);
         assert_eq!(effective_threads(0), pool_threads());
-        // Inside a sweep fan (whether on a pool worker or the
+        // Inside a sweep fan (whether on a spawned participant or the
         // participating caller), everything collapses to one thread.
         let items = [0usize; 2];
         let nested = parallel_map(&items, |_| effective_threads(0));
@@ -887,9 +526,8 @@ mod tests {
 
     #[test]
     fn repeated_fanouts_reuse_the_pool_without_leaking_state() {
-        // One fan-out per iteration — the streaming-block dispatch shape.
-        // Every iteration must see clean results (job state is per-job,
-        // not per-pool).
+        // One fan-out per iteration: every iteration must see clean
+        // results (cursor and slots are per fan, nothing outlives it).
         let items: Vec<usize> = (0..16).collect();
         for round in 0..200 {
             let out = parallel_map_indexed(&items, 0, |i, x| i + x + round);
@@ -902,20 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_twins_match_pooled_results() {
-        let items: Vec<u64> = (0..257).collect();
-        let pooled = parallel_map_indexed(&items, 0, |i, x| x * 3 + i as u64);
-        let scoped = scoped_map_indexed(&items, 0, |i, x| x * 3 + i as u64);
-        assert_eq!(pooled, scoped);
-
-        let mut a: Vec<u64> = (0..300).collect();
-        let mut b = a.clone();
-        parallel_for_each_mut(&mut a, 3, |i, v| *v = v.wrapping_mul(7) ^ i as u64);
-        scoped_for_each_mut(&mut b, 3, |i, v| *v = v.wrapping_mul(7) ^ i as u64);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn worker_panic_propagates_to_the_caller() {
         let items: Vec<usize> = (0..64).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -924,8 +548,14 @@ mod tests {
                 i
             })
         }));
-        assert!(result.is_err(), "panic must cross the dispatch boundary");
-        // The pool must still be usable afterwards.
+        let payload = result.expect_err("panic must cross the fan boundary");
+        assert!(
+            panic_message(payload.as_ref()).contains("intentional test panic"),
+            "the payload is forwarded intact"
+        );
+        // The caller is no longer flagged as a sweep worker, so the next
+        // fan still runs at full width.
+        assert_eq!(effective_threads(0), pool_threads());
         let out = parallel_map(&items, |x| x + 1);
         assert_eq!(out.len(), 64);
     }
@@ -954,7 +584,7 @@ mod tests {
                 assert_eq!(*slot.as_ref().unwrap(), 2 * i);
             }
         }
-        // The pool survives: a plain fan still works afterwards.
+        // A plain fan still works afterwards.
         let out = parallel_map(&items, |x| x + 1);
         assert_eq!(out.len(), 32);
     }
@@ -998,48 +628,74 @@ mod tests {
     }
 
     #[test]
-    fn pool_stats_reflect_a_fan() {
+    fn executor_counters_reflect_a_fan() {
         // Sibling tests share the process-global registry, so compare
         // before/after deltas (concurrent fans only push counters up).
         let _flag = obs::test_lock();
         obs::enable();
-        let before = pool_stats();
+        let counter = |c: obs::Counter| obs::snapshot().counter(c.name()).unwrap_or(0);
+        let (dispatches, items_run) = (
+            counter(obs::Counter::ExecutorDispatches),
+            counter(obs::Counter::ExecutorItems),
+        );
         let items: Vec<usize> = (0..128).collect();
         let out = parallel_map_indexed(&items, 0, |i, x| i + x);
         assert_eq!(out.len(), 128);
-        let after = pool_stats();
-        assert_eq!(after.workers, pool_threads());
         if pool_threads() >= 2 {
             assert!(
-                after.dispatches > before.dispatches,
-                "a multi-thread fan must count a dispatch: {before:?} -> {after:?}"
+                counter(obs::Counter::ExecutorDispatches) > dispatches,
+                "a multi-thread fan must count a dispatch"
             );
             assert!(
-                after.items >= before.items + 128,
-                "all 128 items must be counted: {before:?} -> {after:?}"
+                counter(obs::Counter::ExecutorItems) >= items_run + 128,
+                "all 128 items must be counted"
             );
-            assert!(after.queue_depth_hwm >= 1, "tickets were queued");
 
             // A fan nested inside a sweep worker must count a collapse
-            // (with a 1-thread pool the outer fan is sequential and never
-            // flags its thread, so there is nothing to collapse).
-            let collapsed_before = pool_stats().nested_collapses;
+            // (with a 1-thread budget the outer fan is sequential and
+            // never flags its thread, so there is nothing to collapse).
+            let collapsed = counter(obs::Counter::ExecutorNestedCollapses);
             let outer: Vec<usize> = (0..4).collect();
             parallel_map(&outer, |_| {
                 let inner = [0usize; 4];
                 parallel_map(&inner, |x| *x)
             });
             assert!(
-                pool_stats().nested_collapses > collapsed_before,
+                counter(obs::Counter::ExecutorNestedCollapses) > collapsed,
                 "nested fans inside workers collapse and are counted"
             );
         }
     }
 
     #[test]
+    fn a_fan_runs_on_at_most_its_width_in_threads() {
+        let items: Vec<usize> = (0..64).collect();
+        let caller = std::thread::current().id();
+        let inline = parallel_map_indexed(&items, 1, |_, _| std::thread::current().id());
+        assert!(
+            inline.iter().all(|&id| id == caller),
+            "width 1 runs inline on the caller"
+        );
+        let ids = parallel_map_indexed(&items, 2, |_, x| {
+            // Enough work per item that the spawned thread joins in, so
+            // a fan running on more threads than its width would show.
+            let mut acc = *x as u64;
+            for k in 0..20_000u64 {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+            }
+            (std::thread::current().id(), acc)
+        });
+        let distinct: std::collections::HashSet<_> = ids.iter().map(|(id, _)| *id).collect();
+        assert!(
+            distinct.len() <= 2.min(pool_threads()),
+            "a width-2 fan uses the caller and at most one more thread: {distinct:?}"
+        );
+    }
+
+    #[test]
     fn requests_beyond_the_pool_are_served_by_the_pool() {
-        // More threads requested than the pool owns: the fan must still
-        // complete correctly (the pool is the ceiling, not a panic).
+        // More threads requested than the budget allows: the fan must
+        // still complete correctly (the budget is the ceiling).
         let items: Vec<usize> = (0..97).collect();
         let out = parallel_map_indexed(&items, 64, |i, x| i * x);
         assert_eq!(out, (0..97).map(|x| x * x).collect::<Vec<_>>());

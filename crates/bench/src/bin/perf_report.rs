@@ -4,7 +4,7 @@
 //! `docs/BENCHMARKS.md` documents the record format, the regeneration
 //! workflow, and what the CI gate enforces.
 //!
-//! Pairs measured (same shapes as `benches/bench_fastpath.rs`):
+//! Pairs measured:
 //!
 //! * `kernel_service_cost_*` — chunked `service_cost` vs the scalar
 //!   `service_cost_naive` oracle,
@@ -16,15 +16,9 @@
 //!   repeated `run` calls (the name is kept from when a cross-lane seeded
 //!   `multi_delta_sweep` ran beside it, so its recorded floor still
 //!   applies),
-//! * `streaming_batch_sweep` — `run_streaming_batch` vs repeated
-//!   `run_streaming` passes,
 //! * `grid_dp_*` — the radius-pruned windowed transition kernel vs the
 //!   all-pairs scan (both sides share the hoisted SoA service scan, so
 //!   the baseline is *stricter* than `BENCH_1.json`'s),
-//! * `executor_pooled_fanout` (PR 5) — repeated small fan-outs (the
-//!   per-block dispatch shape of the streaming batch engine) through the
-//!   persistent worker pool vs the pre-PR-5 scoped spawn/join executor,
-//!   both at a pinned 2-thread request,
 //! * `obs_overhead_streaming` (PR 7) — the same streaming MtC sweep with
 //!   the [`msp_analysis::obs`] metrics registry **enabled** (baseline)
 //!   vs **disabled** (fast): the instrumentation tax on the hot path.
@@ -66,7 +60,7 @@ use msp_analysis::Json;
 use msp_core::cost::{service_cost, service_cost_naive, ServingOrder};
 use msp_core::model::{Instance, Step};
 use msp_core::mtc::MoveToCenter;
-use msp_core::simulator::{run, run_batch, run_streaming, run_streaming_batch};
+use msp_core::simulator::{run, run_batch, run_streaming};
 use msp_geometry::median::{weighted_center, weighted_center_classic, MedianOptions, MedianSolver};
 use msp_geometry::sample::SeededSampler;
 use msp_geometry::soa::SoaPoints;
@@ -95,42 +89,19 @@ struct Comparison {
     detail: String,
 }
 
-/// Whether a bench's fast path takes a different *code path* depending on
-/// the resolved sweep-pool width (the pooled dispatch inlines on a
-/// 1-thread pool). Such entries embed the recording pool width in the
-/// record, and `--check` only gates them when the checking machine
-/// resolves the **same** width — a cross-width comparison would measure
-/// different code paths, the same cross-shape mistake as checking quick
-/// runs against full records.
-fn pool_sensitive(name: &str) -> bool {
-    name == "executor_pooled_fanout"
-}
-
 impl Comparison {
     fn speedup(&self) -> f64 {
         self.baseline_ns as f64 / self.fast_ns.max(1) as f64
     }
 
     fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj([
             ("name", Json::Str(self.name.clone())),
             ("baseline_ns", Json::Num(self.baseline_ns as f64)),
             ("fast_ns", Json::Num(self.fast_ns as f64)),
             ("speedup", Json::Num(self.speedup())),
             ("detail", Json::Str(self.detail.clone())),
-        ];
-        if pool_sensitive(&self.name) {
-            fields.push((
-                "pool_threads",
-                Json::Num(msp_analysis::pool_threads() as f64),
-            ));
-        }
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        ])
     }
 }
 
@@ -140,9 +111,6 @@ struct Shapes {
     sweep_horizon: usize,
     grid_cells: [usize; 2],
     kernel_evals: usize,
-    /// Small fan-outs per timing sample of the executor pair (the
-    /// per-block dispatch shape).
-    fanouts: usize,
     /// Sessions in the service-churn fleet.
     churn_sessions: usize,
     reps: usize,
@@ -155,7 +123,6 @@ impl Shapes {
             sweep_horizon: 1_000,
             grid_cells: [41, 61],
             kernel_evals: 256,
-            fanouts: 512,
             churn_sessions: 48,
             reps: 9,
         }
@@ -176,7 +143,6 @@ impl Shapes {
             // comparable with the quick reference record.
             grid_cells: [31, 41],
             kernel_evals: 128,
-            fanouts: 192,
             churn_sessions: 24,
             reps: 13,
         }
@@ -355,49 +321,7 @@ fn batch_comparison(sh: &Shapes) -> Comparison {
         baseline_ns,
         fast_ns,
         detail: format!(
-            "5 δ × 2 orders on a T={} drifting hotspot; repeated run() vs one run_batch() pass (δ-lanes fanned over the pool)",
-            sh.sweep_horizon
-        ),
-    }
-}
-
-fn streaming_batch_comparison(sh: &Shapes) -> Comparison {
-    let inst = sweep_instance(sh);
-    let params = inst.params();
-    let baseline_ns = time_ns(7.min(sh.reps), || {
-        let mut total = 0.0;
-        for &delta in &SWEEP_DELTAS {
-            for &order in &SWEEP_ORDERS {
-                total += run_streaming(
-                    &params,
-                    inst.steps.iter().cloned(),
-                    MoveToCenter::new(),
-                    delta,
-                    order,
-                )
-                .total_cost();
-            }
-        }
-        total
-    });
-    let fast_ns = time_ns(7.min(sh.reps), || {
-        run_streaming_batch(
-            &params,
-            inst.steps.iter().cloned(),
-            &MoveToCenter::new(),
-            &SWEEP_DELTAS,
-            &SWEEP_ORDERS,
-        )
-        .iter()
-        .map(|r| r.total_cost())
-        .sum::<f64>()
-    });
-    Comparison {
-        name: "streaming_batch_sweep".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "5 δ × 2 orders streamed over T={}; repeated run_streaming() vs one blocked run_streaming_batch() pass (δ-lanes fanned over the pool per block)",
+            "5 δ × 2 orders on a T={} drifting hotspot; repeated run() vs one run_batch() pass (δ-lanes fanned out over threads)",
             sh.sweep_horizon
         ),
     }
@@ -435,53 +359,6 @@ fn grid_comparison(cells: usize, sh: &Shapes) -> Comparison {
         detail: format!(
             "{cells}×{cells} planar grid, T=6, m=0.4, reused GridDp scratch: all-pairs transition \
              scan vs radius-pruned window (both on the hoisted SoA service scan)"
-        ),
-    }
-}
-
-/// PR 5: repeated small fan-outs through the persistent worker pool vs
-/// the pre-PR-5 scoped executor (`scoped_for_each_mut`, retained as the
-/// parity oracle), both at a **pinned 2-thread request** so the shape is
-/// machine-independent. This is the dispatch pattern the streaming batch
-/// engine hits once per 256-step block; the measured gap is exactly the
-/// per-call spawn/join barrier the pool removes.
-fn executor_fanout_comparison(sh: &Shapes) -> Comparison {
-    fn fan_work(i: usize, v: &mut u64) {
-        // A few hundred nanoseconds of arithmetic per item: enough to be
-        // real work, small enough that the dispatch overhead dominates —
-        // the regime the persistent pool exists for.
-        let mut acc = *v;
-        for k in 0..160u64 {
-            acc = acc
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(k ^ i as u64);
-        }
-        *v = acc;
-    }
-    let fans = sh.fanouts;
-    let mut cells: Vec<u64> = (0..8).collect();
-    let baseline_ns = time_ns(sh.reps, || {
-        for _ in 0..fans {
-            msp_analysis::sweep::scoped_for_each_mut(&mut cells, 2, fan_work);
-        }
-        cells[0]
-    });
-    let mut cells_pooled: Vec<u64> = (0..8).collect();
-    let fast_ns = time_ns(sh.reps, || {
-        for _ in 0..fans {
-            msp_analysis::sweep::parallel_for_each_mut(&mut cells_pooled, 2, fan_work);
-        }
-        cells_pooled[0]
-    });
-    Comparison {
-        name: "executor_pooled_fanout".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{fans} fan-outs of 8 small items at a pinned 2-thread request; per-call \
-             std::thread::scope spawn/join (pre-PR-5 executor) vs the persistent \
-             work-stealing pool ({} resolved pool threads)",
-            msp_analysis::pool_threads()
         ),
     }
 }
@@ -673,7 +550,7 @@ fn corpus_seek_vs_scan(sh: &Shapes) -> Comparison {
 /// `"speedup":…` inside each bench object, keys alphabetical), so a
 /// lightweight scan (the workspace has no JSON parser dependency) is
 /// sufficient and stable.
-fn recorded_speedups(text: &str) -> Vec<(String, f64, Option<usize>)> {
+fn recorded_speedups(text: &str) -> Vec<(String, f64)> {
     fn number_after(chunk: &str, key: &str) -> Option<String> {
         let pos = chunk.find(key)?;
         Some(
@@ -689,12 +566,11 @@ fn recorded_speedups(text: &str) -> Vec<(String, f64, Option<usize>)> {
             continue;
         };
         let name = chunk[..name_end].to_string();
-        let pool = number_after(chunk, "\"pool_threads\":").and_then(|n| n.parse::<usize>().ok());
         let Some(num) = number_after(chunk, "\"speedup\":") else {
             continue;
         };
         if let Ok(v) = num.parse::<f64>() {
-            out.push((name, v, pool));
+            out.push((name, v));
         }
     }
     out
@@ -756,10 +632,8 @@ fn main() {
         median_comparison(16, "median_drift_n16", &sh),
         median_comparison(64, "median_drift_n64", &sh),
         batch_comparison(&sh),
-        streaming_batch_comparison(&sh),
         grid_comparison(sh.grid_cells[0], &sh),
         grid_comparison(sh.grid_cells[1], &sh),
-        executor_fanout_comparison(&sh),
         obs_overhead_comparison(&sh),
         session_churn_comparison(&sh),
         corpus_seek_vs_scan(&sh),
@@ -794,45 +668,17 @@ fn main() {
         let recorded = std::fs::read_to_string(&recorded_path)
             .unwrap_or_else(|e| panic!("read {recorded_path}: {e}"));
         let recorded = recorded_speedups(&recorded);
-        for (name, want, _) in &recorded {
+        for (name, want) in &recorded {
             if !comparisons.iter().any(|c| c.name == *name) {
                 println!("check: {name:<26} retired (recorded {want:.2}×, no longer measured)");
             }
         }
         let mut failed = false;
         for c in &comparisons {
-            let Some((_, want, rec_pool)) = recorded.iter().find(|(n, _, _)| *n == c.name) else {
+            let Some((_, want)) = recorded.iter().find(|(n, _)| *n == c.name) else {
                 println!("check: {:<26} (not in {recorded_path}, skipped)", c.name);
                 continue;
             };
-            if pool_sensitive(&c.name) && msp_analysis::pool_threads() == 1 {
-                // On a single-core pool the parallel fast path collapses
-                // to the sequential one, so the pair records ≈ 1× by
-                // construction: "not measurable here", which is not the
-                // same verdict as "regressed".
-                println!(
-                    "check: {:<26} informational ({:.2}× — parallel pair on a 1-thread pool, \
-                     not measurable here, not gated)",
-                    c.name,
-                    c.speedup(),
-                );
-                continue;
-            }
-            if pool_sensitive(&c.name) && *rec_pool != Some(msp_analysis::pool_threads()) {
-                // A pool-width mismatch means the recorded and measured
-                // fast paths are different code paths (inline vs real
-                // dispatch) — not comparable, same rule as quick-vs-full
-                // shapes.
-                println!(
-                    "check: {:<26} informational ({:.2}× at {} pool threads vs recorded {want:.2}× \
-                     at {} — width mismatch, not gated)",
-                    c.name,
-                    c.speedup(),
-                    msp_analysis::pool_threads(),
-                    rec_pool.map_or("unknown".into(), |w| w.to_string()),
-                );
-                continue;
-            }
             if *want < 1.0 {
                 // Benches recorded below 1× are informational (e.g. the
                 // obs overhead pair, ≈ 1× by design): their ratio hovers

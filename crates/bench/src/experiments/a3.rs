@@ -32,6 +32,18 @@ fn make_algorithms() -> Vec<(String, fn() -> BoxedAlgorithm<1>)> {
     ]
 }
 
+/// MtC against the best baseline, read off the two 95% CIs: disjoint
+/// intervals name a winner, intersecting ones do not.
+fn verdict(mtc: &SeedStats, best_name: &str, best: &SeedStats) -> String {
+    if mtc.ci_hi < best.ci_lo {
+        format!("MtC beats {best_name} (95% CIs disjoint)")
+    } else if best.ci_hi < mtc.ci_lo {
+        format!("{best_name} beats MtC (95% CIs disjoint)")
+    } else {
+        format!("MtC and {best_name} overlap (95% CIs intersect)")
+    }
+}
+
 /// Runs A3 at the given scale.
 pub fn run(scale: Scale) -> ExperimentReport {
     let delta = 0.2;
@@ -114,26 +126,24 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]));
     }
 
-    // Rank MtC per family.
+    // MtC against the best baseline (lowest mean ratio) per family.
     let mut findings = Vec::new();
     for (fi, family) in ["drifting hotspot", "cluster switches", "adversarial"]
         .iter()
         .enumerate()
     {
-        let mtc = results[0][fi].mean;
-        let best_other = results[1..]
+        let mtc = &results[0][fi];
+        let (best_name, best) = algorithms[1..]
             .iter()
-            .map(|r| r[fi].mean)
-            .fold(f64::INFINITY, f64::min);
+            .zip(&results[1..])
+            .map(|((name, _), r)| (name, &r[fi]))
+            .min_by(|a, b| a.1.mean.total_cmp(&b.1.mean))
+            .expect("A3 runs baselines");
         findings.push(format!(
-            "{family}: MtC {:.2} vs best baseline {:.2} — {}.",
-            mtc,
-            best_other,
-            if mtc <= best_other * 1.10 {
-                "MtC matches or beats every baseline"
-            } else {
-                "a baseline wins on this benign family (MtC's guarantee is worst-case)"
-            }
+            "{family}: MtC {} vs best baseline {best_name} {} — {}.",
+            mtc.cell(),
+            best.cell(),
+            verdict(mtc, best_name, best)
         ));
     }
 
@@ -157,5 +167,25 @@ mod tests {
         assert_eq!(r.id, "a3");
         assert_eq!(r.table.len(), 5);
         assert_eq!(r.findings.len(), 3);
+    }
+
+    #[test]
+    fn verdict_follows_the_confidence_intervals() {
+        let stats = |mean, ci_lo, ci_hi| SeedStats { mean, ci_lo, ci_hi };
+        // The Quick adversarial row: means within 1%, CIs disjoint.
+        let mtc = stats(2.527, 2.521, 2.533);
+        let follow = stats(2.502, 2.491, 2.512);
+        assert_eq!(
+            verdict(&mtc, "follow-center", &follow),
+            "follow-center beats MtC (95% CIs disjoint)"
+        );
+        assert_eq!(
+            verdict(&follow, "lazy", &mtc),
+            "MtC beats lazy (95% CIs disjoint)"
+        );
+        assert_eq!(
+            verdict(&mtc, "lazy", &stats(2.53, 2.50, 2.56)),
+            "MtC and lazy overlap (95% CIs intersect)"
+        );
     }
 }

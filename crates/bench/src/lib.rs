@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Experiment harness for the Mobile Server Problem reproduction.
@@ -10,8 +11,7 @@
 //!
 //! All experiments are pure functions from a [`Scale`] to an
 //! [`report::ExperimentReport`]; the `experiments` binary prints them as
-//! Markdown, and the Criterion wrappers in `benches/` run the `Smoke`
-//! scale so `cargo bench` touches every experiment.
+//! Markdown.
 
 pub mod experiments;
 pub mod report;

@@ -22,7 +22,7 @@ use msp_offline::line::{solve_line, IncrementalLineOpt};
 /// How big the experiment should be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Minimal sizes for Criterion wrappers and CI smoke runs.
+    /// Minimal sizes for CI smoke runs.
     Smoke,
     /// Default sizes: seconds per experiment, shapes clearly visible.
     Quick,

@@ -12,17 +12,17 @@
 //!   pure pricing choice), which lets a single decision sequence per δ be
 //!   priced under all orders simultaneously — halving the number of
 //!   expensive median solves for the common both-orders sweep. The
-//!   δ-lanes are independent runs and fan out over the sweep pool.
-//! * [`run_streaming`] / [`run_streaming_batch`] — the open-ended paths:
-//!   steps arrive from any iterator (a workload generator, a trace file, a
-//!   network feed) and only running totals are kept, so memory is O(1) in
-//!   the horizon. [`StreamingSim`] is the underlying push-style engine
-//!   with checkpoint/resume support for multi-million-step runs.
+//!   δ-lanes are independent runs and fan out over the sweep executor.
+//! * [`run_streaming`] — the open-ended path: steps arrive from any
+//!   iterator (a workload generator, a trace file, a network feed) and
+//!   only running totals are kept, so memory is O(1) in the horizon.
+//!   [`StreamingSim`] is the underlying push-style engine with
+//!   checkpoint/resume support for multi-million-step runs.
 //!
 //! Every engine steps through one private step function (decide, clamp
 //! the proposal to the budget `(1+δ)m`, price the move), so each
-//! `(δ, order)` result of a batch or streaming engine is bit-equal to
-//! [`run`] on the same steps, on every machine and at every pool width.
+//! `(δ, order)` result of the batch or streaming engine is bit-equal to
+//! [`run`] on the same steps, on every machine and at every sweep width.
 
 use crate::algorithm::{AlgContext, OnlineAlgorithm, WarmStateCodec, WarmStateError};
 use crate::cost::{service_cost, CostBreakdown, ServingOrder, StepCost};
@@ -131,9 +131,9 @@ pub fn run_move_first<const N: usize, A: OnlineAlgorithm<N>>(
 /// the move and differ only in the serving endpoint). Moves `current` to
 /// the clamped position and returns the step's length.
 ///
-/// [`run`], [`run_batch`], [`run_streaming_batch`] and
-/// [`StreamingSim::feed_requests`] all step through here, so they compute
-/// every decision and every cost with the same float expressions.
+/// [`run`], [`run_batch`] and [`StreamingSim::feed_requests`] all step
+/// through here, so they compute every decision and every cost with the
+/// same float expressions.
 #[inline]
 fn advance<const N: usize, A: OnlineAlgorithm<N>>(
     algorithm: &mut A,
@@ -206,8 +206,8 @@ fn run_lane<const N: usize, A: OnlineAlgorithm<N>>(
 ///
 /// Per δ the decision sequence is computed **once** and priced under
 /// every serving order. The δ-lanes are independent runs, each with its
-/// own clone of `algorithm`, and fan out over the sweep pool
-/// ([`msp_analysis::sweep::parallel_for_each_mut`]) at pool width. Every
+/// own clone of `algorithm`, and fan out over the sweep executor
+/// ([`msp_analysis::sweep::parallel_for_each_mut`]) at full width. Every
 /// result is bit-equal to [`run`] for the matching `(δ, order)`, on every
 /// machine — pinned by tests. For warm-started algorithms such as
 /// [`crate::mtc::MoveToCenter`], each δ-lane keeps its solver warm across
@@ -616,121 +616,6 @@ where
     sim.finish()
 }
 
-/// Number of steps buffered per block by the streaming batch engine:
-/// large enough to amortize the per-block lane fan-out (a ticket push to
-/// the persistent sweep pool, which reuses the same workers across
-/// blocks, with no spawn/join barrier per block), small enough that
-/// memory stays bounded (`O(block · r)`) on open-ended streams.
-const STREAM_BATCH_BLOCK: usize = 256;
-
-/// Streaming counterpart of [`run_batch`]: one pass over an open-ended
-/// step stream prices every `(δ, order)` combination, keeping only running
-/// totals plus a bounded step buffer (`STREAM_BATCH_BLOCK` = 256 steps),
-/// so the stream is never materialized; each block fans the δ-lanes out
-/// over the sweep pool at pool width. Results are δ-major, order-minor,
-/// and each is bit-equal to [`run_streaming`] (and so to [`run`] and
-/// [`run_batch`]) for the matching `(δ, order)` on the same steps: only
-/// the step delivery is blocked.
-///
-/// # Panics
-/// Panics when `deltas` or `orders` is empty.
-pub fn run_streaming_batch<const N: usize, A, I>(
-    params: &StreamParams<N>,
-    steps: I,
-    algorithm: &A,
-    deltas: &[f64],
-    orders: &[ServingOrder],
-) -> Vec<StreamRunResult<N>>
-where
-    A: OnlineAlgorithm<N> + Clone + Send,
-    I: IntoIterator<Item = Step<N>>,
-{
-    assert!(
-        !deltas.is_empty(),
-        "run_streaming_batch needs at least one δ"
-    );
-    assert!(
-        !orders.is_empty(),
-        "run_streaming_batch needs at least one order"
-    );
-
-    struct Lane<const N: usize, A> {
-        ctx: AlgContext<N>,
-        algorithm: A,
-        current: Point<N>,
-        max_step_used: f64,
-        // (movement, service) per serving order.
-        totals: Vec<(f64, f64)>,
-    }
-
-    let mut lanes: Vec<Lane<N, A>> = deltas
-        .iter()
-        .map(|&delta| {
-            let ctx = AlgContext::from_params(params, delta);
-            let mut algorithm = algorithm.clone();
-            algorithm.reset(&ctx);
-            Lane {
-                ctx,
-                algorithm,
-                current: params.start,
-                max_step_used: 0.0,
-                totals: vec![(0.0, 0.0); orders.len()],
-            }
-        })
-        .collect();
-
-    let mut steps_seen = 0usize;
-    let mut steps = steps.into_iter();
-    let mut block: Vec<Step<N>> = Vec::with_capacity(STREAM_BATCH_BLOCK);
-    loop {
-        block.clear();
-        block.extend(steps.by_ref().take(STREAM_BATCH_BLOCK));
-        if block.is_empty() {
-            break;
-        }
-        steps_seen += block.len();
-        obs::incr(obs::Counter::StreamBlocks);
-        obs::record(obs::Hist::StreamBlockFill, block.len() as u64);
-        let block_ref = &block;
-        msp_analysis::sweep::parallel_for_each_mut(&mut lanes, 0, |_, lane| {
-            for step in block_ref {
-                let totals = &mut lane.totals;
-                let step_len = advance(
-                    &mut lane.algorithm,
-                    &lane.ctx,
-                    &mut lane.current,
-                    &step.requests,
-                    orders,
-                    |i, cost| {
-                        let (movement, service) = &mut totals[i];
-                        *movement += cost.movement;
-                        *service += cost.service;
-                    },
-                );
-                lane.max_step_used = lane.max_step_used.max(step_len);
-            }
-        });
-    }
-
-    let mut out = Vec::with_capacity(deltas.len() * orders.len());
-    for (lane, &delta) in lanes.into_iter().zip(deltas) {
-        let name = lane.algorithm.name();
-        for (&order, (movement, service)) in orders.iter().zip(lane.totals) {
-            out.push(StreamRunResult {
-                algorithm: name.clone(),
-                order,
-                delta,
-                steps: steps_seen,
-                final_position: lane.current,
-                movement,
-                service,
-                max_step_used: lane.max_step_used,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,34 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_repeated_runs() {
-        let inst = chase_instance(25);
-        let deltas = [0.0, 0.1, 0.5, 1.0];
-        let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-        let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
-        assert_eq!(batch.len(), deltas.len() * orders.len());
-        let mut i = 0;
-        for &delta in &deltas {
-            for &order in &orders {
-                let mut alg = MoveToCenter::new();
-                let single = run(&inst, &mut alg, delta, order);
-                let b = &batch[i];
-                assert_eq!(b.delta, delta);
-                assert_eq!(b.order, order);
-                // Each δ-lane is an independent run through the same
-                // step function: bit-equal, whatever the pool width.
-                assert_eq!(b.positions, single.positions, "δ={delta} {order:?}");
-                assert_eq!(
-                    b.total_cost().to_bits(),
-                    single.total_cost().to_bits(),
-                    "δ={delta} {order:?}"
-                );
-                i += 1;
-            }
-        }
-    }
-
-    #[test]
     fn run_batch_shares_trajectory_across_orders() {
         let inst = chase_instance(10);
         let batch = run_batch(
@@ -907,29 +764,6 @@ mod tests {
             assert_eq!(streamed.service, batch.cost.service);
             assert_eq!(streamed.final_position, *batch.positions.last().unwrap());
             assert_eq!(streamed.max_step_used, batch.max_step_used());
-        }
-    }
-
-    #[test]
-    fn run_streaming_batch_matches_run_batch_exactly() {
-        let inst = chase_instance(30);
-        let deltas = [0.0, 0.25, 1.0];
-        let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-        let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
-        let streamed = run_streaming_batch(
-            &inst.params(),
-            inst.steps.iter().cloned(),
-            &MoveToCenter::new(),
-            &deltas,
-            &orders,
-        );
-        assert_eq!(streamed.len(), batch.len());
-        for (s, b) in streamed.iter().zip(&batch) {
-            assert_eq!(s.delta, b.delta);
-            assert_eq!(s.order, b.order);
-            assert_eq!(s.movement, b.cost.movement);
-            assert_eq!(s.service, b.cost.service);
-            assert_eq!(s.final_position, *b.positions.last().unwrap());
         }
     }
 
@@ -1000,19 +834,6 @@ mod tests {
         }
         assert!((acc - sim.total_cost()).abs() < 1e-12);
         assert_eq!(sim.steps(), 15);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one δ")]
-    fn run_streaming_batch_rejects_empty_deltas() {
-        let inst = chase_instance(2);
-        let _ = run_streaming_batch(
-            &inst.params(),
-            inst.steps.iter().cloned(),
-            &MoveToCenter::new(),
-            &[],
-            &[ServingOrder::MoveFirst],
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! algorithm, or the codec that shifts a single ULP anywhere in the
 //! corpus is caught by one call.
 //!
-//! All corpus operations fan over the persistent executor pool
+//! All corpus operations fan over the sweep executor
 //! ([`parallel_map_indexed`]) at whole-trace or block granularity and are
 //! bit-deterministic for every thread count — [`diff_block_traces`] in
 //! particular returns exactly what the sequential
@@ -121,7 +121,7 @@ fn unsupported_dim(name: &str, dim: usize) -> ScenarioError {
 /// holds Move-to-Center's totals over the recorded steps, priced in the
 /// recording pass itself; [`sweep_corpus`] later replays the decoded
 /// traces against them, checking codec and simulator end to end.
-/// Scenarios record in parallel over the executor pool; each trace and
+/// Scenarios record in parallel over the sweep executor; each trace and
 /// the manifest are committed atomically ([`AtomicFile`]), so a crashed
 /// recorder leaves no torn corpus behind.
 ///
@@ -304,8 +304,8 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<Vec<CorpusEntry>, TraceErr
     Ok(out)
 }
 
-/// Structural scan of every trace in the corpus, fanned over the pool
-/// (`threads == 0` uses the pool default): each trace is opened, every
+/// Structural scan of every trace in the corpus, fanned over threads
+/// (`threads == 0` uses the full budget): each trace is opened, every
 /// block decoded and CRC-checked, and the step count cross-checked
 /// against the manifest. Errors carry the scenario name.
 pub fn scan_corpus(
@@ -353,7 +353,7 @@ fn scan_bytes<const N: usize>(bytes: &[u8]) -> Result<(usize, usize), TraceError
 /// and replayed through [`StreamingSim`] (zero-copy, Move-to-Center at
 /// the manifest δ) and the fresh cost totals are compared
 /// **bit-for-bit** against the recorded ones, which were priced on the
-/// original steps while recording. Replays fan over the pool; outcomes
+/// original steps while recording. Replays fan over threads; outcomes
 /// come back in manifest order regardless of thread count.
 pub fn sweep_corpus(
     dir: impl AsRef<Path>,
@@ -406,7 +406,7 @@ fn sweep_entry(dir: &Path, entry: &CorpusEntry) -> Result<SweepOutcome, Scenario
 /// index, same detail string) for every thread count, but compares
 /// independent chunks of `max(block_a, block_b)` steps concurrently,
 /// each worker seeking straight to its chunk via the index trailer.
-/// `threads == 0` uses the pool default.
+/// `threads == 0` uses the full budget.
 pub fn diff_block_traces<const N: usize>(
     a: &[u8],
     b: &[u8],

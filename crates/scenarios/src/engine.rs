@@ -9,7 +9,7 @@ use msp_analysis::sweep::parallel_map_indexed;
 use msp_core::algorithm::OnlineAlgorithm;
 use msp_core::cost::ServingOrder;
 use msp_core::model::Instance;
-use msp_core::simulator::{run_streaming, run_streaming_batch, StreamRunResult, StreamingSim};
+use msp_core::simulator::{run_streaming, StreamRunResult, StreamingSim};
 
 /// Runs an algorithm over a stream (rewound first) with O(1) memory.
 pub fn run_stream<const N: usize, A: OnlineAlgorithm<N>>(
@@ -21,19 +21,6 @@ pub fn run_stream<const N: usize, A: OnlineAlgorithm<N>>(
     stream.rewind();
     let params = stream.params();
     run_streaming(&params, StreamSteps::new(stream), algorithm, delta, order)
-}
-
-/// One pass over a stream (rewound first) pricing every `(δ, order)`
-/// combination, mirroring [`msp_core::simulator::run_batch`].
-pub fn run_stream_batch<const N: usize, A: OnlineAlgorithm<N> + Clone + Send>(
-    stream: &mut dyn RequestStream<N>,
-    algorithm: &A,
-    deltas: &[f64],
-    orders: &[ServingOrder],
-) -> Vec<StreamRunResult<N>> {
-    stream.rewind();
-    let params = stream.params();
-    run_streaming_batch(&params, StreamSteps::new(stream), algorithm, deltas, orders)
 }
 
 /// [`run_stream`] that additionally folds every step's total cost into a

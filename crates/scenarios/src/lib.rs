@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Streaming scenario engine for the Mobile Server Problem workspace.
@@ -58,8 +59,7 @@ pub use corpus::{
 };
 pub use durable::{record_seeds_to_dir, record_stream_to_path, AtomicFile};
 pub use engine::{
-    materialize, materialize_seeds, record_seeds, run_stream, run_stream_batch,
-    run_stream_with_summary,
+    materialize, materialize_seeds, record_seeds, run_stream, run_stream_with_summary,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyRead, FaultyStream, FaultyWrite};
 pub use journal::{

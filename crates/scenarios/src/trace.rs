@@ -832,16 +832,26 @@ fn decode_block_payload<const N: usize>(
 ) -> Result<(), TraceError> {
     points.clear();
     frames.clear();
-    let mut cur = Cursor::new(payload);
+    // One offset walks the payload: `take(len)` returns the next `len`
+    // bytes, and a payload too short for them is a truncated block.
+    let mut off = 0usize;
+    let mut take = |len: usize| -> Result<&[u8], TraceError> {
+        let bytes = payload
+            .get(off..off + len)
+            .ok_or_else(|| corrupt(format!("offset {at}"), "block payload truncated"))?;
+        off += len;
+        Ok(bytes)
+    };
+    let le_f64 = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let le_u32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
     let mut pred = [0.0f64; N];
     if mode == BLOCK_MODE_DELTA {
         for p in &mut pred {
-            *p = read_f64(&mut cur).map_err(|_| truncated_block(at))?;
+            *p = le_f64(take(8)?);
         }
     }
     for _ in 0..steps_in_block {
-        let count =
-            u32::from_le_bytes(read_exact_array::<4>(&mut cur).map_err(|_| truncated_block(at))?);
+        let count = le_u32(take(4)?);
         if count > MAX_REQUESTS_PER_STEP {
             return Err(corrupt(
                 format!("offset {at}"),
@@ -854,14 +864,12 @@ fn decode_block_payload<const N: usize>(
             match mode {
                 BLOCK_MODE_RAW => {
                     for i in 0..N {
-                        p[i] = read_f64(&mut cur).map_err(|_| truncated_block(at))?;
+                        p[i] = le_f64(take(8)?);
                     }
                 }
                 BLOCK_MODE_DELTA => {
                     for i in 0..N {
-                        let d = f32::from_le_bytes(
-                            read_exact_array::<4>(&mut cur).map_err(|_| truncated_block(at))?,
-                        );
+                        let d = f32::from_bits(le_u32(take(4)?));
                         p[i] = pred[i] + d as f64;
                         pred[i] = p[i];
                     }
@@ -883,20 +891,14 @@ fn decode_block_payload<const N: usize>(
         }
         frames.push((start, points.len() - start));
     }
-    if cur.position() != payload.len() as u64 {
+    let trailing = payload.len() - off;
+    if trailing != 0 {
         return Err(corrupt(
             format!("offset {at}"),
-            format!(
-                "block payload has {} trailing bytes",
-                payload.len() as u64 - cur.position()
-            ),
+            format!("block payload has {trailing} trailing bytes"),
         ));
     }
     Ok(())
-}
-
-fn truncated_block(at: usize) -> TraceError {
-    corrupt(format!("offset {at}"), "block payload truncated")
 }
 
 /// Header fields shared by every v3 open path: validated model

@@ -1,18 +1,15 @@
-//! Semantics of the persistent work-stealing executor
-//! (`msp_analysis::sweep`): the pooled fan-out paths must be *pure
-//! wall-clock optimizations* — output-identical to sequential execution,
-//! nesting-safe, and transparent to the engines built on top of them.
+//! Semantics of the scoped-thread executor (`msp_analysis::sweep`): its
+//! fan-out paths must be *pure wall-clock optimizations* —
+//! output-identical to sequential execution, nesting-safe, and
+//! transparent to the engines built on top of them.
 //!
-//! * pooled `parallel_map_indexed` is **output-identical** to the
-//!   sequential path (and to the retained scoped executor) for arbitrary
-//!   inputs and thread requests — proptest-pinned,
-//! * nested fans collapse to one thread on pool workers (the
+//! * `parallel_map_indexed` and `parallel_for_each_mut` are
+//!   **output-identical** to the sequential path for arbitrary inputs and
+//!   thread requests — proptest-pinned,
+//! * nested fans collapse to one thread on sweep workers (the
 //!   no-oversubscription guarantee),
-//! * `run_streaming_batch` stays **bit-equal** to `run_batch` and to
-//!   per-lane `run_streaming` passes across the 256-step block boundary
-//!   under the pool — the per-block dispatch reuses pool workers, and
-//!   that must not perturb a single bit,
-//! * `run_batch` stays bit-equal to sequential `run` under the pool
+//! * each `run_batch` δ-lane, fanned out over the executor, stays
+//!   **bit-equal** to a `run_streaming` pass with the same δ and order
 //!   (input-order result slots, not scheduling, carry determinism).
 //!
 //! The CI job `tests-2t` re-runs the whole suite with `MSP_THREADS=2` so
@@ -21,10 +18,9 @@
 
 use mobile_server::analysis::sweep::{
     effective_threads, parallel_for_each_mut, parallel_map_indexed, pool_threads,
-    scoped_for_each_mut, scoped_map_indexed,
 };
 use mobile_server::core::cost::ServingOrder;
-use mobile_server::core::simulator::{run, run_batch, run_streaming, run_streaming_batch};
+use mobile_server::core::simulator::{run_batch, run_streaming};
 use mobile_server::geometry::sample::SeededSampler;
 use mobile_server::prelude::*;
 use proptest::prelude::*;
@@ -32,8 +28,8 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The pooled map is output-identical to the sequential path for any
-    /// input and any thread request — order, multiplicity, and values.
+    /// The parallel map is output-identical to the sequential path for
+    /// any input and any thread request — order, multiplicity, and values.
     #[test]
     fn pooled_map_is_output_identical_to_sequential(
         items in prop::collection::vec(any::<u32>(), 0..300),
@@ -43,13 +39,10 @@ proptest! {
         let sequential: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
         let pooled = parallel_map_indexed(&items, threads, f);
         prop_assert_eq!(&pooled, &sequential);
-        // The retained scoped executor is the same function.
-        let scoped = scoped_map_indexed(&items, threads, f);
-        prop_assert_eq!(&scoped, &sequential);
     }
 
-    /// The pooled in-place fan leaves exactly the sequential result for
-    /// any chunking, with every item visited exactly once.
+    /// The in-place fan leaves exactly the sequential result for any
+    /// thread request, with every item visited exactly once.
     #[test]
     fn pooled_for_each_mut_is_output_identical_to_sequential(
         items in prop::collection::vec(any::<u64>(), 0..300),
@@ -63,13 +56,10 @@ proptest! {
         let mut pooled = items.clone();
         parallel_for_each_mut(&mut pooled, threads, f);
         prop_assert_eq!(&pooled, &sequential);
-        let mut scoped = items.clone();
-        scoped_for_each_mut(&mut scoped, threads, f);
-        prop_assert_eq!(&scoped, &sequential);
     }
 }
 
-/// Nested fans run sequentially on pool workers: a fan dispatched from
+/// Nested fans run sequentially on sweep workers: a fan started from
 /// inside another fan sees an effective width of one, at every nesting
 /// depth, and still produces ordered results.
 #[test]
@@ -85,25 +75,24 @@ fn nested_fans_stay_sequential_on_pool_workers() {
     for inner in &widths {
         for &(auto, requested) in inner {
             assert_eq!(auto, 1, "nested fan must observe width 1");
-            // With a single-thread pool the outer fan runs inline on the
+            // With a one-thread budget the outer fan runs inline on the
             // caller (there is no parallelism to guard), so an explicit
             // nested request passes through — and is then clamped to the
-            // (empty) pool at dispatch. The flag-based collapse is only
-            // observable when the outer fan actually went parallel; the
+            // budget of one. The flag-based collapse is only observable
+            // when the outer fan actually went parallel; the
             // MSP_THREADS=2 CI job pins that case on every runner.
             if pool_threads() >= 2 {
                 assert_eq!(requested, 1, "nested fan must ignore explicit widths");
             }
         }
     }
-    // Top level: the pool reports its resolved size (>= 1, honoring
+    // Top level: the budget is its resolved size (>= 1, honoring
     // MSP_THREADS when the harness sets it).
     assert!(pool_threads() >= 1);
     assert_eq!(effective_threads(0), pool_threads());
 }
 
-/// A planar workload with varying request counts (the perf_parity shape)
-/// crossing the 256-step streaming block boundary.
+/// A planar workload with varying request counts (the perf_parity shape).
 fn block_instance(seed: u64, horizon: usize) -> Instance<2> {
     let mut s = SeededSampler::new(seed);
     let steps = (0..horizon)
@@ -116,76 +105,39 @@ fn block_instance(seed: u64, horizon: usize) -> Instance<2> {
     Instance::new(3.0, 0.8, P2::origin(), steps)
 }
 
-/// Streaming batch must mirror in-memory batch, and each lane a
-/// `run_streaming` pass, bit for bit under the pooled executor across the
-/// block boundary, whatever the pool width.
+/// Each δ-lane of `run_batch`, fanned out over the executor, is bit for
+/// bit a `run_streaming` pass with the same δ and order, whatever the
+/// sweep width.
 #[test]
-fn streaming_batch_bit_equals_batch_across_blocks_under_the_pool() {
+fn batch_lanes_bit_equal_streaming_runs_under_the_executor() {
     let inst = block_instance(41, 640);
     let deltas = [0.0, 0.2, 0.45, 0.9];
     let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
     let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
-    let streamed = run_streaming_batch(
-        &inst.params(),
-        inst.steps.iter().cloned(),
-        &MoveToCenter::new(),
-        &deltas,
-        &orders,
-    );
-    assert_eq!(streamed.len(), batch.len());
-    for (s, b) in streamed.iter().zip(&batch) {
-        let at = format!("δ={} {:?}", s.delta, s.order);
-        assert_eq!(s.delta, b.delta, "{at}");
-        assert_eq!(s.order, b.order, "{at}");
-        assert_eq!(s.movement.to_bits(), b.cost.movement.to_bits(), "{at}");
-        assert_eq!(s.service.to_bits(), b.cost.service.to_bits(), "{at}");
-        assert_eq!(s.final_position, *b.positions.last().unwrap(), "{at}");
+    assert_eq!(batch.len(), deltas.len() * orders.len());
+    for b in &batch {
+        let at = format!("δ={} {:?}", b.delta, b.order);
         let single = run_streaming(
             &inst.params(),
             inst.steps.iter().cloned(),
             MoveToCenter::new(),
-            s.delta,
-            s.order,
+            b.delta,
+            b.order,
         );
-        assert_eq!(s.steps, single.steps, "{at}");
-        assert_eq!(s.movement.to_bits(), single.movement.to_bits(), "{at}");
-        assert_eq!(s.service.to_bits(), single.service.to_bits(), "{at}");
-        assert_eq!(s.final_position, single.final_position, "{at}");
+        assert_eq!(single.steps, inst.horizon(), "{at}");
+        assert_eq!(single.movement.to_bits(), b.cost.movement.to_bits(), "{at}");
+        assert_eq!(single.service.to_bits(), b.cost.service.to_bits(), "{at}");
+        assert_eq!(single.final_position, *b.positions.last().unwrap(), "{at}");
         assert_eq!(
-            s.max_step_used.to_bits(),
             single.max_step_used.to_bits(),
+            b.max_step_used().to_bits(),
             "{at}"
         );
     }
 }
 
-/// The batch engine under the pool is bit-equal to sequential `run` —
-/// determinism comes from input-order result slots, not from scheduling.
-#[test]
-fn strict_batch_under_the_pool_is_bit_equal_to_sequential_run() {
-    let inst = block_instance(7, 300);
-    let deltas = [0.0, 0.3, 0.8];
-    let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-    let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
-    let mut i = 0;
-    for &delta in &deltas {
-        for &order in &orders {
-            let mut alg = MoveToCenter::new();
-            let single = run(&inst, &mut alg, delta, order);
-            assert_eq!(batch[i].positions, single.positions, "δ={delta} {order:?}");
-            assert_eq!(
-                batch[i].total_cost().to_bits(),
-                single.total_cost().to_bits(),
-                "δ={delta} {order:?}"
-            );
-            i += 1;
-        }
-    }
-}
-
-/// Many repeated fan-outs (the streaming-block dispatch shape) through
-/// one process-wide pool: no cross-job state may leak, results stay
-/// ordered on every iteration.
+/// Many repeated fan-outs: no state may leak from one fan into the next,
+/// and results stay ordered on every iteration.
 #[test]
 fn repeated_dispatches_stay_clean() {
     let items: Vec<usize> = (0..32).collect();

@@ -2,8 +2,8 @@
 //!
 //! * **Observation is read-only** — toggling the process-wide metrics
 //!   registry on or off produces *bit-equal* results from the batch
-//!   engine and the streaming batch engine, across scenario
-//!   families × seeds (proptest). Instrumentation that fed back into a
+//!   engine and the streaming engine, across scenario families × seeds
+//!   (proptest). Instrumentation that fed back into a
 //!   decision would break this immediately.
 //! * **RatioProbe bounds are certified** — the live lower bound on the
 //!   offline optimum is monotone nondecreasing step over step, matches
@@ -17,7 +17,7 @@
 use mobile_server::analysis::obs;
 use mobile_server::core::cost::ServingOrder;
 use mobile_server::core::mtc::MoveToCenter;
-use mobile_server::core::simulator::{run_batch, run_streaming_batch, StreamCheckpoint};
+use mobile_server::core::simulator::{run_batch, run_streaming, StreamCheckpoint};
 use mobile_server::offline::grid::grid_optimum;
 use mobile_server::offline::probe::{ProbeOptions, RatioProbe};
 use mobile_server::offline::solve_line;
@@ -67,7 +67,8 @@ proptest! {
         }
     }
 
-    /// Streaming batch results are bit-equal with metrics on and off.
+    /// Streaming results are bit-equal with metrics on and off, for every
+    /// (δ, order) of the batch grid.
     #[test]
     fn streaming_results_are_bit_equal_with_metrics_on_and_off(
         family in 0usize..FAMILIES.len(),
@@ -75,20 +76,20 @@ proptest! {
     ) {
         let inst = family_instance(family, seed, 96);
         let params = inst.params();
+        let stream = |delta, order| {
+            run_streaming(&params, inst.steps.iter().cloned(), MoveToCenter::new(), delta, order)
+        };
         let _guard = TOGGLE.lock().unwrap();
-        obs::enable();
-        let on = run_streaming_batch(
-            &params, inst.steps.iter().cloned(), &MoveToCenter::new(), &DELTAS, &ORDERS,
-        );
-        obs::disable();
-        let off = run_streaming_batch(
-            &params, inst.steps.iter().cloned(), &MoveToCenter::new(), &DELTAS, &ORDERS,
-        );
-        prop_assert_eq!(on.len(), off.len());
-        for (a, b) in on.iter().zip(&off) {
-            prop_assert_eq!(a.movement.to_bits(), b.movement.to_bits());
-            prop_assert_eq!(a.service.to_bits(), b.service.to_bits());
-            prop_assert_eq!(a.final_position, b.final_position);
+        for delta in DELTAS {
+            for order in ORDERS {
+                obs::enable();
+                let on = stream(delta, order);
+                obs::disable();
+                let off = stream(delta, order);
+                prop_assert_eq!(on.movement.to_bits(), off.movement.to_bits());
+                prop_assert_eq!(on.service.to_bits(), off.service.to_bits());
+                prop_assert_eq!(on.final_position, off.final_position);
+            }
         }
     }
 

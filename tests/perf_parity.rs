@@ -3,20 +3,17 @@
 //!
 //! * warm-started [`MedianSolver`] vs the cold free function vs the seed's
 //!   classic solver,
-//! * `run_batch` vs repeated `run` calls,
 //! * the grid DP's windowed scan vs the all-pairs scan: exactly equal
 //!   (the pruned window provably enumerates the same transition set; the
 //!   full parity matrix lives in `tests/transition_kernels.rs`),
 //! * (PR 3) the chunked SoA distance kernels vs their scalar oracles —
 //!   proptests with explicit f64 tolerance bounds, bit-equality where the
 //!   kernel promises it,
-//! * the lane-parallel batch engines vs the sequential path:
-//!   `run_batch` bit-equal to repeated `run` calls for every algorithm,
-//!   and `run_streaming_batch` bit-equal to `run_batch` across the
-//!   stream-block boundary.
+//! * the lane-parallel batch engine vs the sequential path: `run_batch`
+//!   bit-equal to repeated `run` calls for every algorithm, over one
+//!   table of instance shapes.
 
 use mobile_server::core::cost::{service_cost, service_cost_naive, ServingOrder};
-use mobile_server::core::simulator::{run, run_batch, run_streaming_batch};
 use mobile_server::geometry::median::{
     collinear, median_optimality_gap, sum_of_distances, weighted_center, weighted_center_classic,
     weighted_center_weighted, MedianOptions, MedianSolver,
@@ -329,53 +326,88 @@ fn warm_median_matches_cold_and_classic_within_1e9() {
     }
 }
 
-/// A planar workload with varying request counts for the batch parity run.
-fn batch_instance(seed: u64, horizon: usize) -> Instance<2> {
+/// A planar workload with 0–4 requests per step scattered (cube
+/// half-width `spread`) around a center moving along
+/// `(amp·sin(freq·t), drift·t)`.
+fn batch_instance(
+    seed: u64,
+    horizon: usize,
+    (freq, amp, drift, spread): (f64, f64, f64, f64),
+) -> Instance<2> {
     let mut s = SeededSampler::new(seed);
     let steps = (0..horizon)
         .map(|t| {
             let r = s.int_inclusive(0, 4);
-            let c = P2::xy((t as f64 * 0.1).sin() * 5.0, 0.05 * t as f64);
-            Step::new((0..r).map(|_| c + s.point_in_cube(1.5)).collect())
+            let c = P2::xy((t as f64 * freq).sin() * amp, drift * t as f64);
+            Step::new((0..r).map(|_| c + s.point_in_cube(spread)).collect())
         })
         .collect();
     Instance::new(3.0, 0.8, P2::origin(), steps)
 }
 
+/// Every `(δ, order)` result of `run_batch` is bit-equal to a fresh
+/// `run` of a clone of `algorithm`.
+fn assert_batch_matches_runs<A: OnlineAlgorithm<2> + Clone + Send>(
+    shape: &str,
+    inst: &Instance<2>,
+    deltas: &[f64],
+    algorithm: A,
+) {
+    let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
+    let batch = run_batch(inst, &algorithm, deltas, &orders);
+    assert_eq!(batch.len(), deltas.len() * orders.len(), "{shape}");
+    let grid = deltas
+        .iter()
+        .flat_map(|&delta| orders.iter().map(move |&order| (delta, order)));
+    for (b, (delta, order)) in batch.iter().zip(grid) {
+        let single = run(inst, &mut algorithm.clone(), delta, order);
+        let at = format!("{shape}: {} δ={delta} {order:?}", single.algorithm);
+        assert_eq!((b.delta, b.order), (delta, order), "{at}");
+        assert_eq!(b.algorithm, single.algorithm, "{at}");
+        assert_eq!(b.positions, single.positions, "{at}");
+        assert_eq!(
+            b.total_cost().to_bits(),
+            single.total_cost().to_bits(),
+            "{at}"
+        );
+    }
+}
+
+/// The batch engine reproduces repeated `run` calls **bit for bit**: each
+/// δ-lane is an independent run through the same step function, and the
+/// parallel fan-out only reorders wall-clock execution. MtC (warm-started
+/// median solver) and the coin-flip baseline (internally seeded RNG,
+/// reseeded at reset) both carry state that `run_batch` must reset per
+/// lane. One row per instance shape: a single request marching right,
+/// and drifting planar walks of 70 to 300 steps.
 #[test]
 fn run_batch_matches_repeated_runs_for_all_algorithms() {
-    let inst = batch_instance(9, 80);
-    let deltas = [0.0, 0.15, 0.6];
-    let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-
-    // MtC (warm-started) and the coin-flip baseline (internally seeded RNG,
-    // reseeded at reset) both have state that run_batch must reset per lane.
-    let batch_mtc = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
-    let batch_coin = run_batch(&inst, &RandomizedCoinFlip::<2>::new(7), &deltas, &orders);
-
-    let mut i = 0;
-    for &delta in &deltas {
-        for &order in &orders {
-            let mut mtc = MoveToCenter::new();
-            let single = run(&inst, &mut mtc, delta, order);
-            let b = &batch_mtc[i];
-            assert_eq!(b.algorithm, single.algorithm);
-            assert_eq!(b.positions, single.positions, "mtc δ={delta} {order:?}");
-            assert_eq!(
-                b.total_cost().to_bits(),
-                single.total_cost().to_bits(),
-                "mtc δ={delta} {order:?}"
-            );
-
-            let mut coin = RandomizedCoinFlip::<2>::new(7);
-            let single = run(&inst, &mut coin, delta, order);
-            let b = &batch_coin[i];
-            // The coin-flip stream is reset-deterministic, so batch lanes
-            // must reproduce the sequential trajectories exactly.
-            assert_eq!(b.positions, single.positions, "coin δ={delta} {order:?}");
-            assert_eq!(b.total_cost(), single.total_cost());
-            i += 1;
-        }
+    let march = (0..25)
+        .map(|i| Step::single(P2::xy(1.0 + i as f64, 0.0)))
+        .collect();
+    let walk = (0.1, 5.0, 0.05, 1.5);
+    let slow_walk = (0.09, 4.0, 0.04, 1.2);
+    let table: [(&str, Instance<2>, &[f64]); 4] = [
+        (
+            "march T=25",
+            Instance::new(1.0, 1.0, P2::origin(), march),
+            &[0.0, 0.1, 0.5, 1.0],
+        ),
+        ("walk T=80", batch_instance(9, 80, walk), &[0.0, 0.15, 0.6]),
+        (
+            "walk T=70",
+            batch_instance(21, 70, walk),
+            &[0.0, 0.2, 0.5, 0.9],
+        ),
+        (
+            "slow walk T=300",
+            batch_instance(7, 300, slow_walk),
+            &[0.0, 0.3, 0.8],
+        ),
+    ];
+    for (shape, inst, deltas) in &table {
+        assert_batch_matches_runs(shape, inst, deltas, MoveToCenter::new());
+        assert_batch_matches_runs(shape, inst, deltas, RandomizedCoinFlip::<2>::new(7));
     }
 }
 
@@ -525,58 +557,6 @@ proptest! {
                 }
             }
         }
-    }
-}
-
-/// The batch engine must reproduce sequential `run` **bit for bit**:
-/// every lane performs exactly the same arithmetic, parallel fan-out only
-/// reorders wall-clock execution.
-#[test]
-fn strict_parallel_run_batch_is_bit_equal_to_sequential_runs() {
-    let inst = batch_instance(21, 70);
-    let deltas = [0.0, 0.2, 0.5, 0.9];
-    let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-    let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
-    let mut i = 0;
-    for &delta in &deltas {
-        for &order in &orders {
-            let mut alg = MoveToCenter::new();
-            let single = run(&inst, &mut alg, delta, order);
-            let b = &batch[i];
-            assert_eq!(b.positions, single.positions, "δ={delta} {order:?}");
-            assert_eq!(
-                b.total_cost().to_bits(),
-                single.total_cost().to_bits(),
-                "δ={delta} {order:?}"
-            );
-            i += 1;
-        }
-    }
-}
-
-/// Streaming batch must mirror in-memory batch bit for bit, including
-/// when the horizon crosses the internal stream-block boundary (256
-/// steps).
-#[test]
-fn streaming_batch_bit_equals_batch_across_block_boundary() {
-    let inst = batch_instance(5, 600);
-    let deltas = [0.0, 0.25, 0.75];
-    let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-    let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
-    let streamed = run_streaming_batch(
-        &inst.params(),
-        inst.steps.iter().cloned(),
-        &MoveToCenter::new(),
-        &deltas,
-        &orders,
-    );
-    assert_eq!(streamed.len(), batch.len());
-    for (s, b) in streamed.iter().zip(&batch) {
-        assert_eq!(s.delta, b.delta);
-        assert_eq!(s.order, b.order);
-        assert_eq!(s.movement.to_bits(), b.cost.movement.to_bits());
-        assert_eq!(s.service.to_bits(), b.cost.service.to_bits());
-        assert_eq!(s.final_position, *b.positions.last().unwrap());
     }
 }
 

@@ -14,7 +14,7 @@
 //!   the true step sequence. Never a silently wrong replay.
 //! * **Block-parallel diff ≡ sequential diff** — `diff_block_traces`
 //!   returns exactly what the sequential `diff_streams` returns for
-//!   every thread count (1, 2, pool default), the `executor_semantics`
+//!   every thread count (1, 2, the full budget), the `executor_semantics`
 //!   pinning pattern applied to the corpus tier.
 //! * **Mid-frame EOF classification** — a dedicated regression per
 //!   format for `TraceReader::read_valid_prefix` and the v3 salvage
