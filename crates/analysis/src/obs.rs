@@ -31,8 +31,9 @@
 //! contend on a single line; histograms record into power-of-two buckets
 //! with a handful of relaxed atomic adds. Hot loops accumulate locally
 //! and flush once per step/block/dispatch, keeping the instrumented path
-//! within 1% of the uninstrumented one (the `obs_overhead` pair in the
-//! `BENCH_*.json` records tracks this).
+//! within a few percent of the uninstrumented one (the
+//! `obs_overhead_streaming` pair of `perf_report` measures and gates
+//! this).
 //!
 //! ```
 //! use msp_analysis::obs;

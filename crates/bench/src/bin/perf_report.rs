@@ -1,116 +1,169 @@
-//! Emits the machine-readable perf trajectory record (`BENCH_16.json`):
-//! wall-clock comparisons of the tracked fast paths against their
-//! baselines, so future optimization PRs have measured numbers to beat.
-//! `docs/BENCHMARKS.md` documents the record format, the regeneration
-//! workflow, and what the CI gate enforces.
+//! Measures the tracked fast paths against their baselines and writes a
+//! machine-readable perf record; with `--check` it is CI's perf gate.
+//! `docs/BENCHMARKS.md` documents the record format, the gate, the
+//! recording rule and each row's measured share of the run it serves.
 //!
-//! Pairs measured:
+//! The pairs are one table ([`pairs`]). Each row names the end-to-end
+//! run and layer its fast path serves (a `perfbench` workload from
+//! `BENCHMARK.json`, or a Quick-suite experiment), its shape, its parity
+//! assertion, and its two arms, which share the row's scratch through
+//! one `FnMut(Arm, &mut Vec<f64>)`: an arm writes its answer into the
+//! buffer it is handed. A row's input has the shape of the traffic its
+//! run sends through the fast path, and a fast path whose layer is not a
+//! material share of any end-to-end run has no row.
 //!
-//! * `kernel_service_cost_*` — chunked `service_cost` vs the scalar
-//!   `service_cost_naive` oracle,
-//! * `kernel_dp_serve_scan` — the grid DP's SoA per-node service scan vs
-//!   the per-node scalar loop,
-//! * `median_drift_*` — warm-started [`MedianSolver`] vs the seed's cold
-//!   classic solver over a drifting request cluster,
-//! * `multi_delta_sweep_strict` — `run_batch` over a (δ × order) grid vs
-//!   repeated `run` calls (the name is kept from when a cross-lane seeded
-//!   `multi_delta_sweep` ran beside it, so its recorded floor still
-//!   applies),
-//! * `grid_dp_*` — the radius-pruned windowed transition kernel vs the
-//!   all-pairs scan (both sides share the hoisted SoA service scan, so
-//!   the baseline is *stricter* than `BENCH_1.json`'s),
-//! * `obs_overhead_streaming` (PR 7) — the same streaming MtC sweep with
-//!   the [`msp_analysis::obs`] metrics registry **enabled** (baseline)
-//!   vs **disabled** (fast): the instrumentation tax on the hot path.
-//!   The contract is ≈ 1× — results are bit-equal either way (asserted)
-//!   and the enabled path must stay within ~1% of the disabled one,
-//! * `service_session_churn` (PR 8) — a round-robin advance over a
-//!   session fleet through [`msp_scenarios::SessionService`] with a
-//!   resident cap of 1 (every touch evicts the previous session and
-//!   warm-resumes the next — maximum churn) vs a cap covering the whole
-//!   fleet (no churn): the measured gap is the evict/checkpoint/resume
-//!   overhead of the bounded-memory tier, with bit-equal costs asserted
-//!   across the two configurations,
-//! * `corpus_seek_vs_scan` (PR 9) — O(1) `seek_to_step` through the
-//!   block-v3 index trailer vs scanning frames from the start of the
-//!   trace to the same probe steps (identical frames asserted).
+//! [`time_pair`] times a row's two arms alternately, rep by rep in ABBA
+//! order, so a speed phase of the host lands on both arms alike. A row's
+//! ratio is the median of its per-rep `baseline / fast` ratios.
 //!
-//! Older records also carry pairs whose code has since been deleted
-//! (`docs/BENCHMARKS.md` lists them); they stay in those files as
-//! history, and `--check` prints one `retired` line for each instead of
-//! gating it, so a pair that leaves the gate shows in the log.
+//! `--check <recorded.json>` gates every measured row by one rule: its
+//! ratio must be at least 0.8 × the ratio recorded under its name. The
+//! two tax rows (`obs_overhead_streaming`, `service_session_churn`) time
+//! the feature-on arm as the fast one, so a growing tax lowers their
+//! ratio. A recorded name that is no longer measured prints one
+//! `retired` line and is not gated.
 //!
 //! Usage:
 //!   `cargo run --release -p msp-bench --bin perf_report [-- FLAGS] [out.json]`
 //!
 //! Flags:
-//! * `--quick` — reduced grid for CI smoke runs (smaller horizons/grids,
-//!   fewer repetitions; default output `bench-ci.json`),
-//! * `--check <recorded.json>` — after measuring, compare each bench
-//!   against the speedup recorded under the same name in the given file
-//!   and exit non-zero if any falls below 0.8× of its recorded value
-//!   (the CI `perf_smoke` regression gate),
+//! * `--quick` — the reduced shapes CI gates on (default output
+//!   `bench-ci.json`; a full run writes `bench.json`),
+//! * `--check <recorded.json>` — after measuring, gate every row against
+//!   the given record and exit non-zero if any fails,
 //! * `--help` — usage summary plus a pointer to `docs/BENCHMARKS.md`.
 //!
 //! Release mode only — debug timings are meaningless.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use msp_analysis::Json;
-use msp_core::cost::{service_cost, service_cost_naive, ServingOrder};
+use msp_analysis::{obs, Json};
+use msp_core::cost::{service_cost_naive, ServingOrder};
 use msp_core::model::{Instance, Step};
 use msp_core::mtc::MoveToCenter;
-use msp_core::simulator::{run, run_batch, run_streaming};
+use msp_core::simulator::{run_streaming, StreamingSim};
 use msp_geometry::median::{weighted_center, weighted_center_classic, MedianOptions, MedianSolver};
 use msp_geometry::sample::SeededSampler;
-use msp_geometry::soa::SoaPoints;
 use msp_geometry::P2;
 use msp_offline::grid::GridDp;
+use msp_scenarios::registry::{lookup_or_err, ScenarioKnobs};
+use msp_scenarios::RequestStream;
 use msp_workloads::{DriftingHotspot, DriftingHotspotConfig, RequestCount};
 
-/// Median of `reps` wall-clock timings of `f` (after one warm-up call).
-fn time_ns<O>(reps: usize, mut f: impl FnMut() -> O) -> u128 {
-    std::hint::black_box(f());
-    let mut samples: Vec<u128> = (0..reps.max(3))
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort();
+/// The gate: a measured ratio must reach this share of its recorded one.
+const FLOOR: f64 = 0.8;
+
+/// Which side of a pair runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Arm {
+    Baseline,
+    Fast,
+}
+
+/// Checks the baseline's answer (first) against the fast arm's.
+type Parity = Box<dyn Fn(&[f64], &[f64]) -> Result<(), String>>;
+
+/// Runs one arm once, replacing the buffer's contents with its answer.
+type Arms = Box<dyn FnMut(Arm, &mut Vec<f64>)>;
+
+/// One row of the table.
+struct Pair {
+    name: String,
+    /// The end-to-end run and layer the fast path is part of.
+    serves: &'static str,
+    /// The measured shape.
+    detail: String,
+    parity: Parity,
+    arms: Arms,
+}
+
+/// A row's timing: each arm's median and the median per-rep ratio.
+struct Timing {
+    baseline_ns: u128,
+    fast_ns: u128,
+    speedup: f64,
+}
+
+fn median<T: Copy + PartialOrd>(mut samples: Vec<T>) -> T {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("comparable samples"));
     samples[samples.len() / 2]
 }
 
-struct Comparison {
-    name: String,
-    baseline_ns: u128,
-    fast_ns: u128,
-    detail: String,
+/// Times `arms` `reps` times per arm, alternating in ABBA order: even
+/// reps run the baseline first, odd reps the fast arm first. Each arm
+/// writes into its own buffer. The caller has already run each arm once
+/// (the parity check), which warms both.
+fn time_pair(reps: usize, arms: &mut dyn FnMut(Arm, &mut Vec<f64>)) -> Timing {
+    let (mut base_out, mut fast_out) = (Vec::new(), Vec::new());
+    let mut time = |arm, out: &mut Vec<f64>| {
+        let start = Instant::now();
+        arms(arm, out);
+        black_box(&*out);
+        start.elapsed().as_nanos().max(1)
+    };
+    let (mut base, mut fast, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..reps {
+        let (b, f) = if rep % 2 == 0 {
+            let b = time(Arm::Baseline, &mut base_out);
+            (b, time(Arm::Fast, &mut fast_out))
+        } else {
+            let f = time(Arm::Fast, &mut fast_out);
+            (time(Arm::Baseline, &mut base_out), f)
+        };
+        base.push(b);
+        fast.push(f);
+        ratios.push(b as f64 / f as f64);
+    }
+    Timing {
+        baseline_ns: median(base),
+        fast_ns: median(fast),
+        speedup: median(ratios),
+    }
 }
 
-impl Comparison {
-    fn speedup(&self) -> f64 {
-        self.baseline_ns as f64 / self.fast_ns.max(1) as f64
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::Str(self.name.clone())),
-            ("baseline_ns", Json::Num(self.baseline_ns as f64)),
-            ("fast_ns", Json::Num(self.fast_ns as f64)),
-            ("speedup", Json::Num(self.speedup())),
-            ("detail", Json::Str(self.detail.clone())),
-        ])
+/// Runs each arm once into a fresh buffer and panics unless the row's
+/// parity assertion accepts the two answers, so no record comes from a
+/// broken fast path.
+fn assert_parity(pair: &mut Pair) {
+    let (mut base, mut fast) = (Vec::new(), Vec::new());
+    (pair.arms)(Arm::Baseline, &mut base);
+    (pair.arms)(Arm::Fast, &mut fast);
+    if let Err(e) = (pair.parity)(&base, &fast) {
+        panic!("{}: parity broken: {e}", pair.name);
     }
 }
 
-/// Benchmark shape knobs: full record vs the CI `--quick` smoke grid.
+/// The parity assertion of rows whose arms must agree bit for bit,
+/// element by element.
+fn bit_equal(base: &[f64], fast: &[f64]) -> Result<(), String> {
+    if base.len() != fast.len() {
+        return Err(format!(
+            "baseline answered {} values, fast {}",
+            base.len(),
+            fast.len()
+        ));
+    }
+    match base
+        .iter()
+        .zip(fast)
+        .position(|(b, f)| b.to_bits() != f.to_bits())
+    {
+        Some(k) => Err(format!(
+            "value {k}: baseline {:e}, fast {:e}",
+            base[k], fast[k]
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Benchmark shape knobs: full record vs the CI `--quick` grid. One rep
+/// count serves every row of a shape.
 struct Shapes {
-    drift_steps: usize,
+    /// Steps per scenario family in the median row.
+    median_steps: usize,
     sweep_horizon: usize,
     grid_cells: [usize; 2],
-    kernel_evals: usize,
     /// Sessions in the service-churn fleet.
     churn_sessions: usize,
     reps: usize,
@@ -119,165 +172,194 @@ struct Shapes {
 impl Shapes {
     fn full() -> Self {
         Shapes {
-            drift_steps: 256,
+            median_steps: 1_024,
             sweep_horizon: 1_000,
             grid_cells: [41, 61],
-            kernel_evals: 256,
             churn_sessions: 48,
-            reps: 9,
+            reps: 15,
         }
     }
 
-    /// Reduced grid for the CI smoke gate. Shapes are smaller (so the
-    /// run stays in CI budget) but repetitions are *higher* than the full
-    /// record — each rep is cheap and the 0.8× regression floor needs
-    /// stable medians more than it needs big instances. Check quick runs
-    /// against a quick-shape record (`BENCH_16_quick.json`), never against
-    /// the full record: pruning windows and warm-start gains scale with
-    /// the instance, so cross-shape speedups are not comparable.
+    /// Smaller instances, so a gate run stays in CI budget. Check quick
+    /// runs against a quick-shape record only: pruning windows and
+    /// warm-start gains scale with the instance, so ratios of different
+    /// shapes are not comparable.
     fn quick() -> Self {
         Shapes {
-            drift_steps: 96,
+            median_steps: 256,
             sweep_horizon: 300,
-            // Kept at the recorded sizes so `grid_dp_31/41` stay
-            // comparable with the quick reference record.
             grid_cells: [31, 41],
-            kernel_evals: 128,
             churn_sessions: 24,
-            reps: 13,
+            reps: 21,
         }
     }
 }
 
-fn drifting_clusters(n_points: usize, steps: usize) -> Vec<Vec<P2>> {
-    let mut s = SeededSampler::new(11);
-    let offsets: Vec<P2> = (0..n_points).map(|_| s.point_in_cube(2.0)).collect();
-    (0..steps)
-        .map(|t| {
-            let c = P2::xy(0.03 * t as f64, 0.02 * t as f64);
-            offsets
-                .iter()
-                .map(|o| c + *o + s.point_in_cube(0.05))
+/// The table, in print order.
+fn pairs(sh: &Shapes) -> Vec<Pair> {
+    vec![
+        median_churn(sh),
+        grid_dp(sh.grid_cells[0]),
+        grid_dp(sh.grid_cells[1]),
+        obs_overhead(sh),
+        session_churn(sh),
+    ]
+}
+
+/// The scenario families `service_churn` spreads its sessions over
+/// (perfbench/src/workloads.rs), in equal shares.
+const CHURN_FAMILIES: [&str; 4] = ["edge-drift", "walk-plane", "car-fleet", "district-clusters"];
+
+/// `steps` steps of each [`CHURN_FAMILIES`] stream, as the request sets
+/// Move-to-Center solves a median for, each with the server position it
+/// solves from (the solve's tie-break reference). Steps without requests
+/// are left out: MtC solves nothing there.
+fn churn_traffic(steps: usize) -> Vec<Vec<(Vec<P2>, P2)>> {
+    CHURN_FAMILIES
+        .iter()
+        .enumerate()
+        .map(|(k, family)| {
+            let spec = lookup_or_err(family).expect("registry scenario");
+            let mut stream = spec
+                .stream_with::<2>(
+                    SeededSampler::derive_seed(1, k as u64),
+                    &ScenarioKnobs::horizon(steps),
+                )
+                .expect("planar scenario stream");
+            let mut sim = StreamingSim::new(
+                &stream.params(),
+                MoveToCenter::new(),
+                spec.default_delta,
+                ServingOrder::MoveFirst,
+            );
+            std::iter::from_fn(|| stream.next_step())
+                .filter_map(|step| {
+                    let at = *sim.position();
+                    sim.feed(&step);
+                    (!step.requests.is_empty()).then_some((step.requests, at))
+                })
                 .collect()
         })
         .collect()
 }
 
-fn service_kernel_comparison(n: usize, name: &'static str, sh: &Shapes) -> Comparison {
-    let sets = drifting_clusters(n, sh.kernel_evals);
-    let p = P2::xy(0.4, -0.3);
-    let baseline_ns = time_ns(sh.reps, || {
-        let mut acc = 0.0;
-        for pts in &sets {
-            acc += service_cost_naive(&p, pts);
+/// Move-to-Center's median solves on `service_churn`'s traffic: the
+/// seed's cold classic solver vs the warm [`MedianSolver`] (closed forms
+/// for three and four requests, warm Weiszfeld above), one solver per
+/// family as one per session. Each arm answers every center. Parity:
+/// every fast center lies within 1e-8 (relative) of the pipeline's own
+/// cold [`weighted_center`], and its objective is no worse than the
+/// classic center's; the classic solver stops short of the true median
+/// by up to 1e-2 on this traffic, so the two are not compared point by
+/// point.
+fn median_churn(sh: &Shapes) -> Pair {
+    let traffic = churn_traffic(sh.median_steps);
+    let opts = MedianOptions::default();
+    let sets: Vec<(Vec<P2>, P2)> = traffic.iter().flatten().cloned().collect();
+    let cold: Vec<P2> = sets
+        .iter()
+        .map(|(requests, at)| weighted_center(requests, at, opts))
+        .collect();
+    let most = sets.iter().map(|(r, _)| r.len()).max().unwrap_or(0);
+    let ones = vec![1.0; most];
+    let mut probe = MedianSolver::<2>::new(opts);
+    for family in &traffic {
+        probe.reset();
+        for (requests, at) in family {
+            probe.center(requests, at);
         }
-        acc
-    });
-    let fast_ns = time_ns(sh.reps, || {
-        let mut acc = 0.0;
-        for pts in &sets {
-            acc += service_cost(&p, pts);
-        }
-        acc
-    });
-    // Parity sanity on the last set.
-    let last = sets.last().unwrap();
-    let (a, b) = (service_cost(&p, last), service_cost_naive(&p, last));
-    assert!((a - b).abs() <= 1e-10 * (1.0 + b), "kernel parity broken");
-    Comparison {
-        name: name.into(),
-        baseline_ns,
-        fast_ns,
+    }
+    Pair {
+        name: "median_service_churn".into(),
+        serves: "service_churn: median (MoveToCenter's center solves)",
         detail: format!(
-            "{} request sets of {n} points; scalar sum-of-distances loop vs chunked kernel",
-            sets.len()
+            "{} request sets (1–{most} requests) of service_churn's scenario families, {} \
+             steps each, referenced at MtC's positions; seed cold-start solver vs warm \
+             MedianSolver (mean {:.2} Weiszfeld iters/solve warm)",
+            sets.len(),
+            sh.median_steps,
+            probe.telemetry.mean_iterations()
         ),
+        parity: Box::new(move |base, fast| {
+            if base.len() != 2 * sets.len() || fast.len() != 2 * sets.len() {
+                return Err(format!(
+                    "{} sets, baseline answered {} values, fast {}",
+                    sets.len(),
+                    base.len(),
+                    fast.len()
+                ));
+            }
+            for (k, ((requests, _), c)) in sets.iter().zip(&cold).enumerate() {
+                let b = P2::xy(base[2 * k], base[2 * k + 1]);
+                let f = P2::xy(fast[2 * k], fast[2 * k + 1]);
+                let near_cold = f.distance(c) <= 1e-8 * (1.0 + c.norm());
+                if !near_cold {
+                    return Err(format!("set {k}: fast {f:?}, cold weighted_center {c:?}"));
+                }
+                let (fb, ff) = (
+                    service_cost_naive(&b, requests),
+                    service_cost_naive(&f, requests),
+                );
+                let no_worse = ff <= fb * (1.0 + 1e-12);
+                if !no_worse {
+                    return Err(format!("set {k}: fast objective {ff:e} > classic {fb:e}"));
+                }
+            }
+            Ok(())
+        }),
+        arms: Box::new(move |arm, out| {
+            out.clear();
+            let mut solver = MedianSolver::<2>::new(opts);
+            for family in &traffic {
+                solver.reset();
+                for (requests, at) in family {
+                    let c = match arm {
+                        Arm::Baseline => {
+                            weighted_center_classic(requests, &ones[..requests.len()], at, opts)
+                        }
+                        Arm::Fast => solver.center(requests, at),
+                    };
+                    out.extend_from_slice(&[c[0], c[1]]);
+                }
+            }
+        }),
     }
 }
 
-fn dp_serve_scan_comparison(sh: &Shapes) -> Comparison {
-    // The grid DP's per-step shape: many nodes, few requests.
-    let side = if sh.grid_cells[1] > 41 { 96 } else { 48 };
-    let mut nodes = Vec::with_capacity(side * side);
-    for y in 0..side {
-        for x in 0..side {
-            nodes.push(P2::xy(x as f64 * 0.05, y as f64 * 0.05));
-        }
-    }
-    let nodes_soa = SoaPoints::from_points(&nodes);
-    let requests = [P2::xy(1.0, 1.3), P2::xy(0.2, 2.0), P2::xy(2.1, 0.4)];
-    let mut serve = vec![0.0f64; nodes.len()];
-    let baseline_ns = time_ns(sh.reps, || {
-        for (k, pk) in nodes.iter().enumerate() {
-            serve[k] = service_cost_naive(pk, &requests);
-        }
-        serve[0]
-    });
-    let mut serve_fast = vec![0.0f64; nodes.len()];
-    let fast_ns = time_ns(sh.reps, || {
-        nodes_soa.service_costs_into(&requests, &mut serve_fast);
-        serve_fast[0]
-    });
-    for (a, b) in serve_fast.iter().zip(&serve) {
-        assert_eq!(a.to_bits(), b.to_bits(), "serve scan parity broken");
-    }
-    Comparison {
-        name: "kernel_dp_serve_scan".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{}×{side} nodes × 3 requests; per-node scalar loop vs per-request SoA column scan",
-            side
-        ),
-    }
+/// The planar instance every grid-DP row prices: T=6, two requests per
+/// step, a movement budget that keeps the pruning window well inside
+/// the arena.
+fn grid_instance() -> Instance<2> {
+    let steps: Vec<Step<2>> = (0..6)
+        .map(|t| {
+            let a = t as f64 * 0.9;
+            Step::new(vec![P2::xy(a.cos(), a.sin()), P2::xy(-0.4 * a.sin(), 0.7)])
+        })
+        .collect();
+    Instance::new(2.0, 0.4, P2::origin(), steps)
 }
 
-fn median_comparison(n: usize, name: &'static str, sh: &Shapes) -> Comparison {
-    let sets = drifting_clusters(n, sh.drift_steps);
-    let reference = P2::origin();
-    let ones = vec![1.0; n];
-    // Baseline: the seed's cold-start solver (full-length Weiszfeld from
-    // the centroid plus exhaustive anchor snap).
-    let baseline_ns = time_ns(sh.reps, || {
-        let mut acc = P2::origin();
-        for pts in &sets {
-            acc = weighted_center_classic(pts, &ones, &reference, MedianOptions::default());
-        }
-        acc
-    });
-    let fast_ns = time_ns(sh.reps, || {
-        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
-        let mut acc = P2::origin();
-        for pts in &sets {
-            acc = solver.center(pts, &reference);
-        }
-        acc
-    });
-    // Sanity: warm, hybrid-cold and classic-cold centers agree on the
-    // final set.
-    let mut solver = MedianSolver::<2>::new(MedianOptions::default());
-    let mut warm = P2::origin();
-    for pts in &sets {
-        warm = solver.center(pts, &reference);
-    }
-    let last = sets.last().unwrap();
-    let cold = weighted_center(last, &reference, MedianOptions::default());
-    let classic = weighted_center_classic(last, &ones, &reference, MedianOptions::default());
-    assert!(
-        warm.distance(&cold) < 1e-9,
-        "warm/hybrid-cold parity broken"
-    );
-    assert!(warm.distance(&classic) < 1e-9, "warm/classic parity broken");
-    Comparison {
-        name: name.into(),
-        baseline_ns,
-        fast_ns,
+/// The radius-pruned windowed transition scan vs the all-pairs scan,
+/// both on one reused [`GridDp`] (and so on the same hoisted SoA service
+/// scan).
+fn grid_dp(cells: usize) -> Pair {
+    let inst = grid_instance();
+    let mut dp = GridDp::new(&inst, cells);
+    Pair {
+        name: format!("grid_dp_{cells}"),
+        serves: "Quick suite e4b, v1: GridDp transition scan",
         detail: format!(
-            "{n}-point cluster drifting over {} steps; seed cold-start solver vs warm \
-             MedianSolver (mean {:.1} Weiszfeld iters/solve warm)",
-            sh.drift_steps,
-            solver.telemetry.mean_iterations()
+            "{cells}×{cells} planar grid, T=6, m=0.4, reused GridDp scratch: all-pairs transition \
+             scan vs radius-pruned window (both on the hoisted SoA service scan)"
         ),
+        parity: Box::new(bit_equal),
+        arms: Box::new(move |arm, out| {
+            out.clear();
+            out.push(match arm {
+                Arm::Baseline => dp.solve_unpruned(&inst, ServingOrder::MoveFirst),
+                Arm::Fast => dp.solve(&inst, ServingOrder::MoveFirst),
+            });
+        }),
     }
 }
 
@@ -295,128 +377,48 @@ fn sweep_instance(sh: &Shapes) -> Instance<2> {
     gen.generate(3)
 }
 
-const SWEEP_DELTAS: [f64; 5] = [0.0, 0.1, 0.2, 0.4, 0.8];
-const SWEEP_ORDERS: [ServingOrder; 2] = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-
-fn batch_comparison(sh: &Shapes) -> Comparison {
-    let inst = sweep_instance(sh);
-    let baseline_ns = time_ns(7.min(sh.reps), || {
-        let mut total = 0.0;
-        for &delta in &SWEEP_DELTAS {
-            for &order in &SWEEP_ORDERS {
-                let mut alg = MoveToCenter::new();
-                total += run(&inst, &mut alg, delta, order).total_cost();
-            }
-        }
-        total
-    });
-    let fast_ns = time_ns(7.min(sh.reps), || {
-        run_batch(&inst, &MoveToCenter::new(), &SWEEP_DELTAS, &SWEEP_ORDERS)
-            .iter()
-            .map(|r| r.total_cost())
-            .sum::<f64>()
-    });
-    Comparison {
-        name: "multi_delta_sweep_strict".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "5 δ × 2 orders on a T={} drifting hotspot; repeated run() vs one run_batch() pass (δ-lanes fanned out over threads)",
-            sh.sweep_horizon
-        ),
-    }
-}
-
-/// The planar instance every grid-DP comparison prices: T=6, two
-/// requests per step, a movement budget that keeps the pruning window
-/// well inside the arena.
-fn grid_instance() -> Instance<2> {
-    let steps: Vec<Step<2>> = (0..6)
-        .map(|t| {
-            let a = t as f64 * 0.9;
-            Step::new(vec![P2::xy(a.cos(), a.sin()), P2::xy(-0.4 * a.sin(), 0.7)])
-        })
-        .collect();
-    Instance::new(2.0, 0.4, P2::origin(), steps)
-}
-
-fn grid_comparison(cells: usize, sh: &Shapes) -> Comparison {
-    let inst = grid_instance();
-    let mut dp = GridDp::new(&inst, cells);
-    let baseline_ns = time_ns(5.min(sh.reps), || {
-        dp.solve_unpruned(&inst, ServingOrder::MoveFirst)
-    });
-    let fast_ns = time_ns(5.min(sh.reps), || dp.solve(&inst, ServingOrder::MoveFirst));
-    let pruned = dp.solve(&inst, ServingOrder::MoveFirst);
-    let full = dp.solve_unpruned(&inst, ServingOrder::MoveFirst);
-    assert_eq!(pruned, full, "pruned/all-pairs parity broken");
-    Comparison {
-        // Derived from the actual cell count so quick-shape records are
-        // labeled (and gate-matched) by what actually ran.
-        name: format!("grid_dp_{cells}"),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{cells}×{cells} planar grid, T=6, m=0.4, reused GridDp scratch: all-pairs transition \
-             scan vs radius-pruned window (both on the hoisted SoA service scan)"
-        ),
-    }
-}
-
-/// PR 7: the observability tax. One streaming MtC pass over the sweep
-/// instance with the process-wide metrics registry enabled (baseline)
-/// vs disabled (fast). Instrumentation is read-only and batched
-/// (`OBS_STEP_FLUSH`), so the two sides must produce bit-equal costs
-/// (asserted) and time within ~1% of each other — the recorded speedup
-/// hovers at 1× and the 0.8× floor guards against a future probe
-/// landing un-batched in the hot path.
-fn obs_overhead_comparison(sh: &Shapes) -> Comparison {
-    use msp_analysis::obs;
+/// The observability tax: one streaming MtC pass with the metrics
+/// registry disabled (baseline) vs enabled (fast, the feature-on arm).
+/// The ratio sits just under 1×, and a growing tax lowers it.
+fn obs_overhead(sh: &Shapes) -> Pair {
     let inst = sweep_instance(sh);
     let params = inst.params();
-    let pass = || {
-        run_streaming(
-            &params,
-            inst.steps.iter().cloned(),
-            MoveToCenter::new(),
-            0.2,
-            ServingOrder::MoveFirst,
-        )
-        .total_cost()
-    };
-    obs::enable();
-    let baseline_ns = time_ns(sh.reps, pass);
-    let cost_enabled = pass();
-    obs::disable();
-    let fast_ns = time_ns(sh.reps, pass);
-    let cost_disabled = pass();
-    assert_eq!(
-        cost_enabled.to_bits(),
-        cost_disabled.to_bits(),
-        "metrics toggling changed streaming results"
-    );
-    Comparison {
+    Pair {
         name: "obs_overhead_streaming".into(),
-        baseline_ns,
-        fast_ns,
+        serves: "every traced perfbench run: trace_overhead (metrics registry on)",
         detail: format!(
-            "one streaming MoveToCenter pass over T={} with the obs registry enabled              (baseline) vs disabled (fast); bit-equal costs asserted, contract ≈ 1×",
+            "one streaming MoveToCenter pass over T={} with the obs registry disabled \
+             (baseline) vs enabled (fast); bit-equal costs asserted",
             sh.sweep_horizon
         ),
+        parity: Box::new(bit_equal),
+        arms: Box::new(move |arm, out| {
+            if arm == Arm::Fast {
+                obs::enable();
+            }
+            let cost = run_streaming(
+                &params,
+                inst.steps.iter().cloned(),
+                MoveToCenter::new(),
+                0.2,
+                ServingOrder::MoveFirst,
+            )
+            .total_cost();
+            obs::disable();
+            out.clear();
+            out.push(cost);
+        }),
     }
 }
 
-/// PR 8: the session-churn tax of the bounded-memory service tier. The
-/// same round-robin fleet advance runs through a
-/// [`msp_scenarios::SessionService`] with
-/// a resident cap of 1 — every touch collapses the previous session to
-/// warm state and resumes the next one (maximum evict/resume churn) —
-/// vs a cap covering the whole fleet, where every simulator stays live.
-/// Costs must be bit-equal across the two configurations (that is the
-/// service's resume contract; asserted), so the ratio isolates pure
-/// churn overhead: checkpoint + warm-state encode on evict, algorithm
-/// clone + decode on resume.
-fn session_churn_comparison(sh: &Shapes) -> Comparison {
+/// The session-churn tax of the bounded-memory service tier: the same
+/// round-robin fleet advance through a [`msp_scenarios::SessionService`]
+/// whose resident cap covers the fleet (baseline, every session stays
+/// live) vs a cap of 1 (fast, the feature-on arm: every touch evicts the
+/// previous session and warm-resumes the next). Costs are bit-equal
+/// either way (the service's resume contract), so the ratio isolates the
+/// evict/resume overhead, and a growing overhead lowers it.
+fn session_churn(sh: &Shapes) -> Pair {
     use msp_scenarios::{InstanceStream, ServiceConfig, SessionService};
 
     const CHURN_STEPS: usize = 96;
@@ -432,7 +434,8 @@ fn session_churn_comparison(sh: &Shapes) -> Comparison {
         Instance::new(2.0, 1.0, P2::origin(), steps)
     }
 
-    fn run_fleet(n: usize, max_resident: usize) -> f64 {
+    /// Answers the session's running cost after every advance.
+    fn run_fleet(n: usize, max_resident: usize, out: &mut Vec<f64>) {
         let mut service =
             SessionService::<2, MoveToCenter<2>>::new(ServiceConfig::new(max_resident));
         for s in 0..n as u64 {
@@ -446,134 +449,96 @@ fn session_churn_comparison(sh: &Shapes) -> Comparison {
                 )
                 .expect("open churn session");
         }
-        let mut total = 0.0;
+        out.clear();
         for _ in 0..CHURN_STEPS / CHURN_SLICE {
             for s in 0..n as u64 {
-                total += service
+                let advanced = service
                     .advance(&format!("churn{s}"), CHURN_SLICE)
-                    .expect("advance churn session")
-                    .total_cost;
+                    .expect("advance churn session");
+                out.push(advanced.total_cost);
             }
         }
-        total
     }
 
     let n = sh.churn_sessions;
-    let baseline_ns = time_ns(sh.reps, || run_fleet(n, 1));
-    let fast_ns = time_ns(sh.reps, || run_fleet(n, n));
-    let (churned, resident) = (run_fleet(n, 1), run_fleet(n, n));
-    assert_eq!(
-        churned.to_bits(),
-        resident.to_bits(),
-        "session churn changed results: {churned} vs {resident}"
-    );
-    Comparison {
+    Pair {
         name: "service_session_churn".into(),
-        baseline_ns,
-        fast_ns,
+        serves: "service_churn: service (evict + warm resume)",
         detail: format!(
             "{n} single-request sessions × {CHURN_STEPS} steps advanced round-robin in \
-             {CHURN_SLICE}-step slices through a memory-only SessionService; resident cap 1 \
-             (evict + warm-resume on every touch) vs cap {n} (all live); bit-equal costs asserted"
+             {CHURN_SLICE}-step slices through a memory-only SessionService; resident cap {n} \
+             (all live, baseline) vs cap 1 (evict + warm-resume on every touch, fast); \
+             bit-equal running costs asserted"
         ),
+        parity: Box::new(bit_equal),
+        arms: Box::new(move |arm, out| match arm {
+            Arm::Baseline => run_fleet(n, n, out),
+            Arm::Fast => run_fleet(n, 1, out),
+        }),
     }
 }
 
-/// PR 9: O(1) `seek_to_step` through the v3 index trailer vs scanning
-/// frames from the start of the trace to the same probe steps. Both
-/// sides use the same reader and end on the same frame (bit-equality
-/// asserted), so the measured gap is exactly the scan prefix the index
-/// makes unnecessary.
-fn corpus_seek_vs_scan(sh: &Shapes) -> Comparison {
-    use msp_scenarios::{record_to_vec, BlockTraceReader, InstanceStream, RequestStream};
-
-    let inst = sweep_instance(sh);
-    let total = inst.horizon();
-    let bytes = record_to_vec(
-        &mut InstanceStream::new(inst),
-        msp_scenarios::TraceFormat::BlockV3 { block: 64 },
-    )
-    .expect("record v3 trace");
-    let mut reader = BlockTraceReader::<2>::open(&bytes).expect("open v3 trace");
-    let probes: Vec<usize> = (1..=4).map(|i| i * (total - 1) / 4).collect();
-
-    let frame_bits = |frame: &[P2]| -> Vec<[u64; 2]> {
-        frame
-            .iter()
-            .map(|p| [p[0].to_bits(), p[1].to_bits()])
-            .collect()
-    };
-    for &k in &probes {
-        reader.rewind();
-        for _ in 0..k {
-            reader.next_frame().expect("scan").expect("frame");
-        }
-        let scanned = frame_bits(reader.next_frame().expect("scan").expect("frame"));
-        reader.seek_to_step(k).expect("seek");
-        let sought = frame_bits(reader.next_frame().expect("seek read").expect("frame"));
-        assert_eq!(scanned, sought, "seek({k}) diverged from the scanned frame");
-    }
-
-    let baseline_ns = time_ns(sh.reps, || {
-        let mut acc = 0usize;
-        for &k in &probes {
-            reader.rewind();
-            for _ in 0..k {
-                reader.next_frame().unwrap().unwrap();
-            }
-            acc += reader.next_frame().unwrap().unwrap().len();
-        }
-        acc
-    });
-    let fast_ns = time_ns(sh.reps, || {
-        let mut acc = 0usize;
-        for &k in &probes {
-            reader.seek_to_step(k).unwrap();
-            acc += reader.next_frame().unwrap().unwrap().len();
-        }
-        acc
-    });
-    Comparison {
-        name: "corpus_seek_vs_scan".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "4 probe steps across a {total}-step block-v3 trace (64 steps/block): \
-             seek_to_step via the CRC-guarded index trailer vs scanning frames from the \
-             start; identical frames asserted bit-equal"
-        ),
-    }
-}
-
-/// Extracts `(name, speedup)` pairs from a previously recorded report.
-/// The format is our own compact emitter's (`"name":"…"` precedes
-/// `"speedup":…` inside each bench object, keys alphabetical), so a
-/// lightweight scan (the workspace has no JSON parser dependency) is
-/// sufficient and stable.
+/// Extracts `(name, speedup)` pairs from a recorded report. The format
+/// is our own compact emitter's (`"name":"…"` precedes `"speedup":…`
+/// inside each bench object, keys alphabetical), so a lightweight scan
+/// (the workspace has no JSON parser dependency) is sufficient and
+/// stable.
 fn recorded_speedups(text: &str) -> Vec<(String, f64)> {
-    fn number_after(chunk: &str, key: &str) -> Option<String> {
-        let pos = chunk.find(key)?;
-        Some(
-            chunk[pos + key.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-                .collect(),
-        )
-    }
     let mut out = Vec::new();
     for chunk in text.split("\"name\":\"").skip(1) {
         let Some(name_end) = chunk.find('"') else {
             continue;
         };
-        let name = chunk[..name_end].to_string();
-        let Some(num) = number_after(chunk, "\"speedup\":") else {
+        let Some(pos) = chunk.find("\"speedup\":") else {
             continue;
         };
+        let num: String = chunk[pos + "\"speedup\":".len()..]
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
+            .collect();
         if let Ok(v) = num.parse::<f64>() {
-            out.push((name, v));
+            out.push((chunk[..name_end].to_string(), v));
         }
     }
     out
+}
+
+/// The gate. Every measured row must reach [`FLOOR`] × the ratio
+/// recorded under its name; a measured row with no record fails, since
+/// it cannot be gated. Recorded names that are no longer measured get
+/// one `retired` line each and are not gated. Returns the report lines
+/// and whether any row failed.
+fn check(measured: &[(String, f64)], recorded: &[(String, f64)]) -> (Vec<String>, bool) {
+    let mut lines = Vec::new();
+    for (name, want) in recorded {
+        if !measured.iter().any(|(n, _)| n == name) {
+            lines.push(format!(
+                "check: {name:<26} retired (recorded {want:.2}×, no longer measured)"
+            ));
+        }
+    }
+    let mut failed = false;
+    for (name, got) in measured {
+        let Some((_, want)) = recorded.iter().find(|(n, _)| n == name) else {
+            lines.push(format!(
+                "check: {name:<26} FAILED — measured but not recorded"
+            ));
+            failed = true;
+            continue;
+        };
+        let floor = FLOOR * want;
+        if *got < floor {
+            lines.push(format!(
+                "check: {name:<26} REGRESSED — {got:.2}× < {FLOOR} × recorded {want:.2}×"
+            ));
+            failed = true;
+        } else {
+            lines.push(format!(
+                "check: {name:<26} ok — {got:.2}× vs recorded {want:.2}× (floor {floor:.2}×)"
+            ));
+        }
+    }
+    (lines, failed)
 }
 
 const HELP: &str = "\
@@ -584,21 +549,19 @@ Usage:
   cargo run --release -p msp-bench --bin perf_report [-- FLAGS] [out.json]
 
 Flags:
-  --quick            reduced CI smoke shapes (default output bench-ci.json)
-  --check <file>     exit non-zero if any tracked speedup falls below 0.8x
-                     of the value recorded under the same name in <file>
+  --quick            reduced CI shapes (default output bench-ci.json; a full
+                     run writes bench.json)
+  --check <file>     exit non-zero if any measured ratio falls below 0.8x of
+                     the ratio recorded under its name in <file>
   --help             this message
 
-The default output is BENCH_16.json. Pairs recorded in <file> that this
-binary no longer measures (their code was deleted) are not gated; --check
-prints one 'retired' line for each.
-docs/BENCHMARKS.md explains how the BENCH_*.json records are produced, what
-the 0.8x CI gate means, and how to regenerate the references after a
-hardware change.";
+Recorded names this binary no longer measures are not gated; --check prints
+one 'retired' line for each. docs/BENCHMARKS.md explains the records, the
+gate and how to record a new reference.";
 
 fn main() {
     let mut quick = false;
-    let mut check: Option<String> = None;
+    let mut check_path: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -608,108 +571,188 @@ fn main() {
                 return;
             }
             "--quick" => quick = true,
-            "--check" => check = Some(args.next().expect("--check needs a file path")),
+            "--check" => check_path = Some(args.next().expect("--check needs a file path")),
             other => out_path = Some(other.to_string()),
         }
     }
-    let out_path = out_path.unwrap_or_else(|| {
-        if quick {
-            "bench-ci.json".into()
-        } else {
-            "BENCH_16.json".into()
-        }
-    });
+    let out_path =
+        out_path.unwrap_or_else(|| if quick { "bench-ci.json" } else { "bench.json" }.into());
     let sh = if quick {
         Shapes::quick()
     } else {
         Shapes::full()
     };
 
-    let comparisons = vec![
-        service_kernel_comparison(64, "kernel_service_cost_n64", &sh),
-        service_kernel_comparison(256, "kernel_service_cost_n256", &sh),
-        dp_serve_scan_comparison(&sh),
-        median_comparison(16, "median_drift_n16", &sh),
-        median_comparison(64, "median_drift_n64", &sh),
-        batch_comparison(&sh),
-        grid_comparison(sh.grid_cells[0], &sh),
-        grid_comparison(sh.grid_cells[1], &sh),
-        obs_overhead_comparison(&sh),
-        session_churn_comparison(&sh),
-        corpus_seek_vs_scan(&sh),
-    ];
-
-    for c in &comparisons {
+    let mut rows = Vec::new();
+    for mut pair in pairs(&sh) {
+        assert_parity(&mut pair);
+        let t = time_pair(sh.reps, &mut pair.arms);
         println!(
-            "{:<26} baseline {:>12} ns   fast {:>12} ns   speedup {:>6.2}×",
-            c.name,
-            c.baseline_ns,
-            c.fast_ns,
-            c.speedup()
+            "{:<26} baseline {:>12} ns   fast {:>12} ns   speedup {:>6.2}×   serves {}",
+            pair.name, t.baseline_ns, t.fast_ns, t.speedup, pair.serves
         );
+        rows.push((pair, t));
     }
 
     let json = Json::obj([
-        ("pr", Json::Num(16.0)),
         ("quick", Json::from(quick)),
+        ("reps", Json::Num(sh.reps as f64)),
         (
             "tier1",
             Json::Str("cargo build --release && cargo test -q".into()),
         ),
         (
             "benches",
-            Json::Arr(comparisons.iter().map(Comparison::to_json).collect()),
+            Json::Arr(
+                rows.iter()
+                    .map(|(pair, t)| {
+                        Json::obj([
+                            ("name", Json::Str(pair.name.clone())),
+                            ("serves", Json::Str(pair.serves.into())),
+                            ("baseline_ns", Json::Num(t.baseline_ns as f64)),
+                            ("fast_ns", Json::Num(t.fast_ns as f64)),
+                            ("speedup", Json::Num(t.speedup)),
+                            ("detail", Json::Str(pair.detail.clone())),
+                        ])
+                    })
+                    .collect(),
+            ),
         ),
     ]);
     std::fs::write(&out_path, json.to_string() + "\n").expect("write perf report");
     println!("wrote {out_path}");
 
-    if let Some(recorded_path) = check {
+    if let Some(recorded_path) = check_path {
         let recorded = std::fs::read_to_string(&recorded_path)
             .unwrap_or_else(|e| panic!("read {recorded_path}: {e}"));
-        let recorded = recorded_speedups(&recorded);
-        for (name, want) in &recorded {
-            if !comparisons.iter().any(|c| c.name == *name) {
-                println!("check: {name:<26} retired (recorded {want:.2}×, no longer measured)");
-            }
-        }
-        let mut failed = false;
-        for c in &comparisons {
-            let Some((_, want)) = recorded.iter().find(|(n, _)| *n == c.name) else {
-                println!("check: {:<26} (not in {recorded_path}, skipped)", c.name);
-                continue;
-            };
-            if *want < 1.0 {
-                // Benches recorded below 1× are informational (e.g. the
-                // obs overhead pair, ≈ 1× by design): their ratio hovers
-                // around parity and is the most microarch-sensitive
-                // number in the record — gating it would flake on
-                // heterogeneous CI runners.
-                println!(
-                    "check: {:<26} informational ({:.2}× vs recorded {want:.2}×, not gated)",
-                    c.name,
-                    c.speedup()
-                );
-                continue;
-            }
-            let floor = 0.8 * want;
-            let got = c.speedup();
-            if got < floor {
-                println!(
-                    "check: {:<26} REGRESSED — {got:.2}× < 0.8 × recorded {want:.2}×",
-                    c.name
-                );
-                failed = true;
-            } else {
-                println!(
-                    "check: {:<26} ok — {got:.2}× vs recorded {want:.2}× (floor {floor:.2}×)",
-                    c.name
-                );
-            }
+        let measured: Vec<(String, f64)> = rows
+            .iter()
+            .map(|(pair, t)| (pair.name.clone(), t.speedup))
+            .collect();
+        let (lines, failed) = check(&measured, &recorded_speedups(&recorded));
+        for line in lines {
+            println!("{line}");
         }
         if failed {
-            eprintln!("perf_smoke: tracked speedups regressed below 0.8× of {recorded_path}");
+            eprintln!("perf_smoke: a measured ratio fell below {FLOOR}× of {recorded_path}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn named(rows: &[(&str, f64)]) -> Vec<(String, f64)> {
+        rows.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+    }
+
+    #[test]
+    fn a_row_below_the_floor_fails() {
+        let recorded = named(&[("grid_dp_31", 3.0)]);
+        let (_, failed) = check(&named(&[("grid_dp_31", 2.39)]), &recorded);
+        assert!(failed);
+        let (lines, failed) = check(&named(&[("grid_dp_31", 2.41)]), &recorded);
+        assert!(!failed, "{lines:?}");
+    }
+
+    #[test]
+    fn a_row_recorded_below_one_is_gated() {
+        let recorded = named(&[("obs_overhead_streaming", 0.95)]);
+        let (lines, failed) = check(&named(&[("obs_overhead_streaming", 0.70)]), &recorded);
+        assert!(failed, "{lines:?}");
+        assert!(lines[0].contains("REGRESSED"), "{lines:?}");
+    }
+
+    #[test]
+    fn a_tax_row_whose_feature_on_arm_is_30_percent_slower_fails() {
+        // The feature-on arm is the fast slot, so a 30% slower
+        // feature-on arm divides the ratio by 1.3.
+        for recorded in [0.97, 1.0, 1.02] {
+            let got = recorded / 1.3;
+            let (lines, failed) = check(
+                &named(&[("service_session_churn", got)]),
+                &named(&[("service_session_churn", recorded)]),
+            );
+            assert!(failed, "recorded {recorded}: {lines:?}");
+        }
+    }
+
+    #[test]
+    fn a_recorded_name_that_is_not_measured_is_retired_and_passes() {
+        let recorded = named(&[("corpus_seek_vs_scan", 3.46), ("grid_dp_41", 3.0)]);
+        let (lines, failed) = check(&named(&[("grid_dp_41", 3.1)]), &recorded);
+        assert!(!failed, "{lines:?}");
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains("corpus_seek_vs_scan") && l.contains("retired")),
+            "{lines:?}"
+        );
+    }
+
+    #[test]
+    fn a_measured_row_without_a_record_fails() {
+        let (_, failed) = check(&named(&[("grid_dp_41", 3.1)]), &[]);
+        assert!(failed);
+    }
+
+    #[test]
+    fn bit_equal_compares_every_element() {
+        assert!(bit_equal(&[1.0, 2.0], &[1.0, 2.0]).is_ok());
+        assert!(bit_equal(&[1.0, 2.0], &[1.0]).is_err());
+        assert!(bit_equal(&[1.0, 2.0], &[1.0, 2.0 + 1e-15]).is_err());
+        assert!(bit_equal(&[0.0], &[-0.0]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "parity broken")]
+    fn a_fast_arm_that_answers_nothing_breaks_parity() {
+        let mut pair = Pair {
+            name: "stub".into(),
+            serves: "",
+            detail: String::new(),
+            parity: Box::new(bit_equal),
+            arms: Box::new(|arm, out| {
+                if arm == Arm::Baseline {
+                    out.clear();
+                    out.push(1.0);
+                }
+            }),
+        };
+        assert_parity(&mut pair);
+    }
+
+    #[test]
+    fn the_median_row_rejects_a_moved_or_worse_center() {
+        let mut pair = median_churn(&Shapes {
+            median_steps: 24,
+            ..Shapes::quick()
+        });
+        let (mut base, mut fast) = (Vec::new(), Vec::new());
+        (pair.arms)(Arm::Baseline, &mut base);
+        (pair.arms)(Arm::Fast, &mut fast);
+        assert!((pair.parity)(&base, &fast).is_ok());
+        let mut moved = fast.clone();
+        moved[7] += 1e-6 * (1.0 + moved[7].abs());
+        assert!((pair.parity)(&base, &moved).is_err());
+        assert!((pair.parity)(&base, &fast[..fast.len() - 2]).is_err());
+    }
+
+    #[test]
+    fn recorded_speedups_reads_the_emitted_record() {
+        let record = Json::obj([(
+            "benches",
+            Json::Arr(vec![Json::obj([
+                ("name", Json::Str("grid_dp_31".into())),
+                ("serves", Json::Str("Quick suite e4b".into())),
+                ("speedup", Json::Num(3.25)),
+            ])]),
+        )]);
+        assert_eq!(
+            recorded_speedups(&record.to_string()),
+            vec![("grid_dp_31".to_string(), 3.25)]
+        );
     }
 }

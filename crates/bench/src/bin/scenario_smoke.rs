@@ -13,13 +13,14 @@
 //! uninterrupted run.
 //!
 //! With `--metrics` the run enables the process-wide observability
-//! registry ([`msp_analysis::obs`]), drives a probed streaming run plus
-//! a one-pass grid-DP horizon sweep (so the `grid_dp.steps` and
-//! `grid_dp.windowed_cells` counters are exercised, not just declared),
-//! validates the resulting [`msp_analysis::MetricsSnapshot`] (every
-//! counter present, totals monotone across the run, no timestamps — the
-//! snapshot must be deterministic modulo timing histograms), and dumps
-//! it as JSON.
+//! registry ([`msp_analysis::obs`]), drives a probed streaming run, a
+//! one-pass grid-DP horizon sweep and one production seed fan (so the
+//! `grid_dp.steps` and `grid_dp.windowed_cells` counters, and with a
+//! thread budget of two or more the `executor.*` fan counters, are
+//! exercised, not just declared), validates the resulting
+//! [`msp_analysis::MetricsSnapshot`] (every counter present, totals
+//! monotone across the run, no timestamps — the snapshot must be
+//! deterministic modulo timing histograms), and dumps it as JSON.
 //!
 //! With `--chaos` the run drives a mixed session fleet through a
 //! seed-replayable schedule of advances, evictions, crashes (drop the
@@ -32,16 +33,18 @@
 //! Run `scenario_smoke --help` for the flag summary.
 
 use msp_analysis::obs;
+use msp_analysis::sweep::pool_threads;
 use msp_analysis::BackoffSchedule;
 use msp_core::cost::ServingOrder;
 use msp_core::mtc::MoveToCenter;
 use msp_core::simulator::{StreamCheckpoint, StreamingSim};
 use msp_scenarios::{
-    corpus_trace_path, diff_block_traces, diff_streams, lookup, record_registry_corpus,
-    record_stream, record_to_vec, recover_journal, recover_service, registry, resume_from_journal,
-    run_stream, salvage_trace, scan_corpus, sweep_corpus, BlockTraceReader, FaultEvent, FaultKind,
-    FaultPlan, FaultyStream, FaultyWrite, JournalWriter, RequestStream, ScenarioKnobs,
-    ScenarioSpec, ServiceConfig, SessionError, SessionService, TraceFormat, TraceReader,
+    corpus_trace_path, diff_block_traces, diff_streams, lookup, materialize, materialize_seeds,
+    record_registry_corpus, record_stream, record_to_vec, recover_journal, recover_service,
+    registry, resume_from_journal, run_stream, salvage_trace, scan_corpus, sweep_corpus,
+    BlockTraceReader, FaultEvent, FaultKind, FaultPlan, FaultyStream, FaultyWrite, InstanceStream,
+    JournalWriter, RequestStream, ScenarioKnobs, ScenarioSpec, ServiceConfig, SessionError,
+    SessionService, TraceFormat, TraceReader,
 };
 use std::collections::BTreeMap;
 use std::io::Cursor;
@@ -61,9 +64,10 @@ OPTIONS:
                        torn-write salvage plus journal crash/resume,
                        with every fault placement derived from <n>.
     --metrics          Enable the observability registry, run a probed
-                       grid smoke (asserting the grid_dp.* counters move),
-                       validate the post-run snapshot schema, and dump
-                       it as JSON.
+                       grid smoke and a seed fan (asserting the grid_dp.*
+                       counters move, and the executor.* fan counters
+                       when MSP_THREADS >= 2), validate the post-run
+                       snapshot schema, and dump it as JSON.
     --chaos            Drive a mixed session-service fleet through a
                        seed-replayable schedule of advances, evictions,
                        crashes, and journal corruptions, asserting
@@ -789,6 +793,29 @@ fn grid_metrics_smoke() -> Result<(), String> {
     Ok(())
 }
 
+/// Exercises the executor under `--metrics`: one production fan,
+/// [`materialize_seeds`] of a registry scenario over four seeds, checked
+/// bit-equal to materializing each seed alone. With a thread budget of
+/// two or more it really fans out, so [`validate_metrics`] can demand
+/// that `executor.dispatches` and `executor.items` moved.
+fn fan_metrics_smoke() -> Result<(), String> {
+    let spec = lookup("walk-plane").ok_or("fan smoke: no walk-plane scenario")?;
+    let knobs = ScenarioKnobs::horizon(SMOKE_HORIZON);
+    let seeds = [SMOKE_SEED, SMOKE_SEED + 1, SMOKE_SEED + 2, SMOKE_SEED + 3];
+    let fanned = materialize_seeds::<2>(&spec, &seeds, &knobs).map_err(|e| e.to_string())?;
+    for (&seed, inst) in seeds.iter().zip(fanned) {
+        let alone = materialize::<2>(&spec, seed, &knobs).map_err(|e| e.to_string())?;
+        let diff = diff_streams(
+            &mut InstanceStream::new(inst),
+            &mut InstanceStream::new(alone),
+        );
+        if let Some(diff) = diff {
+            return Err(format!("seed {seed}: fanned instance diverged: {diff}"));
+        }
+    }
+    Ok(())
+}
+
 /// Schema checks on the post-run snapshot: every declared metric must be
 /// present, totals must dominate the pre-run snapshot (counters are
 /// monotone), and the rendered JSON must carry no wall-clock fields —
@@ -824,11 +851,20 @@ fn validate_metrics(
         return Err("smoke run recorded no streaming sessions".into());
     }
     // The grid smoke must have driven the grid DP: transition steps and
-    // windowed-scan cells from the one-pass horizon sweep.
-    for name in ["grid_dp.steps", "grid_dp.windowed_cells"] {
+    // windowed-scan cells from the one-pass horizon sweep. With two or
+    // more threads the seed fan really fans out; a width-1 fan runs
+    // inline and counts nothing.
+    let mut moved = vec!["grid_dp.steps", "grid_dp.windowed_cells"];
+    if pool_threads() >= 2 {
+        moved.extend(["executor.dispatches", "executor.items"]);
+    }
+    for name in moved {
         let b = before.counter(name).unwrap_or(0);
         if after.counter(name).unwrap_or(0) <= b {
-            return Err(format!("{name} did not move across the probed grid smoke"));
+            return Err(format!(
+                "{name} did not move across the metrics smoke at {} threads",
+                pool_threads()
+            ));
         }
     }
     let rendered = after.to_json().to_string();
@@ -923,6 +959,14 @@ fn main() {
         println!("grid smoke: probed streaming run + one-pass grid-DP sweep (grid_dp.* counters)");
         if let Err(e) = grid_metrics_smoke() {
             eprintln!("FAIL grid metrics smoke: {e}");
+            failures += 1;
+        }
+        println!(
+            "fan smoke: materialize_seeds over 4 seeds at {} threads (executor.* counters)",
+            pool_threads()
+        );
+        if let Err(e) = fan_metrics_smoke() {
+            eprintln!("FAIL fan metrics smoke: {e}");
             failures += 1;
         }
     }

@@ -43,11 +43,3 @@ pub use soa::SoaPoints;
 /// Numerical tolerance used across the workspace when comparing distances
 /// and costs produced by floating-point computations.
 pub const EPS: f64 = 1e-9;
-
-/// Compares two floats for approximate equality with the workspace-wide
-/// absolute/relative tolerance. Used by tests and solver convergence checks.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    diff <= tol || diff <= tol * a.abs().max(b.abs())
-}

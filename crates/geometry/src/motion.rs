@@ -25,14 +25,6 @@ pub fn step_towards<const N: usize>(from: &Point<N>, to: &Point<N>, max_step: f6
     }
 }
 
-/// Clamps a proposed new position so the move from `from` respects the
-/// distance budget `max_step`; used to sanitize externally-proposed moves
-/// (e.g. from an offline trajectory being replayed).
-#[inline]
-pub fn clamp_move<const N: usize>(from: &Point<N>, proposed: &Point<N>, max_step: f64) -> Point<N> {
-    step_towards(from, proposed, max_step)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

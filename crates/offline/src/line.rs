@@ -35,14 +35,7 @@ pub fn solve_line(instance: &Instance<1>, order: ServingOrder) -> LineSolution {
     let mut f = ConvexPwl::point(instance.start.x());
     for step in &instance.steps {
         let reqs: Vec<f64> = step.requests.iter().map(|v| v.x()).collect();
-        f = match order {
-            ServingOrder::MoveFirst => f
-                .move_transform(instance.d, instance.max_move)
-                .add_service(&reqs),
-            ServingOrder::AnswerFirst => f
-                .add_service(&reqs)
-                .move_transform(instance.d, instance.max_move),
-        };
+        f = dp_step(&f, &reqs, instance.d, instance.max_move, order);
     }
     let (cost, arg_lo, arg_hi) = f.min();
     LineSolution {
@@ -72,11 +65,7 @@ pub fn solve_line_with_trajectory(
     post.push(ConvexPwl::point(instance.start.x()));
     for step in &instance.steps {
         let reqs: Vec<f64> = step.requests.iter().map(|v| v.x()).collect();
-        let prev = post.last().unwrap();
-        let next = match order {
-            ServingOrder::MoveFirst => prev.move_transform(d, m).add_service(&reqs),
-            ServingOrder::AnswerFirst => prev.add_service(&reqs).move_transform(d, m),
-        };
+        let next = dp_step(post.last().unwrap(), &reqs, d, m, order);
         post.push(next);
     }
 
@@ -163,12 +152,7 @@ impl IncrementalLineOpt {
 
     /// Processes the next step's requests (positions on the line).
     pub fn push_step(&mut self, requests: &[f64]) {
-        self.f = match self.order {
-            ServingOrder::MoveFirst => self.f.move_transform(self.d, self.m).add_service(requests),
-            ServingOrder::AnswerFirst => {
-                self.f.add_service(requests).move_transform(self.d, self.m)
-            }
-        };
+        self.f = dp_step(&self.f, requests, self.d, self.m, self.order);
         self.steps += 1;
     }
 
@@ -181,12 +165,15 @@ impl IncrementalLineOpt {
     pub fn steps(&self) -> usize {
         self.steps
     }
+}
 
-    /// Cheapest cost of the processed prefix *conditioned on ending at
-    /// position `p`* (`∞` when `p` is unreachable within the movement
-    /// budget). Useful for "what would OPT pay to be where my server is".
-    pub fn opt_ending_at(&self, p: f64) -> f64 {
-        self.f.eval(p)
+/// One step of the dynamic program: the cost-to-go after step `t` from
+/// the one after step `t − 1` and step `t`'s requests, in the module
+/// docs' Move-First or Answer-First form.
+fn dp_step(f: &ConvexPwl, requests: &[f64], d: f64, m: f64, order: ServingOrder) -> ConvexPwl {
+    match order {
+        ServingOrder::MoveFirst => f.move_transform(d, m).add_service(requests),
+        ServingOrder::AnswerFirst => f.add_service(requests).move_transform(d, m),
     }
 }
 
@@ -383,19 +370,6 @@ mod tests {
             }
             assert_eq!(inc.steps(), 40);
         }
-    }
-
-    #[test]
-    fn incremental_conditional_opt_bounds_unconditional() {
-        let mut inc = IncrementalLineOpt::new(1.0, 1.0, 0.0, ServingOrder::MoveFirst);
-        inc.push_step(&[2.0]);
-        inc.push_step(&[2.0]);
-        // Ending anywhere costs at least the unconditional optimum.
-        for p in [-1.0, 0.0, 1.0, 2.0] {
-            assert!(inc.opt_ending_at(p) >= inc.current_opt() - 1e-12);
-        }
-        // Unreachable endpoint is infeasible.
-        assert!(inc.opt_ending_at(50.0).is_infinite());
     }
 
     #[test]

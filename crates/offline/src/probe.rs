@@ -197,13 +197,6 @@ impl<const N: usize> RatioProbe<N> {
     pub fn lower_bound(&self) -> f64 {
         self.best
     }
-
-    /// Upper bound on the competitive ratio of a session that has paid
-    /// `alg_cost` over the observed prefix. `None` until the lower bound
-    /// is positive.
-    pub fn ratio_upper_bound(&self, alg_cost: f64) -> Option<f64> {
-        (self.best > 0.0).then(|| alg_cost / self.best)
-    }
 }
 
 /// Scratch and arena for the windowed deflated grid DP; buffers are

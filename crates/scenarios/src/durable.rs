@@ -48,16 +48,6 @@ impl AtomicFile {
         })
     }
 
-    /// The staging path the bytes are currently going to.
-    pub fn tmp_path(&self) -> &Path {
-        &self.tmp
-    }
-
-    /// The final path the file will occupy after [`AtomicFile::commit`].
-    pub fn target_path(&self) -> &Path {
-        &self.target
-    }
-
     /// Flushes, fsyncs, and atomically renames the staged file onto the
     /// target name. Returns the final path.
     pub fn commit(mut self) -> io::Result<PathBuf> {

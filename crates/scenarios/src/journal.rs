@@ -225,6 +225,7 @@ fn encode_record<const N: usize>(
 /// construction, one generation record per [`JournalWriter::append`].
 /// For crash-safe on-disk journals use [`DurableJournal`], which adds the
 /// atomic-create and fsync-per-append discipline on top of this encoding.
+#[derive(Debug)]
 pub struct JournalWriter<const N: usize, W: Write> {
     sink: W,
     next_generation: u64,
@@ -266,15 +267,38 @@ impl<const N: usize, W: Write> JournalWriter<N, W> {
         checkpoint: &StreamCheckpoint<N>,
         warm_state: &[u8],
     ) -> Result<u64, JournalError> {
+        self.append_then(checkpoint, warm_state, W::flush)
+    }
+
+    /// The one append body: writes the next generation's record, makes
+    /// it durable with `sync` (a flush for a buffered sink, an fsync for
+    /// [`DurableJournal`]'s file), then advances the generation counter
+    /// and feeds the metrics. `JournalAppendNs` spans the write and the
+    /// sync.
+    fn append_then(
+        &mut self,
+        checkpoint: &StreamCheckpoint<N>,
+        warm_state: &[u8],
+        sync: impl FnOnce(&mut W) -> std::io::Result<()>,
+    ) -> Result<u64, JournalError> {
         let span = obs::timer(obs::Hist::JournalAppendNs);
         let generation = self.next_generation;
         self.sink
             .write_all(&encode_record(generation, checkpoint, warm_state))?;
-        self.sink.flush()?;
+        sync(&mut self.sink)?;
         self.next_generation += 1;
         span.stop();
         obs::incr(obs::Counter::JournalAppends);
-        self.observe_gap(checkpoint.step as u64);
+        // The step gap since the previous append feeds the
+        // checkpoint-cadence histogram (metrics only).
+        let step = checkpoint.step as u64;
+        if let Some(prev) = self.obs_last_step {
+            obs::record(
+                obs::Hist::JournalCheckpointGapSteps,
+                step.saturating_sub(prev),
+            );
+        }
+        self.obs_last_step = Some(step);
         Ok(generation)
     }
 
@@ -295,18 +319,6 @@ impl<const N: usize, W: Write> JournalWriter<N, W> {
     /// Returns the underlying sink.
     pub fn into_inner(self) -> W {
         self.sink
-    }
-
-    /// Records the step gap since the previous append into the
-    /// checkpoint-cadence histogram (metrics only).
-    fn observe_gap(&mut self, step: u64) {
-        if let Some(prev) = self.obs_last_step {
-            obs::record(
-                obs::Hist::JournalCheckpointGapSteps,
-                step.saturating_sub(prev),
-            );
-        }
-        self.obs_last_step = Some(step);
     }
 }
 
@@ -565,11 +577,9 @@ where
 #[derive(Debug)]
 pub struct DurableJournal<const N: usize> {
     path: PathBuf,
-    file: File,
-    next_generation: u64,
-    /// Metrics-only state: step of the last appended checkpoint (see
-    /// [`JournalWriter`]'s counterpart).
-    obs_last_step: Option<u64>,
+    /// The record encoder over the append-mode file, adopted after the
+    /// header is on disk.
+    writer: JournalWriter<N, File>,
 }
 
 impl<const N: usize> DurableJournal<N> {
@@ -590,12 +600,14 @@ impl<const N: usize> DurableJournal<N> {
         let mut staged = AtomicFile::create(&path)?;
         staged.write_all(&encode_header(&params, delta, order))?;
         staged.commit()?;
-        let file = OpenOptions::new().append(true).open(&path)?;
+        let sink = OpenOptions::new().append(true).open(&path)?;
         Ok(DurableJournal {
             path,
-            file,
-            next_generation: 0,
-            obs_last_step: None,
+            writer: JournalWriter {
+                sink,
+                next_generation: 0,
+                obs_last_step: None,
+            },
         })
     }
 
@@ -606,26 +618,12 @@ impl<const N: usize> DurableJournal<N> {
         checkpoint: &StreamCheckpoint<N>,
         warm_state: &[u8],
     ) -> Result<u64, JournalError> {
-        let span = obs::timer(obs::Hist::JournalAppendNs);
-        let generation = self.next_generation;
-        self.file
-            .write_all(&encode_record(generation, checkpoint, warm_state))?;
-        {
+        self.writer.append_then(checkpoint, warm_state, |file| {
             let fsync_span = obs::timer(obs::Hist::JournalFsyncNs);
-            self.file.sync_data()?;
+            file.sync_data()?;
             fsync_span.stop();
-        }
-        self.next_generation += 1;
-        span.stop();
-        obs::incr(obs::Counter::JournalAppends);
-        if let Some(prev) = self.obs_last_step {
-            obs::record(
-                obs::Hist::JournalCheckpointGapSteps,
-                (checkpoint.step as u64).saturating_sub(prev),
-            );
-        }
-        self.obs_last_step = Some(checkpoint.step as u64);
-        Ok(generation)
+            Ok(())
+        })
     }
 
     /// [`DurableJournal::append`] from a live simulation.
@@ -638,7 +636,7 @@ impl<const N: usize> DurableJournal<N> {
 
     /// Generations written through this handle.
     pub fn generations(&self) -> u64 {
-        self.next_generation
+        self.writer.generations()
     }
 
     /// The journal's on-disk path.
@@ -669,13 +667,15 @@ impl<const N: usize> DurableJournal<N> {
             file.set_len(recovery.clean_len as u64)?;
             file.sync_data()?;
         }
-        let file = OpenOptions::new().append(true).open(&path)?;
+        let sink = OpenOptions::new().append(true).open(&path)?;
         Ok((
             DurableJournal {
                 path,
-                file,
-                next_generation: recovery.generation + 1,
-                obs_last_step: Some(recovery.checkpoint.step as u64),
+                writer: JournalWriter {
+                    sink,
+                    next_generation: recovery.generation + 1,
+                    obs_last_step: Some(recovery.checkpoint.step as u64),
+                },
             },
             recovery,
         ))

@@ -346,15 +346,6 @@ impl ScenarioSpec {
             _ => None,
         }
     }
-
-    /// True for the adversarial lower-bound families (whose δ knob
-    /// resizes the construction).
-    pub fn is_adversarial(&self) -> bool {
-        matches!(
-            self.family,
-            Family::AdvThm1 | Family::AdvThm2 | Family::AdvThm2Rotating | Family::AdvThm3
-        )
-    }
 }
 
 fn thm2_params(delta: f64) -> Thm2Params {

@@ -33,6 +33,7 @@ use msp_analysis::obs;
 use msp_core::model::{Instance, Step, StreamParams};
 use msp_geometry::Point;
 use std::io::{BufRead, Cursor, Seek, SeekFrom, Write};
+use std::ops::RangeInclusive;
 
 /// Magic prefix of the block trace (v3) format.
 pub const BLOCK_MAGIC: &[u8; 4] = b"MSP3";
@@ -595,22 +596,6 @@ fn parse_point<const N: usize>(fields: &[&str], line: usize) -> Result<Point<N>,
     Ok(p)
 }
 
-fn read_exact_array<const K: usize>(r: &mut impl std::io::Read) -> Result<[u8; K], TraceError> {
-    let mut buf = [0u8; K];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-fn read_u16(r: &mut impl std::io::Read) -> Result<u16, TraceError> {
-    Ok(u16::from_le_bytes(read_exact_array::<2>(r)?))
-}
-
-fn read_f64(r: &mut impl std::io::Read) -> Result<f64, TraceError> {
-    Ok(f64::from_bits(u64::from_le_bytes(read_exact_array::<8>(
-        r,
-    )?)))
-}
-
 /// Records a stream (rewound to its start) into `sink`, returning the
 /// step count and the sink.
 pub fn record_stream<const N: usize, W: Write>(
@@ -901,6 +886,60 @@ fn decode_block_payload<const N: usize>(
     Ok(())
 }
 
+/// Checks block `b`, which starts at byte `off` of `data`, and decodes
+/// its payload into the scratch: the marker, the block's extent within
+/// `data`, the CRC over header and payload, and a step count in `steps`.
+/// The caller has bounded the block's fixed header within `data`. Every
+/// failure is `Corrupt` at `offset {off}`. Returns the offset just past
+/// the block's CRC.
+fn decode_block<const N: usize>(
+    data: &[u8],
+    off: usize,
+    b: usize,
+    steps: RangeInclusive<usize>,
+    points: &mut Vec<Point<N>>,
+    frames: &mut Vec<(usize, usize)>,
+) -> Result<usize, TraceError> {
+    let at = || format!("offset {off}");
+    let head = &data[off..off + BLOCK_HEADER_LEN];
+    if &head[..4] != BLOCK_MARKER {
+        return Err(corrupt(at(), "missing BLK3 block marker"));
+    }
+    let mode = head[4];
+    let steps_in_block = u32::from_le_bytes(head[5..9].try_into().unwrap()) as usize;
+    let payload_len = u32::from_le_bytes(head[9..13].try_into().unwrap()) as usize;
+    let body_end = off + BLOCK_HEADER_LEN + payload_len;
+    let Some(crc_bytes) = data.get(body_end..body_end + 4) else {
+        return Err(corrupt(at(), format!("block {b} extent truncated")));
+    };
+    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+    let actual_crc = crc32(&data[off..body_end]);
+    if stored_crc != actual_crc {
+        obs::incr(obs::Counter::TraceCrcRejects);
+        return Err(corrupt(
+            at(),
+            format!(
+                "block {b} CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
+            ),
+        ));
+    }
+    if !steps.contains(&steps_in_block) {
+        return Err(corrupt(
+            at(),
+            format!("block {b} records {steps_in_block} steps, expected {steps:?}"),
+        ));
+    }
+    decode_block_payload(
+        mode,
+        steps_in_block,
+        &data[off + BLOCK_HEADER_LEN..body_end],
+        off,
+        points,
+        frames,
+    )?;
+    Ok(body_end + 4)
+}
+
 /// Header fields shared by every v3 open path: validated model
 /// parameters, the configured block size, and the byte length of the
 /// file header.
@@ -908,36 +947,43 @@ fn parse_block_header<const N: usize>(
     bytes: &[u8],
 ) -> Result<(StreamParams<N>, usize, usize), TraceError> {
     let header_len = block_file_header_len(N);
-    if bytes.len() < header_len {
+    let Some(header) = bytes.get(..header_len) else {
         return Err(corrupt("header", "file shorter than the v3 header"));
-    }
-    let mut cur = Cursor::new(bytes);
-    let magic = read_exact_array::<4>(&mut cur)?;
-    if &magic != BLOCK_MAGIC {
+    };
+    // One offset walks the fixed-size header, whose length is checked
+    // above, so every `take` is in bounds.
+    let mut off = 0usize;
+    let mut take = |len: usize| {
+        off += len;
+        &header[off - len..off]
+    };
+    let le_u16 = |b: &[u8]| u16::from_le_bytes(b.try_into().expect("2 bytes"));
+    let le_f64 = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+    if take(4) != BLOCK_MAGIC {
         return Err(corrupt("header", "missing MSP3 magic"));
     }
-    let version = read_u16(&mut cur)?;
+    let version = le_u16(take(2));
     if version != BLOCK_VERSION {
         return Err(corrupt(
             "header",
             format!("unsupported block trace version {version}"),
         ));
     }
-    let dim = read_u16(&mut cur)? as usize;
+    let dim = le_u16(take(2)) as usize;
     if dim != N {
         return Err(corrupt(
             "header",
             format!("trace has dimension {dim}, caller expects {N}"),
         ));
     }
-    let d = read_f64(&mut cur)?;
-    let m = read_f64(&mut cur)?;
+    let d = le_f64(take(8));
+    let m = le_f64(take(8));
     let mut start = Point::<N>::origin();
     for i in 0..N {
-        start[i] = read_f64(&mut cur)?;
+        start[i] = le_f64(take(8));
     }
     let params = validated_params(d, m, start, "header")?;
-    let block = u32::from_le_bytes(read_exact_array::<4>(&mut cur)?) as usize;
+    let block = u32::from_le_bytes(take(4).try_into().expect("4 bytes")) as usize;
     if block == 0 || block > MAX_BLOCK_STEPS {
         return Err(corrupt("header", format!("implausible block size {block}")));
     }
@@ -1128,46 +1174,12 @@ impl<'a, const N: usize> BlockTraceReader<'a, N> {
 
     /// Decodes and CRC-checks block `b` into the reusable scratch.
     fn load_block(&mut self, b: usize) -> Result<(), TraceError> {
-        let off = self.offsets[b] as usize;
-        let payload_len =
-            u32::from_le_bytes(self.bytes[off + 9..off + 13].try_into().unwrap()) as usize;
-        // Extent validated against the index at open time.
-        debug_assert!(off + BLOCK_HEADER_LEN + payload_len + 4 <= self.data_end);
-        let body = &self.bytes[off..off + BLOCK_HEADER_LEN + payload_len];
-        if &body[..4] != BLOCK_MARKER {
-            return Err(corrupt(
-                format!("offset {off}"),
-                "missing BLK3 block marker",
-            ));
-        }
-        let stored_crc = u32::from_le_bytes(
-            self.bytes
-                [off + BLOCK_HEADER_LEN + payload_len..off + BLOCK_HEADER_LEN + payload_len + 4]
-                .try_into()
-                .unwrap(),
-        );
-        let actual_crc = crc32(body);
-        if stored_crc != actual_crc {
-            obs::incr(obs::Counter::TraceCrcRejects);
-            return Err(corrupt(
-                format!("offset {off}"),
-                format!("block {b} CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"),
-            ));
-        }
-        let mode = body[4];
-        let steps_in_block = u32::from_le_bytes(body[5..9].try_into().unwrap()) as usize;
         let expected = (self.total_steps - b * self.block_steps).min(self.block_steps);
-        if steps_in_block != expected {
-            return Err(corrupt(
-                format!("offset {off}"),
-                format!("block {b} records {steps_in_block} steps, index expects {expected}"),
-            ));
-        }
-        decode_block_payload(
-            mode,
-            steps_in_block,
-            &body[BLOCK_HEADER_LEN..],
-            off,
+        decode_block(
+            &self.bytes[..self.data_end],
+            self.offsets[b] as usize,
+            b,
+            expected..=expected,
             &mut self.points,
             &mut self.frames,
         )?;
@@ -1229,6 +1241,7 @@ pub fn salvage_block_trace<const N: usize>(bytes: &[u8]) -> Result<SalvagedTrace
     let mut points = Vec::new();
     let mut frames = Vec::new();
     let mut off = header_len;
+    let mut block = 0usize;
     let mut error = None;
     loop {
         if off + 4 <= bytes.len() && &bytes[off..off + 4] == INDEX_MARKER {
@@ -1257,56 +1270,17 @@ pub fn salvage_block_trace<const N: usize>(bytes: &[u8]) -> Result<SalvagedTrace
             ));
             break;
         }
-        let body_head = &bytes[off..off + BLOCK_HEADER_LEN];
-        if &body_head[..4] != BLOCK_MARKER {
-            error = Some(corrupt(
-                format!("offset {off}"),
-                "missing BLK3 block marker",
-            ));
-            break;
-        }
-        let mode = body_head[4];
-        let steps_in_block = u32::from_le_bytes(body_head[5..9].try_into().unwrap()) as usize;
-        let payload_len = u32::from_le_bytes(body_head[9..13].try_into().unwrap()) as usize;
-        if steps_in_block > block_steps || off + BLOCK_HEADER_LEN + payload_len + 4 > bytes.len() {
-            error = Some(corrupt(
-                format!("offset {off}"),
-                "block extent truncated or oversized",
-            ));
-            break;
-        }
-        let body = &bytes[off..off + BLOCK_HEADER_LEN + payload_len];
-        let stored_crc = u32::from_le_bytes(
-            bytes[off + BLOCK_HEADER_LEN + payload_len..off + BLOCK_HEADER_LEN + payload_len + 4]
-                .try_into()
-                .unwrap(),
-        );
-        let actual_crc = crc32(body);
-        if stored_crc != actual_crc {
-            obs::incr(obs::Counter::TraceCrcRejects);
-            error = Some(corrupt(
-                format!("offset {off}"),
-                format!(
-                    "block CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-                ),
-            ));
-            break;
-        }
-        if let Err(e) = decode_block_payload(
-            mode,
-            steps_in_block,
-            &body[BLOCK_HEADER_LEN..],
-            off,
-            &mut points,
-            &mut frames,
-        ) {
-            error = Some(e);
-            break;
+        match decode_block(bytes, off, block, 0..=block_steps, &mut points, &mut frames) {
+            Ok(end) => off = end,
+            Err(e) => {
+                error = Some(e);
+                break;
+            }
         }
         for &(start, len) in &frames {
             steps.push(Step::new(points[start..start + len].to_vec()));
         }
-        off += BLOCK_HEADER_LEN + payload_len + 4;
+        block += 1;
     }
     Ok(SalvagedTrace {
         params,
