@@ -39,7 +39,7 @@ pub use plot::{ascii_chart, Series};
 pub use regression::{fit_power_law, linear_fit, LinearFit, PowerLawFit};
 pub use stats::{StreamingSummary, Summary};
 pub use sweep::{
-    parallel_for_each_mut, parallel_map, pool_threads, try_parallel_map_indexed,
-    try_parallel_map_indexed_backoff, BackoffSchedule, LaneError,
+    parallel_map, pool_threads, try_parallel_map_indexed, try_parallel_map_indexed_backoff,
+    BackoffSchedule, LaneError,
 };
 pub use table::Table;

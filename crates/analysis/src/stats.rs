@@ -66,15 +66,6 @@ impl Summary {
         let frac = pos - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
-
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        if self.n > 0 {
-            self.std_dev / (self.n as f64).sqrt()
-        } else {
-            0.0
-        }
-    }
 }
 
 /// One-pass streaming moment accumulator (Welford's algorithm): count,
@@ -271,13 +262,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geometric_mean_rejects_zero() {
         let _ = geometric_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn std_err_shrinks_with_n() {
-        let a = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        let wide: Vec<f64> = (0..16).map(|i| 1.0 + (i % 4) as f64).collect();
-        let b = Summary::of(&wide);
-        assert!(b.std_err() < a.std_err());
     }
 }

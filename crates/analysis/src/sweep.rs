@@ -88,8 +88,8 @@ pub fn pool_threads() -> usize {
 /// otherwise the request itself.
 ///
 /// Exposed so callers that partition work *before* fanning out can size
-/// their partitions consistently with what [`parallel_map_indexed`] /
-/// [`parallel_for_each_mut`] will do.
+/// their partitions consistently with what [`parallel_map_indexed`] will
+/// do.
 pub fn effective_threads(requested: usize) -> usize {
     if IN_SWEEP.with(Cell::get) {
         obs::incr(obs::Counter::ExecutorNestedCollapses);
@@ -174,13 +174,10 @@ where
 }
 
 /// Runs `f` on every item **in place** on up to `threads` threads (0 =
-/// the resolved budget) with the same dynamic work claiming and
-/// nested-sweep sequential fallback as [`parallel_map_indexed`]. This is
-/// the executor for stateful shards — e.g. the independent δ-lanes of a
-/// batched simulation, each owning its algorithm clone and cost
-/// accumulators — where results are written into the items rather than
-/// collected.
-pub fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
+/// the resolved budget) with dynamic work claiming and the nested-sweep
+/// sequential fallback: the fan under [`parallel_map_indexed`], which
+/// writes each result into its input-order slot.
+fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
@@ -408,6 +405,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, prop, prop_assert_eq, proptest, ProptestConfig};
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -493,6 +491,27 @@ mod tests {
         });
         for (cell, inner) in out.iter().enumerate() {
             assert_eq!(*inner, (0..6).map(|v| v + cell).collect::<Vec<_>>());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The in-place fan leaves exactly the sequential result for any
+        /// thread request, with every item visited exactly once.
+        #[test]
+        fn pooled_for_each_mut_is_output_identical_to_sequential(
+            items in prop::collection::vec(any::<u64>(), 0..300),
+            threads in 0usize..9,
+        ) {
+            let f = |i: usize, v: &mut u64| *v = v.wrapping_mul(0x9E3779B9).rotate_left(7) ^ i as u64;
+            let mut sequential = items.clone();
+            for (i, v) in sequential.iter_mut().enumerate() {
+                f(i, v);
+            }
+            let mut pooled = items.clone();
+            parallel_for_each_mut(&mut pooled, threads, f);
+            prop_assert_eq!(&pooled, &sequential);
         }
     }
 

@@ -39,7 +39,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use msp_analysis::{obs, Json};
-use msp_core::cost::{service_cost_naive, ServingOrder};
+use msp_core::cost::{service_cost, ServingOrder};
 use msp_core::model::{Instance, Step};
 use msp_core::mtc::MoveToCenter;
 use msp_core::simulator::{run_streaming, StreamingSim};
@@ -296,10 +296,7 @@ fn median_churn(sh: &Shapes) -> Pair {
                 if !near_cold {
                     return Err(format!("set {k}: fast {f:?}, cold weighted_center {c:?}"));
                 }
-                let (fb, ff) = (
-                    service_cost_naive(&b, requests),
-                    service_cost_naive(&f, requests),
-                );
+                let (fb, ff) = (service_cost(&b, requests), service_cost(&f, requests));
                 let no_worse = ff <= fb * (1.0 + 1e-12);
                 if !no_worse {
                     return Err(format!("set {k}: fast objective {ff:e} > classic {fb:e}"));
@@ -340,8 +337,8 @@ fn grid_instance() -> Instance<2> {
 }
 
 /// The radius-pruned windowed transition scan vs the all-pairs scan,
-/// both on one reused [`GridDp`] (and so on the same hoisted SoA service
-/// scan).
+/// both on one reused [`GridDp`] (and so on the same service-cost
+/// buffer).
 fn grid_dp(cells: usize) -> Pair {
     let inst = grid_instance();
     let mut dp = GridDp::new(&inst, cells);
@@ -350,7 +347,7 @@ fn grid_dp(cells: usize) -> Pair {
         serves: "Quick suite e4b, v1: GridDp transition scan",
         detail: format!(
             "{cells}×{cells} planar grid, T=6, m=0.4, reused GridDp scratch: all-pairs transition \
-             scan vs radius-pruned window (both on the hoisted SoA service scan)"
+             scan vs radius-pruned window (both on the same service-cost buffer)"
         ),
         parity: Box::new(bit_equal),
         arms: Box::new(move |arm, out| {

@@ -775,10 +775,7 @@ fn grid_metrics_smoke() -> Result<(), String> {
         MoveToCenter::default(),
         0.25,
         ServingOrder::MoveFirst,
-        ProbeOptions {
-            grid_block: 8,
-            ..ProbeOptions::default()
-        },
+        ProbeOptions { grid_block: 8 },
         16,
     );
     if samples.is_empty() {

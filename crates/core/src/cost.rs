@@ -80,24 +80,11 @@ impl CostBreakdown {
     }
 }
 
-/// Service cost of answering `requests` from position `p`.
-///
-/// Routed through the chunked distance kernel
-/// ([`msp_geometry::soa::sum_distances_points`]): squared distances are
-/// computed a block at a time so the `sqrt`s vectorize, with four
-/// independent partial sums. Deterministic, but the rounding association
-/// differs from the plain loop — [`service_cost_naive`] is the scalar
-/// oracle parity tests pin against.
+/// Service cost of answering `requests` from position `p`: the
+/// left-to-right sum of [`msp_geometry::median::sum_of_distances`].
 #[inline]
 pub fn service_cost<const N: usize>(p: &Point<N>, requests: &[Point<N>]) -> f64 {
-    msp_geometry::soa::sum_distances_points(requests, p)
-}
-
-/// The seed's scalar service-cost loop, kept verbatim as the parity
-/// oracle and benchmark baseline for the chunked [`service_cost`].
-#[inline]
-pub fn service_cost_naive<const N: usize>(p: &Point<N>, requests: &[Point<N>]) -> f64 {
-    requests.iter().map(|v| v.distance(p)).sum()
+    msp_geometry::median::sum_of_distances(requests, p)
 }
 
 /// Evaluates the cost of an explicit trajectory on an instance.

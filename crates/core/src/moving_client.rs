@@ -198,20 +198,6 @@ impl<const N: usize> MultiAgentInstance<N> {
         }
     }
 
-    /// Number of agents `k` (= requests per round after lowering).
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
-    /// The fastest agent's speed; Theorem 10's regime is
-    /// `max_a m_a ≤ m_s`.
-    pub fn max_agent_speed(&self) -> f64 {
-        self.agents
-            .iter()
-            .map(AgentWalk::max_speed)
-            .fold(0.0, f64::max)
-    }
-
     /// Lowers to the base model: step `t` carries one request per agent at
     /// its position `A^{(i)}_t`.
     pub fn to_instance(&self) -> Instance<N> {
@@ -305,8 +291,6 @@ mod tests {
             AgentWalk::from_fn(P2::origin(), 5, 0.3, |_, prev| *prev - P2::xy(10.0, 0.0)),
         ];
         let multi = MultiAgentInstance::new(2.0, 1.0, walks);
-        assert_eq!(multi.agent_count(), 3);
-        assert!((multi.max_agent_speed() - 0.5).abs() < 1e-12);
         let inst = multi.to_instance();
         assert!(inst.has_fixed_request_count(3));
         assert_eq!(inst.horizon(), 5);

@@ -11,8 +11,7 @@
 //!   requests before the move in *both* orders, so the serving order is a
 //!   pure pricing choice), which lets a single decision sequence per δ be
 //!   priced under all orders simultaneously — halving the number of
-//!   expensive median solves for the common both-orders sweep. The
-//!   δ-lanes are independent runs and fan out over the sweep executor.
+//!   expensive median solves for the common both-orders sweep.
 //! * [`run_streaming`] — the open-ended path: steps arrive from any
 //!   iterator (a workload generator, a trace file, a network feed) and
 //!   only running totals are kept, so memory is O(1) in the horizon.
@@ -22,7 +21,7 @@
 //! Every engine steps through one private step function (decide, clamp
 //! the proposal to the budget `(1+δ)m`, price the move), so each
 //! `(δ, order)` result of the batch or streaming engine is bit-equal to
-//! [`run`] on the same steps, on every machine and at every sweep width.
+//! [`run`] on the same steps, on every machine.
 
 use crate::algorithm::{AlgContext, OnlineAlgorithm, WarmStateCodec, WarmStateError};
 use crate::cost::{service_cost, CostBreakdown, ServingOrder, StepCost};
@@ -205,13 +204,12 @@ fn run_lane<const N: usize, A: OnlineAlgorithm<N>>(
 /// orders.len()` entries).
 ///
 /// Per δ the decision sequence is computed **once** and priced under
-/// every serving order. The δ-lanes are independent runs, each with its
-/// own clone of `algorithm`, and fan out over the sweep executor
-/// ([`msp_analysis::sweep::parallel_for_each_mut`]) at full width. Every
-/// result is bit-equal to [`run`] for the matching `(δ, order)`, on every
-/// machine — pinned by tests. For warm-started algorithms such as
-/// [`crate::mtc::MoveToCenter`], each δ-lane keeps its solver warm across
-/// the whole pass, exactly as the sequential path does.
+/// every serving order. The δ-lanes run one after another, each with its
+/// own clone of `algorithm`. Every result is bit-equal to [`run`] for the
+/// matching `(δ, order)`, on every machine — pinned by tests. For
+/// warm-started algorithms such as [`crate::mtc::MoveToCenter`], each
+/// δ-lane keeps its solver warm across the whole pass, exactly as [`run`]
+/// does.
 ///
 /// ```
 /// use msp_core::cost::ServingOrder;
@@ -241,7 +239,7 @@ fn run_lane<const N: usize, A: OnlineAlgorithm<N>>(
 ///
 /// # Panics
 /// Panics when `deltas` or `orders` is empty.
-pub fn run_batch<const N: usize, A: OnlineAlgorithm<N> + Clone + Send>(
+pub fn run_batch<const N: usize, A: OnlineAlgorithm<N> + Clone>(
     instance: &Instance<N>,
     algorithm: &A,
     deltas: &[f64],
@@ -250,16 +248,10 @@ pub fn run_batch<const N: usize, A: OnlineAlgorithm<N> + Clone + Send>(
     assert!(!deltas.is_empty(), "run_batch needs at least one δ");
     assert!(!orders.is_empty(), "run_batch needs at least one order");
 
-    let mut lanes: Vec<(A, Vec<Point<N>>, Vec<CostBreakdown>)> = deltas
-        .iter()
-        .map(|_| (algorithm.clone(), Vec::new(), Vec::new()))
-        .collect();
-    msp_analysis::sweep::parallel_for_each_mut(&mut lanes, 0, |i, (alg, positions, costs)| {
-        (*positions, *costs) = run_lane(instance, alg, deltas[i], orders);
-    });
-
     let mut out = Vec::with_capacity(deltas.len() * orders.len());
-    for ((alg, positions, costs), &delta) in lanes.into_iter().zip(deltas) {
+    for &delta in deltas {
+        let mut alg = algorithm.clone();
+        let (positions, costs) = run_lane(instance, &mut alg, delta, orders);
         let name = alg.name();
         for (&order, cost) in orders.iter().zip(costs) {
             out.push(RunResult {
@@ -584,38 +576,6 @@ where
     sim.finish()
 }
 
-/// [`run_streaming`] with a periodic checkpoint callback: every `every`
-/// steps the callback receives the resumable snapshot and a reference to
-/// the warm algorithm. Multi-million-step runs persist these to survive
-/// interruption.
-///
-/// # Panics
-/// Panics when `every` is zero.
-pub fn run_streaming_with_checkpoints<const N: usize, A, I, F>(
-    params: &StreamParams<N>,
-    steps: I,
-    algorithm: A,
-    delta: f64,
-    order: ServingOrder,
-    every: usize,
-    mut on_checkpoint: F,
-) -> StreamRunResult<N>
-where
-    A: OnlineAlgorithm<N>,
-    I: IntoIterator<Item = Step<N>>,
-    F: FnMut(&StreamCheckpoint<N>, &A),
-{
-    assert!(every > 0, "checkpoint interval must be positive");
-    let mut sim = StreamingSim::new(params, algorithm, delta, order);
-    for step in steps {
-        sim.feed(&step);
-        if sim.steps() % every == 0 {
-            on_checkpoint(&sim.checkpoint(), sim.algorithm());
-        }
-    }
-    sim.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,23 +760,6 @@ mod tests {
         assert_eq!(res.movement, full.movement);
         assert_eq!(res.service, full.service);
         assert_eq!(res.final_position, full.final_position);
-    }
-
-    #[test]
-    fn periodic_checkpoints_fire_at_the_interval() {
-        let inst = chase_instance(20);
-        let mut seen = Vec::new();
-        let res = run_streaming_with_checkpoints(
-            &inst.params(),
-            inst.steps.iter().cloned(),
-            MoveToCenter::new(),
-            0.0,
-            ServingOrder::MoveFirst,
-            6,
-            |cp, _alg| seen.push(cp.step),
-        );
-        assert_eq!(seen, vec![6, 12, 18]);
-        assert_eq!(res.steps, 20);
     }
 
     #[test]

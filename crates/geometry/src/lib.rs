@@ -20,16 +20,12 @@
 //! * [`sample`] — deterministic, seedable random sampling of points.
 //! * [`motion`] — bounded-step motion helpers (`step_towards`), the core
 //!   primitive for any speed-limited server.
-//! * [`soa`] — chunked, autovectorization-friendly distance kernels and
-//!   the structure-of-arrays point buffer behind every sum-of-distances
-//!   hot path (service pricing, Weiszfeld accumulators, grid-DP scans).
 
 pub mod bbox;
 pub mod median;
 pub mod motion;
 pub mod point;
 pub mod sample;
-pub mod soa;
 
 pub use bbox::Aabb;
 pub use median::{
@@ -37,8 +33,7 @@ pub use median::{
     MedianTelemetry,
 };
 pub use motion::step_towards;
-pub use point::{DynPoint, Point, P1, P2, P3};
-pub use soa::SoaPoints;
+pub use point::{Point, P1, P2, P3};
 
 /// Numerical tolerance used across the workspace when comparing distances
 /// and costs produced by floating-point computations.

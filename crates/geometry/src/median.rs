@@ -55,7 +55,6 @@
 //! stateless cold-start entry points.
 
 use crate::point::Point;
-use crate::soa;
 
 /// Convergence knobs for the geometric-median iteration.
 #[derive(Clone, Copy, Debug)]
@@ -89,22 +88,29 @@ const COARSE_CAP: usize = 8;
 
 /// Sum of Euclidean distances from `c` to every point — the objective the
 /// geometric median minimizes, and the per-step service cost of the model.
-/// Chunked ([`soa::sum_distances_points`]); `soa::sum_distances_points_scalar`
-/// is the parity oracle.
+/// One left-to-right loop from `0.0`, so an empty set sums to `+0.0`
+/// (`Iterator::sum` starts from `-0.0`).
 pub fn sum_of_distances<const N: usize>(points: &[Point<N>], c: &Point<N>) -> f64 {
-    soa::sum_distances_points(points, c)
+    let mut sum = 0.0;
+    for p in points {
+        sum += p.distance(c);
+    }
+    sum
 }
 
-/// Weighted variant of [`sum_of_distances`]. Chunked with **in-order**
-/// accumulation, so objective comparisons inside the solver (line
-/// searches, the stall path's anchor ranking) are bit-identical to the
-/// scalar loop.
+/// Weighted variant of [`sum_of_distances`], accumulated in input order
+/// like it.
 pub fn weighted_sum_of_distances<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
     c: &Point<N>,
 ) -> f64 {
-    soa::weighted_sum_distances_points(points, weights, c)
+    debug_assert_eq!(points.len(), weights.len());
+    let mut sum = 0.0;
+    for (p, w) in points.iter().zip(weights) {
+        sum += w * p.distance(c);
+    }
+    sum
 }
 
 /// Arithmetic mean of the points. Minimizes the sum of *squared* distances;
@@ -317,6 +323,64 @@ fn planar_quad_median<const N: usize>(p: &[Point<N>]) -> Option<Point<N>> {
     None
 }
 
+/// One pass of Weiszfeld/Vardi–Zhang accumulation over a point set, as
+/// produced by [`weiszfeld_accumulate`].
+struct WeiszfeldAccum<const N: usize> {
+    /// `Σ_{d_i > ε} w_i·x_i/d_i` — the Weiszfeld numerator.
+    num: Point<N>,
+    /// `Σ_{d_i > ε} w_i/d_i` — the Weiszfeld denominator.
+    denom: f64,
+    /// Total weight of points coinciding with the iterate (`d_i ≤ ε`).
+    coincident_weight: f64,
+    /// `Σ_{d_i > ε} w_i·(x_i − y)/d_i` — the Vardi–Zhang residual vector.
+    r_vec: Point<N>,
+}
+
+/// Weiszfeld/Vardi–Zhang accumulator pass, one left-to-right loop: the
+/// inner O(n) kernel of every geometric-median iteration.
+fn weiszfeld_accumulate<const N: usize>(
+    points: &[Point<N>],
+    weights: &[f64],
+    y: &Point<N>,
+    eps: f64,
+) -> WeiszfeldAccum<N> {
+    debug_assert_eq!(points.len(), weights.len());
+    let mut acc = WeiszfeldAccum {
+        num: Point::origin(),
+        denom: 0.0,
+        coincident_weight: 0.0,
+        r_vec: Point::origin(),
+    };
+    for (p, w) in points.iter().zip(weights) {
+        let d = p.distance(y);
+        if d <= eps {
+            acc.coincident_weight += *w;
+        } else {
+            let inv = *w / d;
+            acc.num += *p * inv;
+            acc.denom += inv;
+            acc.r_vec += (*p - *y) * inv;
+        }
+    }
+    acc
+}
+
+/// Index of the point nearest to `c` by squared distance, `None` on an
+/// empty set. Ties resolve to the **smallest** index, as
+/// `Iterator::min_by` does.
+fn nearest_index<const N: usize>(points: &[Point<N>], c: &Point<N>) -> Option<usize> {
+    let mut best = f64::INFINITY;
+    let mut idx = 0;
+    for (k, p) in points.iter().enumerate() {
+        let d2 = p.distance_sq(c);
+        if d2 < best {
+            best = d2;
+            idx = k;
+        }
+    }
+    (!points.is_empty()).then_some(idx)
+}
+
 /// One Weiszfeld/Vardi–Zhang step from `y`. Returns `None` when `y` itself
 /// is certified optimal (all mass coincident, or the coincident anchor
 /// satisfies the subgradient condition).
@@ -328,12 +392,12 @@ fn weiszfeld_step<const N: usize>(
 ) -> Option<Point<N>> {
     // Split the points into those coinciding with the iterate and the
     // rest; accumulate the Weiszfeld weights over the rest.
-    let soa::WeiszfeldAccum {
+    let WeiszfeldAccum {
         num,
         denom,
         coincident_weight,
         r_vec,
-    } = soa::weiszfeld_accumulate(points, weights, y, 1e-14);
+    } = weiszfeld_accumulate(points, weights, y, 1e-14);
     if denom == 0.0 {
         // Every point coincides with the iterate.
         return None;
@@ -429,7 +493,7 @@ fn coarse_then_newton<const N: usize>(
     }
     // The Vardi–Zhang step certifies an input point exactly when the
     // subgradient condition holds there.
-    if let Some((k, _)) = soa::nearest_index_points(points, y) {
+    if let Some(k) = nearest_index(points, y) {
         if weiszfeld_step(points, weights, &points[k]).is_none() {
             *y = points[k];
             return (it1, true);
@@ -855,7 +919,7 @@ pub struct MedianSolver<const N: usize> {
     ones: Vec<f64>,
     ts: Vec<f64>,
     order: Vec<usize>,
-    /// Iteration counters; reset with [`MedianSolver::reset_telemetry`].
+    /// Iteration counters, accumulated over the solver's lifetime.
     pub telemetry: MedianTelemetry,
 }
 
@@ -887,11 +951,6 @@ impl<const N: usize> MedianSolver<N> {
     /// Replaces the convergence options for subsequent solves.
     pub fn set_options(&mut self, opts: MedianOptions) {
         self.opts = opts;
-    }
-
-    /// Clears the iteration counters.
-    pub fn reset_telemetry(&mut self) {
-        self.telemetry = MedianTelemetry::default();
     }
 
     /// Primes the warm-start iterate explicitly (e.g. when a warm-state
@@ -1002,6 +1061,28 @@ pub fn median_optimality_gap<const N: usize>(points: &[Point<N>], c: &Point<N>) 
 mod tests {
     use super::*;
     use crate::point::{P1, P2};
+
+    #[test]
+    fn nearest_ties_resolve_to_first_index_like_min_by() {
+        // Two exactly equidistant points: the first index must win,
+        // matching `Iterator::min_by`.
+        let mut pts = vec![P2::xy(9.0, 9.0); 10];
+        pts[2] = P2::xy(1.0, 0.0);
+        pts[9] = P2::xy(-1.0, 0.0);
+        let idx = nearest_index(&pts, &P2::origin()).unwrap();
+        assert_eq!(idx, 2);
+        let scalar_idx = pts
+            .iter()
+            .enumerate()
+            .min_by(|a, b| {
+                a.1.distance_sq(&P2::origin())
+                    .total_cmp(&b.1.distance_sq(&P2::origin()))
+            })
+            .unwrap()
+            .0;
+        assert_eq!(idx, scalar_idx);
+        assert!(nearest_index::<2>(&[], &P2::origin()).is_none());
+    }
 
     #[test]
     fn single_point_is_its_own_center() {

@@ -143,12 +143,6 @@ impl<const N: usize> Point<N> {
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|c| c.is_finite())
     }
-
-    /// Embeds the point into a dynamic-dimension [`DynPoint`].
-    #[inline]
-    pub fn to_dyn(&self) -> DynPoint {
-        DynPoint(self.0.to_vec())
-    }
 }
 
 impl Point<1> {
@@ -287,51 +281,6 @@ impl<const N: usize> From<[f64; N]> for Point<N> {
     }
 }
 
-/// A point whose dimension is chosen at runtime.
-///
-/// The fixed-size [`Point`] covers the hot paths; `DynPoint` exists for
-/// tooling that must handle instances of arbitrary dimension read from
-/// configuration (e.g. the experiment runner dispatching on a `dim` field).
-#[derive(Clone, PartialEq, Debug)]
-pub struct DynPoint(pub Vec<f64>);
-
-impl DynPoint {
-    /// The origin of `dim`-dimensional space.
-    pub fn origin(dim: usize) -> Self {
-        DynPoint(vec![0.0; dim])
-    }
-
-    /// Dimension of the point.
-    pub fn dim(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Euclidean distance to another dynamic point of the same dimension.
-    ///
-    /// # Panics
-    /// Panics when dimensions differ — mixing spaces is a logic error.
-    pub fn distance(&self, other: &Self) -> f64 {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch");
-        self.0
-            .iter()
-            .zip(&other.0)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Converts into a fixed-dimension point.
-    ///
-    /// # Panics
-    /// Panics when the runtime dimension does not equal `N`.
-    pub fn to_fixed<const N: usize>(&self) -> Point<N> {
-        assert_eq!(self.0.len(), N, "dimension mismatch");
-        let mut coords = [0.0; N];
-        coords.copy_from_slice(&self.0);
-        Point(coords)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,29 +357,6 @@ mod tests {
         assert!(P2::xy(1.0, 2.0).is_finite());
         assert!(!P2::xy(f64::NAN, 0.0).is_finite());
         assert!(!P2::xy(f64::INFINITY, 0.0).is_finite());
-    }
-
-    #[test]
-    fn dyn_point_roundtrip() {
-        let p = P3::new([1.0, 2.0, 3.0]);
-        let d = p.to_dyn();
-        assert_eq!(d.dim(), 3);
-        assert_eq!(d.to_fixed::<3>(), p);
-    }
-
-    #[test]
-    fn dyn_point_distance() {
-        let a = DynPoint(vec![0.0, 0.0]);
-        let b = DynPoint(vec![3.0, 4.0]);
-        assert_eq!(a.distance(&b), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn dyn_point_dimension_mismatch_panics() {
-        let a = DynPoint(vec![0.0, 0.0]);
-        let b = DynPoint(vec![1.0]);
-        let _ = a.distance(&b);
     }
 
     #[test]

@@ -37,29 +37,23 @@
 //! bit-equal to a fresh pass that stops there (pinned by proptests in
 //! `tests/transition_kernels.rs`).
 //!
-//! **Scratch is hoisted.** [`GridDp`] owns the arena (node positions in
-//! array-of-structs and structure-of-arrays layout) and every DP buffer,
-//! so repeated solves — both scans, both serving orders, δ-sweeps against
-//! one instance — are allocation-free after construction, like the
-//! median solver. The per-step service costs are filled by one **SoA scan
-//! per request** ([`msp_geometry::soa::SoaPoints::service_costs_into`],
-//! vectorized over the node columns) shared by both scans, which
-//! accumulates in request order — bit-identical per node to the scalar
-//! per-node loop it replaced, so the windowed/all-pairs exact-equality
-//! contract holds for every request count.
+//! **Scratch is hoisted.** [`GridDp`] owns the arena (the node
+//! positions) and every DP buffer, so repeated solves — both scans, both
+//! serving orders, δ-sweeps against one instance — are allocation-free
+//! after construction, like the median solver. Both scans read one
+//! per-step service-cost buffer, filled node by node with
+//! [`msp_core::cost::service_cost`], so the windowed/all-pairs
+//! exact-equality contract holds for every request count.
 
 use msp_analysis::obs;
-use msp_core::cost::ServingOrder;
+use msp_core::cost::{service_cost, ServingOrder};
 use msp_core::model::Instance;
-use msp_geometry::{Aabb, Point, SoaPoints};
+use msp_geometry::{Aabb, Point};
 
 /// Grid geometry shared by both transition scans: node positions plus the
 /// start-snap and movement slack described in [`grid_optimum`].
 struct GridArena<const N: usize> {
     nodes: Vec<Point<N>>,
-    /// The same nodes in structure-of-arrays layout, for the per-step
-    /// service scan and the start-snap distance scan.
-    nodes_soa: SoaPoints<N>,
     /// Per-axis node spacing.
     spacing: [f64; N],
     /// Movement tolerance: `max_move` plus half a grid diagonal.
@@ -136,10 +130,8 @@ fn build_arena<const N: usize>(instance: &Instance<N>, cells_per_axis: usize) ->
     let slack = diag2.sqrt() * 0.51;
     let reach = instance.max_move + slack;
 
-    let nodes_soa = SoaPoints::from_points(&nodes);
     GridArena {
         nodes,
-        nodes_soa,
         spacing,
         reach,
         slack,
@@ -166,8 +158,6 @@ pub struct GridDp<const N: usize> {
     next: Vec<f64>,
     /// Per-node service cost of the current step.
     serve: Vec<f64>,
-    /// Squared-distance scratch for the start snap.
-    dist_sq: Vec<f64>,
 }
 
 /// Cheapest cell of a DP frontier: the optimum of the steps run so far.
@@ -199,7 +189,6 @@ impl<const N: usize> GridDp<N> {
             cost: vec![0.0; n],
             next: vec![0.0; n],
             serve: vec![0.0; n],
-            dist_sq: vec![0.0; n],
         }
     }
 
@@ -218,12 +207,9 @@ impl<const N: usize> GridDp<N> {
     /// Initial DP costs: the server must begin at `start`, which may be
     /// off-grid — allow a free snap of at most `slack`.
     fn reset_initial_costs(&mut self, start: &Point<N>) {
-        self.arena
-            .nodes_soa
-            .distances_sq_into(start, &mut self.dist_sq);
         let mut any = false;
-        for (c, &d2) in self.cost.iter_mut().zip(&self.dist_sq) {
-            if d2.sqrt() <= self.arena.slack {
+        for (c, node) in self.cost.iter_mut().zip(&self.arena.nodes) {
+            if node.distance(start) <= self.arena.slack {
                 *c = 0.0;
                 any = true;
             } else {
@@ -234,23 +220,23 @@ impl<const N: usize> GridDp<N> {
             // Extremely coarse grid: snap to the nearest node
             // unconditionally.
             let (j, _) = self
-                .dist_sq
+                .arena
+                .nodes
                 .iter()
                 .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
+                .min_by(|a, b| a.1.distance_sq(start).total_cmp(&b.1.distance_sq(start)))
                 .unwrap();
             self.cost[j] = 0.0;
         }
     }
 
-    /// Per-node service cost of one step: one blocked SoA scan over the
-    /// node columns, accumulating requests in order (bit-identical per
-    /// node to the scalar `Σ_r d(node, v_r)` loop). Shared by both scans
-    /// so their transition minima see the same values.
+    /// Per-node service cost of one step, `Σ_r d(node, v_r)` in request
+    /// order. Shared by both scans so their transition minima see the
+    /// same values.
     fn fill_service_costs(&mut self, requests: &[Point<N>]) {
-        self.arena
-            .nodes_soa
-            .service_costs_into(requests, &mut self.serve);
+        for (s, node) in self.serve.iter_mut().zip(&self.arena.nodes) {
+            *s = service_cost(node, requests);
+        }
     }
 
     /// Per-axis neighbor window: a move of length ≤ `reach` changes axis
@@ -648,10 +634,9 @@ mod tests {
 
     #[test]
     fn kernels_agree_with_large_request_sets() {
-        // More requests than the kernel block width: the shared SoA
-        // service scan keeps both scans on identical per-node service
-        // values, so windowed/all-pairs equality is exact even past the
-        // chunk boundary.
+        // Eleven requests per step: the shared service-cost buffer keeps
+        // both scans on identical per-node service values, so
+        // windowed/all-pairs equality is exact for large request sets.
         let mut steps = Vec::new();
         for t in 0..3 {
             let reqs: Vec<P2> = (0..11)

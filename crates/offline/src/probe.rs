@@ -51,6 +51,11 @@ use msp_core::model::{Step, StreamParams};
 use msp_core::simulator::{StreamRunResult, StreamingSim};
 use msp_geometry::Point;
 
+/// Grid cells per axis for the windowed DP, before the node-count clamp.
+/// More cells → finer grid → smaller `snap` deflation → tighter bound, at
+/// quadratic node-count cost.
+const GRID_CELLS: usize = 9;
+
 /// Node-count ceiling for the windowed grid DP: `cellsᴺ` is clamped so a
 /// per-step all-pairs relaxation stays a micro-job even at `N = 3`.
 const MAX_GRID_NODES: usize = 1024;
@@ -58,26 +63,16 @@ const MAX_GRID_NODES: usize = 1024;
 /// Tuning knobs for [`RatioProbe`].
 #[derive(Clone, Copy, Debug)]
 pub struct ProbeOptions {
-    /// Steps per deflated-DP window; a window's bound is committed when
-    /// it closes, so smaller blocks bound sooner but deflate more (the
-    /// free start forgives OPT once per window).
+    /// Steps per deflated-DP window (`N ≥ 2`; 0 turns the grid bound
+    /// off); a window's bound is committed when it closes, so smaller
+    /// blocks bound sooner but deflate more (the free start forgives OPT
+    /// once per window).
     pub grid_block: usize,
-    /// Grid cells per axis for the windowed DP (clamped so the node
-    /// count stays ≤ 1024). More cells → finer grid → smaller `snap`
-    /// deflation → tighter bound, at quadratic node-count cost.
-    pub grid_cells: usize,
-    /// Whether to run the windowed grid DP at all (`N ≥ 2` only; the
-    /// line's projection bound is already exact).
-    pub use_grid: bool,
 }
 
 impl Default for ProbeOptions {
     fn default() -> Self {
-        ProbeOptions {
-            grid_block: 32,
-            grid_cells: 9,
-            use_grid: true,
-        }
+        ProbeOptions { grid_block: 32 }
     }
 }
 
@@ -139,8 +134,7 @@ impl<const N: usize> RatioProbe<N> {
         let axis = (0..N)
             .map(|i| IncrementalLineOpt::new(params.d, params.max_move, params.start[i], order))
             .collect();
-        let grid = (opts.use_grid && N >= 2 && opts.grid_block > 0)
-            .then(|| GridBound::new(opts.grid_cells));
+        let grid = (N >= 2 && opts.grid_block > 0).then(GridBound::new);
         RatioProbe {
             d: params.d,
             m: params.max_move,
@@ -211,9 +205,9 @@ struct GridBound<const N: usize> {
 }
 
 impl<const N: usize> GridBound<N> {
-    fn new(cells: usize) -> Self {
+    fn new() -> Self {
         // Clamp cellsᴺ to the node ceiling (at least 2 per axis).
-        let mut cells = cells.max(2);
+        let mut cells = GRID_CELLS;
         while cells > 2 && cells.pow(N as u32) > MAX_GRID_NODES {
             cells -= 1;
         }
@@ -459,10 +453,7 @@ mod tests {
         let mut probe = RatioProbe::<2>::new(
             &inst.params(),
             ServingOrder::MoveFirst,
-            ProbeOptions {
-                grid_block: 16,
-                ..ProbeOptions::default()
-            },
+            ProbeOptions { grid_block: 16 },
         );
         let mut prev = 0.0;
         for step in &inst.steps {
@@ -479,14 +470,8 @@ mod tests {
         // grid_optimum restricts OPT's positions, so it is ≥ OPT ≥ probe.
         for order in [ServingOrder::MoveFirst, ServingOrder::AnswerFirst] {
             let inst = plane_instance(48);
-            let mut probe = RatioProbe::<2>::new(
-                &inst.params(),
-                order,
-                ProbeOptions {
-                    grid_block: 12,
-                    ..ProbeOptions::default()
-                },
-            );
+            let mut probe =
+                RatioProbe::<2>::new(&inst.params(), order, ProbeOptions { grid_block: 12 });
             for step in &inst.steps {
                 probe.observe_step(&step.requests);
             }
@@ -510,10 +495,7 @@ mod tests {
             MoveToCenter::default(),
             0.25,
             ServingOrder::MoveFirst,
-            ProbeOptions {
-                grid_block: 10,
-                ..ProbeOptions::default()
-            },
+            ProbeOptions { grid_block: 10 },
             8,
         );
         let mut sim = StreamingSim::new(

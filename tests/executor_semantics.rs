@@ -3,22 +3,20 @@
 //! output-identical to sequential execution, nesting-safe, and
 //! transparent to the engines built on top of them.
 //!
-//! * `parallel_map_indexed` and `parallel_for_each_mut` are
-//!   **output-identical** to the sequential path for arbitrary inputs and
-//!   thread requests — proptest-pinned,
+//! * `parallel_map_indexed` is **output-identical** to the sequential
+//!   path for arbitrary inputs and thread requests — proptest-pinned,
 //! * nested fans collapse to one thread on sweep workers (the
 //!   no-oversubscription guarantee),
-//! * each `run_batch` δ-lane, fanned out over the executor, stays
-//!   **bit-equal** to a `run_streaming` pass with the same δ and order
-//!   (input-order result slots, not scheduling, carry determinism).
+//! * `run_batch` called from fan cells, as the experiment sweeps call it,
+//!   stays **bit-equal** to a `run_streaming` pass with the same δ and
+//!   order (input-order result slots, not scheduling, carry
+//!   determinism).
 //!
 //! The CI job `tests-2t` re-runs the whole suite with `MSP_THREADS=2` so
 //! these properties are exercised under worker contention, not only on
 //! whatever parallelism the runner happens to have.
 
-use mobile_server::analysis::sweep::{
-    effective_threads, parallel_for_each_mut, parallel_map_indexed, pool_threads,
-};
+use mobile_server::analysis::sweep::{effective_threads, parallel_map_indexed, pool_threads};
 use mobile_server::core::cost::ServingOrder;
 use mobile_server::core::simulator::{run_batch, run_streaming};
 use mobile_server::geometry::sample::SeededSampler;
@@ -38,23 +36,6 @@ proptest! {
         let f = |i: usize, x: &u32| (i as u64) * 31 + u64::from(*x) % 1000;
         let sequential: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
         let pooled = parallel_map_indexed(&items, threads, f);
-        prop_assert_eq!(&pooled, &sequential);
-    }
-
-    /// The in-place fan leaves exactly the sequential result for any
-    /// thread request, with every item visited exactly once.
-    #[test]
-    fn pooled_for_each_mut_is_output_identical_to_sequential(
-        items in prop::collection::vec(any::<u64>(), 0..300),
-        threads in 0usize..9,
-    ) {
-        let f = |i: usize, v: &mut u64| *v = v.wrapping_mul(0x9E3779B9).rotate_left(7) ^ i as u64;
-        let mut sequential = items.clone();
-        for (i, v) in sequential.iter_mut().enumerate() {
-            f(i, v);
-        }
-        let mut pooled = items.clone();
-        parallel_for_each_mut(&mut pooled, threads, f);
         prop_assert_eq!(&pooled, &sequential);
     }
 }
@@ -105,34 +86,38 @@ fn block_instance(seed: u64, horizon: usize) -> Instance<2> {
     Instance::new(3.0, 0.8, P2::origin(), steps)
 }
 
-/// Each δ-lane of `run_batch`, fanned out over the executor, is bit for
-/// bit a `run_streaming` pass with the same δ and order, whatever the
-/// sweep width.
+/// `run_batch` run in the cells of a fan, one instance per cell, is bit
+/// for bit a `run_streaming` pass with the same δ and order in every
+/// δ-lane, whatever the sweep width.
 #[test]
 fn batch_lanes_bit_equal_streaming_runs_under_the_executor() {
-    let inst = block_instance(41, 640);
+    let instances: Vec<Instance<2>> = [41, 42].map(|seed| block_instance(seed, 640)).into();
     let deltas = [0.0, 0.2, 0.45, 0.9];
     let orders = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
-    let batch = run_batch(&inst, &MoveToCenter::new(), &deltas, &orders);
-    assert_eq!(batch.len(), deltas.len() * orders.len());
-    for b in &batch {
-        let at = format!("δ={} {:?}", b.delta, b.order);
-        let single = run_streaming(
-            &inst.params(),
-            inst.steps.iter().cloned(),
-            MoveToCenter::new(),
-            b.delta,
-            b.order,
-        );
-        assert_eq!(single.steps, inst.horizon(), "{at}");
-        assert_eq!(single.movement.to_bits(), b.cost.movement.to_bits(), "{at}");
-        assert_eq!(single.service.to_bits(), b.cost.service.to_bits(), "{at}");
-        assert_eq!(single.final_position, *b.positions.last().unwrap(), "{at}");
-        assert_eq!(
-            single.max_step_used.to_bits(),
-            b.max_step_used().to_bits(),
-            "{at}"
-        );
+    let batches = parallel_map_indexed(&instances, 0, |_, inst| {
+        run_batch(inst, &MoveToCenter::new(), &deltas, &orders)
+    });
+    for (inst, batch) in instances.iter().zip(&batches) {
+        assert_eq!(batch.len(), deltas.len() * orders.len());
+        for b in batch {
+            let at = format!("δ={} {:?}", b.delta, b.order);
+            let single = run_streaming(
+                &inst.params(),
+                inst.steps.iter().cloned(),
+                MoveToCenter::new(),
+                b.delta,
+                b.order,
+            );
+            assert_eq!(single.steps, inst.horizon(), "{at}");
+            assert_eq!(single.movement.to_bits(), b.cost.movement.to_bits(), "{at}");
+            assert_eq!(single.service.to_bits(), b.cost.service.to_bits(), "{at}");
+            assert_eq!(single.final_position, *b.positions.last().unwrap(), "{at}");
+            assert_eq!(
+                single.max_step_used.to_bits(),
+                b.max_step_used().to_bits(),
+                "{at}"
+            );
+        }
     }
 }
 

@@ -135,7 +135,7 @@ proptest! {
         let mut probe = RatioProbe::<2>::new(
             &inst.params(),
             order,
-            ProbeOptions { grid_block: 8, ..ProbeOptions::default() },
+            ProbeOptions { grid_block: 8 },
         );
         let mut prev = 0.0;
         for step in &inst.steps {
@@ -171,10 +171,7 @@ fn probed_run_advances_the_registry_monotonically() {
         MoveToCenter::<2>::new(),
         0.2,
         ServingOrder::MoveFirst,
-        ProbeOptions {
-            grid_block: 16,
-            ..ProbeOptions::default()
-        },
+        ProbeOptions { grid_block: 16 },
         16,
     );
     let after = obs::snapshot();

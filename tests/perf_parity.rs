@@ -6,23 +6,16 @@
 //! * the grid DP's windowed scan vs the all-pairs scan: exactly equal
 //!   (the pruned window provably enumerates the same transition set; the
 //!   full parity matrix lives in `tests/transition_kernels.rs`),
-//! * (PR 3) the chunked SoA distance kernels vs their scalar oracles —
-//!   proptests with explicit f64 tolerance bounds, bit-equality where the
-//!   kernel promises it,
-//! * the lane-parallel batch engine vs the sequential path: `run_batch`
-//!   bit-equal to repeated `run` calls for every algorithm, over one
-//!   table of instance shapes.
+//! * the batch engine vs the single-run path: `run_batch` bit-equal to
+//!   repeated `run` calls for every algorithm, over one table of instance
+//!   shapes.
 
-use mobile_server::core::cost::{service_cost, service_cost_naive, ServingOrder};
+use mobile_server::core::cost::ServingOrder;
 use mobile_server::geometry::median::{
     collinear, median_optimality_gap, sum_of_distances, weighted_center, weighted_center_classic,
     weighted_center_weighted, MedianOptions, MedianSolver,
 };
 use mobile_server::geometry::sample::SeededSampler;
-use mobile_server::geometry::soa::{
-    nearest_index_points, sum_distances_points, sum_distances_points_scalar,
-    weighted_sum_distances_points, weighted_sum_distances_points_scalar, SoaPoints,
-};
 use mobile_server::offline::{grid_optimum, grid_optimum_unpruned, GridDp};
 use mobile_server::prelude::*;
 use proptest::prelude::*;
@@ -445,63 +438,6 @@ fn arb_cloud(max: usize) -> impl Strategy<Value = Vec<P2>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn chunked_sum_of_distances_matches_scalar_oracle(
-        pts in arb_cloud(200), cx in -20.0f64..20.0, cy in -20.0f64..20.0
-    ) {
-        let c = P2::xy(cx, cy);
-        let fast = sum_distances_points(&pts, &c);
-        let slow = sum_distances_points_scalar(&pts, &c);
-        // Multi-accumulator kernel: equal up to f64 reassociation error.
-        prop_assert!((fast - slow).abs() <= 1e-11 * (1.0 + slow), "{fast} vs {slow}");
-        // The naive/chunked service-cost pair is the same contract.
-        prop_assert_eq!(service_cost(&c, &pts).to_bits(), fast.to_bits());
-        prop_assert!((service_cost_naive(&c, &pts) - slow).abs() == 0.0);
-        // The SoA twin promises bit-equality with the AoS kernel.
-        let soa_buf = SoaPoints::from_points(&pts);
-        prop_assert_eq!(soa_buf.sum_distances(&c).to_bits(), fast.to_bits());
-    }
-
-    #[test]
-    fn chunked_weighted_sum_is_bit_equal_to_scalar_oracle(
-        pts in arb_cloud(120), wseed in any::<u64>()
-    ) {
-        let mut s = SeededSampler::new(wseed);
-        let w: Vec<f64> = (0..pts.len()).map(|_| s.uniform(0.1, 5.0)).collect();
-        let c = P2::xy(0.5, -0.25);
-        // In-order kernel: bit-identical, not merely close.
-        prop_assert_eq!(
-            weighted_sum_distances_points(&pts, &w, &c).to_bits(),
-            weighted_sum_distances_points_scalar(&pts, &w, &c).to_bits()
-        );
-    }
-
-    #[test]
-    fn nearest_scan_matches_scalar_argmin(pts in arb_cloud(150)) {
-        let c = P2::xy(1.0, 1.0);
-        let (idx, dist) = nearest_index_points(&pts, &c).unwrap();
-        let best = pts.iter().map(|p| p.distance(&c)).fold(f64::INFINITY, f64::min);
-        prop_assert!((dist - best).abs() < 1e-12);
-        prop_assert!((pts[idx].distance(&c) - best).abs() < 1e-12);
-    }
-
-    #[test]
-    fn soa_service_scan_is_bit_equal_to_per_node_loop(
-        nodes in arb_cloud(80), reqs in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 0..12)
-    ) {
-        let reqs: Vec<P2> = reqs.into_iter().map(|(x, y)| P2::xy(x, y)).collect();
-        let soa_nodes = SoaPoints::from_points(&nodes);
-        let mut out = vec![f64::NAN; nodes.len()];
-        soa_nodes.service_costs_into(&reqs, &mut out);
-        for (k, node) in nodes.iter().enumerate() {
-            let mut expect = 0.0f64;
-            for r in &reqs {
-                expect += r.distance(node);
-            }
-            prop_assert_eq!(out[k].to_bits(), expect.to_bits(), "node {}", k);
-        }
-    }
 
     #[test]
     fn hybrid_median_matches_classic_oracle(pts in arb_cloud(24), wseed in any::<u64>()) {
