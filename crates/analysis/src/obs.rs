@@ -113,7 +113,8 @@ metric_enum! {
         MedianSolves => "median.solves",
         /// Total Weiszfeld iterations across median solves.
         MedianIterations => "median.iterations",
-        /// Median solves seeded from a warm center.
+        /// Always 0: every median solve starts from the weighted centroid.
+        /// Kept because perfbench's `median.warm_share` reads it.
         MedianWarmStarts => "median.warm_starts",
         /// Streaming sessions started or resumed.
         StreamSessions => "stream.sessions",
@@ -142,7 +143,8 @@ metric_enum! {
         /// Sessions opened (or re-opened after recovery) by a session
         /// service (the `service.*` metric family; `docs/SESSIONS.md`).
         ServiceSessions => "service.sessions",
-        /// Sessions evicted from residency (to warm state or journal).
+        /// Sessions evicted from residency (to an in-memory checkpoint or
+        /// the journal).
         ServiceEvictions => "service.evictions",
         /// Evictions that spilled the session to its durable journal.
         ServiceSpills => "service.spills",
@@ -180,8 +182,8 @@ metric_enum! {
         ProbeBoundNs => "probe.bound_ns",
         /// Live ratio `alg_cost / lower_bound` per report block, ×1000.
         ProbeRatioPermille => "probe.ratio_permille",
-        /// Wall-clock of one cold-session resume (warm decode or journal
-        /// recovery plus stream fast-forward), nanoseconds.
+        /// Wall-clock of one cold-session resume (checkpoint restore or
+        /// journal recovery plus stream fast-forward), nanoseconds.
         ServiceResumeNs => "service.resume_ns",
         /// Steps delivered per session-service advance call.
         ServiceAdvanceSteps => "service.advance_steps",

@@ -43,7 +43,7 @@ use msp_core::cost::{service_cost, ServingOrder};
 use msp_core::model::{Instance, Step};
 use msp_core::mtc::MoveToCenter;
 use msp_core::simulator::{run_streaming, StreamingSim};
-use msp_geometry::median::{weighted_center, weighted_center_classic, MedianOptions, MedianSolver};
+use msp_geometry::median::{weighted_center, weighted_center_classic, MedianSolver};
 use msp_geometry::sample::SeededSampler;
 use msp_geometry::P2;
 use msp_offline::grid::GridDp;
@@ -181,8 +181,8 @@ impl Shapes {
     }
 
     /// Smaller instances, so a gate run stays in CI budget. Check quick
-    /// runs against a quick-shape record only: pruning windows and
-    /// warm-start gains scale with the instance, so ratios of different
+    /// runs against a quick-shape record only: pruning windows and the
+    /// median traffic scale with the instance, so ratios of different
     /// shapes are not comparable.
     fn quick() -> Self {
         Shapes {
@@ -214,11 +214,11 @@ const CHURN_FAMILIES: [&str; 4] = ["edge-drift", "walk-plane", "car-fleet", "dis
 /// Move-to-Center solves a median for, each with the server position it
 /// solves from (the solve's tie-break reference). Steps without requests
 /// are left out: MtC solves nothing there.
-fn churn_traffic(steps: usize) -> Vec<Vec<(Vec<P2>, P2)>> {
+fn churn_traffic(steps: usize) -> Vec<(Vec<P2>, P2)> {
     CHURN_FAMILIES
         .iter()
         .enumerate()
-        .map(|(k, family)| {
+        .flat_map(|(k, family)| {
             let spec = lookup_or_err(family).expect("registry scenario");
             let mut stream = spec
                 .stream_with::<2>(
@@ -232,50 +232,43 @@ fn churn_traffic(steps: usize) -> Vec<Vec<(Vec<P2>, P2)>> {
                 spec.default_delta,
                 ServingOrder::MoveFirst,
             );
-            std::iter::from_fn(|| stream.next_step())
-                .filter_map(|step| {
-                    let at = *sim.position();
-                    sim.feed(&step);
-                    (!step.requests.is_empty()).then_some((step.requests, at))
-                })
-                .collect()
+            std::iter::from_fn(move || stream.next_step()).filter_map(move |step| {
+                let at = *sim.position();
+                sim.feed(&step);
+                (!step.requests.is_empty()).then_some((step.requests, at))
+            })
         })
         .collect()
 }
 
 /// Move-to-Center's median solves on `service_churn`'s traffic: the
-/// seed's cold classic solver vs the warm [`MedianSolver`] (closed forms
-/// for three and four requests, warm Weiszfeld above), one solver per
-/// family as one per session. Each arm answers every center. Parity:
-/// every fast center lies within 1e-8 (relative) of the pipeline's own
-/// cold [`weighted_center`], and its objective is no worse than the
-/// classic center's; the classic solver stops short of the true median
-/// by up to 1e-2 on this traffic, so the two are not compared point by
-/// point.
+/// seed's classic solver vs one reused [`MedianSolver`] (closed forms for
+/// three and four requests, the hybrid pipeline above). Each arm answers
+/// every center. Parity: every fast center is the free
+/// [`weighted_center`]'s bit for bit, and its objective is no worse than
+/// the classic center's; the classic solver stops short of the true
+/// median by up to 1e-2 on this traffic, so the two are not compared
+/// point by point.
 fn median_churn(sh: &Shapes) -> Pair {
-    let traffic = churn_traffic(sh.median_steps);
-    let opts = MedianOptions::default();
-    let sets: Vec<(Vec<P2>, P2)> = traffic.iter().flatten().cloned().collect();
-    let cold: Vec<P2> = sets
+    let sets = churn_traffic(sh.median_steps);
+    let free: Vec<P2> = sets
         .iter()
-        .map(|(requests, at)| weighted_center(requests, at, opts))
+        .map(|(requests, at)| weighted_center(requests, at))
         .collect();
     let most = sets.iter().map(|(r, _)| r.len()).max().unwrap_or(0);
     let ones = vec![1.0; most];
-    let mut probe = MedianSolver::<2>::new(opts);
-    for family in &traffic {
-        probe.reset();
-        for (requests, at) in family {
-            probe.center(requests, at);
-        }
+    let mut probe = MedianSolver::<2>::new();
+    for (requests, at) in &sets {
+        probe.center(requests, at);
     }
+    let arm_sets = sets.clone();
     Pair {
         name: "median_service_churn".into(),
         serves: "service_churn: median (MoveToCenter's center solves)",
         detail: format!(
             "{} request sets (1–{most} requests) of service_churn's scenario families, {} \
-             steps each, referenced at MtC's positions; seed cold-start solver vs warm \
-             MedianSolver (mean {:.2} Weiszfeld iters/solve warm)",
+             steps each, referenced at MtC's positions; seed classic solver vs \
+             MedianSolver (mean {:.2} Weiszfeld iters/solve)",
             sets.len(),
             sh.median_steps,
             probe.telemetry.mean_iterations()
@@ -289,12 +282,11 @@ fn median_churn(sh: &Shapes) -> Pair {
                     fast.len()
                 ));
             }
-            for (k, ((requests, _), c)) in sets.iter().zip(&cold).enumerate() {
+            for (k, ((requests, _), c)) in sets.iter().zip(&free).enumerate() {
                 let b = P2::xy(base[2 * k], base[2 * k + 1]);
                 let f = P2::xy(fast[2 * k], fast[2 * k + 1]);
-                let near_cold = f.distance(c) <= 1e-8 * (1.0 + c.norm());
-                if !near_cold {
-                    return Err(format!("set {k}: fast {f:?}, cold weighted_center {c:?}"));
+                if f.0.map(f64::to_bits) != c.0.map(f64::to_bits) {
+                    return Err(format!("set {k}: fast {f:?}, free weighted_center {c:?}"));
                 }
                 let (fb, ff) = (service_cost(&b, requests), service_cost(&f, requests));
                 let no_worse = ff <= fb * (1.0 + 1e-12);
@@ -306,18 +298,13 @@ fn median_churn(sh: &Shapes) -> Pair {
         }),
         arms: Box::new(move |arm, out| {
             out.clear();
-            let mut solver = MedianSolver::<2>::new(opts);
-            for family in &traffic {
-                solver.reset();
-                for (requests, at) in family {
-                    let c = match arm {
-                        Arm::Baseline => {
-                            weighted_center_classic(requests, &ones[..requests.len()], at, opts)
-                        }
-                        Arm::Fast => solver.center(requests, at),
-                    };
-                    out.extend_from_slice(&[c[0], c[1]]);
-                }
+            let mut solver = MedianSolver::<2>::new();
+            for (requests, at) in &arm_sets {
+                let c = match arm {
+                    Arm::Baseline => weighted_center_classic(requests, &ones[..requests.len()], at),
+                    Arm::Fast => solver.center(requests, at),
+                };
+                out.extend_from_slice(&[c[0], c[1]]);
             }
         }),
     }
@@ -412,9 +399,9 @@ fn obs_overhead(sh: &Shapes) -> Pair {
 /// round-robin fleet advance through a [`msp_scenarios::SessionService`]
 /// whose resident cap covers the fleet (baseline, every session stays
 /// live) vs a cap of 1 (fast, the feature-on arm: every touch evicts the
-/// previous session and warm-resumes the next). Costs are bit-equal
-/// either way (the service's resume contract), so the ratio isolates the
-/// evict/resume overhead, and a growing overhead lowers it.
+/// previous session and resumes the next from its checkpoint). Costs are
+/// bit-equal either way (the service's resume contract), so the ratio
+/// isolates the evict/resume overhead, and a growing overhead lowers it.
 fn session_churn(sh: &Shapes) -> Pair {
     use msp_scenarios::{InstanceStream, ServiceConfig, SessionService};
 
@@ -460,11 +447,11 @@ fn session_churn(sh: &Shapes) -> Pair {
     let n = sh.churn_sessions;
     Pair {
         name: "service_session_churn".into(),
-        serves: "service_churn: service (evict + warm resume)",
+        serves: "service_churn: service (evict + resume)",
         detail: format!(
             "{n} single-request sessions × {CHURN_STEPS} steps advanced round-robin in \
              {CHURN_SLICE}-step slices through a memory-only SessionService; resident cap {n} \
-             (all live, baseline) vs cap 1 (evict + warm-resume on every touch, fast); \
+             (all live, baseline) vs cap 1 (evict + resume on every touch, fast); \
              bit-equal running costs asserted"
         ),
         parity: Box::new(bit_equal),

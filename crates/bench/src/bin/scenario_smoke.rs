@@ -268,8 +268,7 @@ fn fault_smoke_dim<const N: usize>(spec: &ScenarioSpec, fault_seed: u64) -> Resu
     if recovery.torn_tail.is_none() {
         return Err(format!("{name}: torn in-flight record went unreported"));
     }
-    let mut resumed = resume_from_journal(&recovery, MoveToCenter::new())
-        .map_err(|e| format!("{name}: resume failed: {e}"))?;
+    let mut resumed = resume_from_journal(&recovery, MoveToCenter::new());
     stream.rewind();
     for _ in 0..recovery.checkpoint.step {
         stream.next_step();

@@ -85,91 +85,17 @@ pub trait OnlineAlgorithm<const N: usize> {
     ) -> Point<N>;
 }
 
-/// Failure decoding a persisted warm-state blob (see [`WarmStateCodec`]).
-///
-/// Warm-state bytes come from checkpoint journals on disk, so a decoder
-/// must treat them as untrusted: wrong lengths, unknown tags, and
-/// non-finite coordinates are reported here instead of panicking.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WarmStateError {
-    /// What was wrong with the blob.
-    pub message: String,
-}
-
-impl WarmStateError {
-    /// Builds an error with the given description.
-    pub fn new(message: impl Into<String>) -> Self {
-        WarmStateError {
-            message: message.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for WarmStateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "corrupt warm-state blob: {}", self.message)
-    }
-}
-
-impl std::error::Error for WarmStateError {}
-
-/// Byte-level persistence of an algorithm's **decision-relevant warm
-/// state** — what a durable checkpoint must carry alongside a
-/// [`crate::simulator::StreamCheckpoint`] so that a crashed streaming run
-/// can resume *bit-equal* to the uninterrupted run.
-///
-/// The encoded state is everything that influences future `decide` calls
-/// beyond the algorithm's configuration. Scratch buffers and telemetry
-/// are excluded; numerical warm iterates (e.g. the median solver's
-/// previous center) are included **bit-exactly**, because resuming with
-/// different starting iterates would produce decisions that differ at the
-/// last ulp and diverge from the uninterrupted trajectory.
-///
-/// Round-trip law, pinned by tests: for any reachable state `s`,
-/// `decode(encode(s))` after a [`OnlineAlgorithm::reset`] restores a state
-/// whose subsequent decisions are bit-identical to continuing from `s`.
-/// Decoders must reject malformed input with [`WarmStateError`], never
-/// panic — journal blobs are untrusted bytes.
-pub trait WarmStateCodec {
-    /// Appends the warm state to `out`. An empty encoding is valid (the
-    /// stateless baselines encode nothing).
-    fn encode_warm_state(&self, out: &mut Vec<u8>);
-
-    /// Restores the warm state from `bytes` (as produced by
-    /// [`WarmStateCodec::encode_warm_state`]). Called on a freshly
-    /// [`OnlineAlgorithm::reset`] instance.
-    fn decode_warm_state(&mut self, bytes: &[u8]) -> Result<(), WarmStateError>;
-}
-
-/// Encodes a fixed-dimension point as `8·N` little-endian IEEE-754 bit
-/// patterns — the building block warm-state codecs share.
-pub fn encode_point<const N: usize>(p: &Point<N>, out: &mut Vec<u8>) {
-    for c in p.coords() {
-        out.extend_from_slice(&c.to_bits().to_le_bytes());
-    }
-}
-
-/// Decodes a point written by [`encode_point`], validating length and
-/// finiteness.
-pub fn decode_point<const N: usize>(bytes: &[u8]) -> Result<Point<N>, WarmStateError> {
-    if bytes.len() != 8 * N {
-        return Err(WarmStateError::new(format!(
-            "point blob has {} bytes, expected {}",
-            bytes.len(),
-            8 * N
-        )));
-    }
-    let mut p = Point::<N>::origin();
-    for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(chunk);
-        p[i] = f64::from_bits(u64::from_le_bytes(raw));
-    }
-    if !p.is_finite() {
-        return Err(WarmStateError::new("non-finite warm-state coordinate"));
-    }
-    Ok(p)
-}
+/// Marker for an algorithm whose decision depends only on the current
+/// position, the step's requests and the [`AlgContext`], never on earlier
+/// calls. A fresh, configuration-equal instance therefore continues a run
+/// bit-equal to the instance that ran it, so a
+/// [`crate::simulator::StreamCheckpoint`] alone resumes the run (through
+/// [`crate::simulator::StreamingSim::resume`]). Durable resumes from a
+/// checkpoint journal and the session service accept only these
+/// algorithms, at compile time. Algorithms that carry state from step to
+/// step, such as a pending batch, a standing target or an RNG, do not
+/// implement it.
+pub trait Memoryless {}
 
 /// Object-safe alias for heterogeneous algorithm collections (experiment
 /// tables iterate over `Vec<BoxedAlgorithm<N>>`).

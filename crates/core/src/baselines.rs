@@ -25,41 +25,17 @@
 //!   `min{1, r/(2D)}` per step, adopt the request center as the standing
 //!   target; always move towards the standing target at full budget.
 
-use crate::algorithm::{
-    decode_point, encode_point, AlgContext, OnlineAlgorithm, WarmStateCodec, WarmStateError,
-};
-use msp_geometry::median::{weighted_center, MedianOptions};
+use crate::algorithm::{AlgContext, Memoryless, OnlineAlgorithm};
+use msp_geometry::median::weighted_center;
 use msp_geometry::{step_towards, Point};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Implements [`WarmStateCodec`] for a memoryless baseline: nothing to
-/// encode, and decoding accepts only the empty blob it produced.
-macro_rules! stateless_codec {
-    ($ty:ty, $label:literal) => {
-        impl WarmStateCodec for $ty {
-            fn encode_warm_state(&self, _out: &mut Vec<u8>) {}
-            fn decode_warm_state(&mut self, bytes: &[u8]) -> Result<(), WarmStateError> {
-                if bytes.is_empty() {
-                    Ok(())
-                } else {
-                    Err(WarmStateError::new(concat!(
-                        $label,
-                        " is stateless but blob is non-empty"
-                    )))
-                }
-            }
-        }
-    };
-}
-
-stateless_codec!(Lazy, "lazy");
-stateless_codec!(FollowCenter, "follow-center");
-stateless_codec!(FractionalStep, "fractional-step");
-
 /// Never moves; serves every request from `P_0`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Lazy;
+
+impl Memoryless for Lazy {}
 
 impl<const N: usize> OnlineAlgorithm<N> for Lazy {
     fn name(&self) -> String {
@@ -78,16 +54,16 @@ impl<const N: usize> OnlineAlgorithm<N> for Lazy {
 
 /// Greedy chase: full movement budget towards the request center each step.
 #[derive(Clone, Debug, Default)]
-pub struct FollowCenter {
-    opts: MedianOptions,
-}
+pub struct FollowCenter;
 
 impl FollowCenter {
-    /// Creates the greedy chaser with default median tolerances.
+    /// Creates the greedy chaser.
     pub fn new() -> Self {
-        Self::default()
+        FollowCenter
     }
 }
+
+impl Memoryless for FollowCenter {}
 
 impl<const N: usize> OnlineAlgorithm<N> for FollowCenter {
     fn name(&self) -> String {
@@ -103,7 +79,7 @@ impl<const N: usize> OnlineAlgorithm<N> for FollowCenter {
         if requests.is_empty() {
             return *current;
         }
-        let c = weighted_center(requests, current, self.opts);
+        let c = weighted_center(requests, current);
         step_towards(current, &c, ctx.online_budget())
     }
 }
@@ -115,7 +91,6 @@ impl<const N: usize> OnlineAlgorithm<N> for FollowCenter {
 pub struct FractionalStep {
     /// Pull multiplier `κ > 0`.
     pub kappa: f64,
-    opts: MedianOptions,
 }
 
 impl FractionalStep {
@@ -125,12 +100,11 @@ impl FractionalStep {
     /// Panics unless `kappa` is positive and finite.
     pub fn new(kappa: f64) -> Self {
         assert!(kappa > 0.0 && kappa.is_finite(), "κ must be positive");
-        FractionalStep {
-            kappa,
-            opts: MedianOptions::default(),
-        }
+        FractionalStep { kappa }
     }
 }
+
+impl Memoryless for FractionalStep {}
 
 impl<const N: usize> OnlineAlgorithm<N> for FractionalStep {
     fn name(&self) -> String {
@@ -146,7 +120,7 @@ impl<const N: usize> OnlineAlgorithm<N> for FractionalStep {
         if requests.is_empty() {
             return *current;
         }
-        let c = weighted_center(requests, current, self.opts);
+        let c = weighted_center(requests, current);
         let r = requests.len() as f64;
         let pull = (self.kappa * r / ctx.d).min(1.0) * current.distance(&c);
         step_towards(current, &c, pull.min(ctx.online_budget()))
@@ -160,12 +134,12 @@ pub struct MoveToMin;
 
 /// Adaptation of Westbrook's deterministic Move-To-Min for dimension `N`:
 /// collect requests until their count reaches `D`, re-target the batch
-/// 1-median, then drain towards it at full budget.
+/// 1-median, then drain towards it at full budget. Not [`Memoryless`]: the
+/// pending batch and the standing target carry over from step to step.
 #[derive(Clone, Debug)]
 pub struct MoveToMinN<const N: usize> {
     batch: Vec<Point<N>>,
     target: Option<Point<N>>,
-    opts: MedianOptions,
 }
 
 impl<const N: usize> MoveToMinN<N> {
@@ -174,7 +148,6 @@ impl<const N: usize> MoveToMinN<N> {
         MoveToMinN {
             batch: Vec::new(),
             target: None,
-            opts: MedianOptions::default(),
         }
     }
 }
@@ -216,7 +189,7 @@ impl<const N: usize> OnlineAlgorithm<N> for MoveToMinN<N> {
         // trigger: D requests have been served since the last migration),
         // commit to the batch median and start a new batch.
         if self.batch.len() as f64 >= ctx.d {
-            self.target = Some(weighted_center(&self.batch, current, self.opts));
+            self.target = Some(weighted_center(&self.batch, current));
             self.batch.clear();
         }
         match self.target {
@@ -233,65 +206,6 @@ impl<const N: usize> OnlineAlgorithm<N> for MoveToMinN<N> {
     }
 }
 
-impl<const N: usize> WarmStateCodec for MoveToMinN<N> {
-    // Layout: target tag (`0` none, `1` + point), then the pending batch
-    // as a `u32` count followed by that many points. Unlike MtC's warm
-    // iterate this *is* algorithmic state — dropping it would silently
-    // shift every future migration — so the codec carries it in full.
-    fn encode_warm_state(&self, out: &mut Vec<u8>) {
-        match self.target {
-            None => out.push(0),
-            Some(t) => {
-                out.push(1);
-                encode_point(&t, out);
-            }
-        }
-        out.extend_from_slice(&(self.batch.len() as u32).to_le_bytes());
-        for p in &self.batch {
-            encode_point(p, out);
-        }
-    }
-
-    fn decode_warm_state(&mut self, bytes: &[u8]) -> Result<(), WarmStateError> {
-        let point_len = 8 * N;
-        let (target, rest) = match bytes.split_first() {
-            Some((0, rest)) => (None, rest),
-            Some((1, rest)) if rest.len() >= point_len => {
-                let (raw, rest) = rest.split_at(point_len);
-                (Some(decode_point::<N>(raw)?), rest)
-            }
-            Some((1, _)) => {
-                return Err(WarmStateError::new("move-to-min target truncated"));
-            }
-            Some((tag, _)) => {
-                return Err(WarmStateError::new(format!(
-                    "unknown move-to-min tag {tag}"
-                )));
-            }
-            None => return Err(WarmStateError::new("empty move-to-min blob")),
-        };
-        if rest.len() < 4 {
-            return Err(WarmStateError::new("move-to-min batch count truncated"));
-        }
-        let (raw_count, body) = rest.split_at(4);
-        let count = u32::from_le_bytes(raw_count.try_into().unwrap()) as usize;
-        if body.len() != count * point_len {
-            return Err(WarmStateError::new(format!(
-                "move-to-min batch has {} bytes, expected {}",
-                body.len(),
-                count * point_len
-            )));
-        }
-        let mut batch = Vec::with_capacity(count);
-        for raw in body.chunks_exact(point_len) {
-            batch.push(decode_point::<N>(raw)?);
-        }
-        self.target = target;
-        self.batch = batch;
-        Ok(())
-    }
-}
-
 /// Adaptation of Westbrook's randomized Coin-Flip algorithm: each step,
 /// with probability `min{1, r/(2D)}`, re-target the current request
 /// center; always move at full budget towards the standing target.
@@ -300,17 +214,16 @@ impl<const N: usize> WarmStateCodec for MoveToMinN<N> {
 /// runs are reproducible and repeated runs of the same configured instance
 /// coincide.
 ///
-/// [`WarmStateCodec`] is deliberately **not** implemented here: the RNG's
-/// mid-run state is not exposed, so a crash-resumed run could not replay
-/// the coin flips bit-equal to the uninterrupted run. Journal support is
-/// therefore compile-time restricted to the deterministic algorithms.
+/// [`Memoryless`] is deliberately **not** implemented here: the RNG and
+/// the standing target carry over from step to step, so a run resumed
+/// from a checkpoint alone could not replay the coin flips bit-equal to
+/// the uninterrupted run.
 #[derive(Clone, Debug)]
 pub struct RandomizedCoinFlip<const N: usize> {
     /// Seed applied at reset.
     pub seed: u64,
     rng: StdRng,
     target: Option<Point<N>>,
-    opts: MedianOptions,
 }
 
 impl<const N: usize> RandomizedCoinFlip<N> {
@@ -320,7 +233,6 @@ impl<const N: usize> RandomizedCoinFlip<N> {
             seed,
             rng: StdRng::seed_from_u64(seed),
             target: None,
-            opts: MedianOptions::default(),
         }
     }
 }
@@ -344,7 +256,7 @@ impl<const N: usize> OnlineAlgorithm<N> for RandomizedCoinFlip<N> {
         if !requests.is_empty() {
             let p = (requests.len() as f64 / (2.0 * ctx.d)).min(1.0);
             if self.rng.gen_bool(p) {
-                self.target = Some(weighted_center(requests, current, self.opts));
+                self.target = Some(weighted_center(requests, current));
             }
         }
         match self.target {
@@ -406,7 +318,7 @@ mod tests {
         let cur = P2::xy(-1.0, 0.5);
         let a = frac.decide(&cur, &reqs, &c);
         let b = mtc.decide(&cur, &reqs, &c);
-        assert!(a.distance(&b) < 1e-9);
+        assert_eq!(a.0.map(f64::to_bits), b.0.map(f64::to_bits));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::algorithm::AlgContext;
 use crate::cost::{CostBreakdown, ServingOrder, StepCost};
 use crate::model::Instance;
 use crate::mtc::MoveToCenter;
-use msp_geometry::median::{weighted_center, MedianOptions};
+use msp_geometry::median::weighted_center;
 use msp_geometry::{step_towards, Point};
 
 /// A fleet policy: given all server positions and the step's requests,
@@ -234,7 +234,7 @@ impl<const N: usize> FleetAlgorithm<N> for GreedyFleet {
                     return *s;
                 }
                 let mine: Vec<Point<N>> = part.iter().map(|&i| requests[i]).collect();
-                let c = weighted_center(&mine, s, MedianOptions::default());
+                let c = weighted_center(&mine, s);
                 step_towards(s, &c, ctx.online_budget())
             })
             .collect()

@@ -42,7 +42,7 @@ pub mod mtc;
 pub mod ratio;
 pub mod simulator;
 
-pub use algorithm::{AlgContext, BoxedAlgorithm, OnlineAlgorithm, WarmStateCodec, WarmStateError};
+pub use algorithm::{AlgContext, BoxedAlgorithm, Memoryless, OnlineAlgorithm};
 pub use cost::{CostBreakdown, ServingOrder, StepCost};
 pub use model::{Instance, Step};
 pub use mtc::MoveToCenter;

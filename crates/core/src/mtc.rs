@@ -14,20 +14,14 @@
 //! in the Moving-Client variant without augmentation.
 //!
 //! **Performance:** the struct is const-generic over the dimension so it
-//! can own a [`MedianSolver`] — a warm-starting, allocation-free
-//! geometric-median solver. Successive request sets drift slowly, so
-//! seeding each step's Weiszfeld iteration from the previous center
-//! collapses the per-step iteration count; [`MoveToCenter::median_telemetry`]
-//! exposes the counters. The warm state is cleared on every
-//! [`OnlineAlgorithm::reset`], so repeated runs stay deterministic.
+//! can own a [`MedianSolver`], whose reusable scratch makes the per-step
+//! solve allocation-free; [`MoveToCenter::median_telemetry`] exposes its
+//! counters. The solver carries nothing from one solve to the next, so
+//! MtC is [`Memoryless`], as the paper's rule is.
 
-use crate::algorithm::{
-    decode_point, encode_point, AlgContext, OnlineAlgorithm, WarmStateCodec, WarmStateError,
-};
+use crate::algorithm::{AlgContext, Memoryless, OnlineAlgorithm};
 use msp_analysis::obs;
-use msp_geometry::median::{
-    centroid, weighted_center, MedianOptions, MedianSolver, MedianTelemetry,
-};
+use msp_geometry::median::{centroid, weighted_center, MedianSolver, MedianTelemetry};
 use msp_geometry::{step_towards, Point};
 
 /// Which center of the request set MtC targets. The paper uses the
@@ -47,42 +41,36 @@ pub enum CenterTarget {
 pub struct MoveToCenter<const N: usize> {
     /// Center of the request multiset to head towards.
     pub center: CenterTarget,
-    /// Convergence options for the geometric-median computation.
-    pub median_opts: MedianOptions,
     solver: MedianSolver<N>,
 }
 
 impl<const N: usize> MoveToCenter<N> {
-    /// Paper-faithful MtC (geometric-median target, default solver
-    /// tolerances).
+    /// Paper-faithful MtC (geometric-median target).
     pub fn new() -> Self {
         Self::with_center(CenterTarget::GeometricMedian)
     }
 
     /// MtC with an alternative center target (ablation A2).
     pub fn with_center(center: CenterTarget) -> Self {
-        let median_opts = MedianOptions::default();
         MoveToCenter {
             center,
-            median_opts,
-            solver: MedianSolver::new(median_opts),
+            solver: MedianSolver::new(),
         }
     }
 
-    /// The center point `c` for a request set as seen from `current`.
-    ///
-    /// Stateless cold-start computation, for external callers (fleet
-    /// partitioning, experiment replays) that probe centers out of
-    /// sequence; the simulation hot path goes through the internal
-    /// warm-started solver instead.
+    /// The center point `c` for a request set as seen from `current`, for
+    /// external callers (fleet partitioning, experiment replays) that
+    /// probe centers out of sequence. Bit-equal to the center
+    /// [`OnlineAlgorithm::decide`] heads for; the simulation hot path goes
+    /// through the internal solver's reusable scratch instead.
     pub fn center_of(&self, requests: &[Point<N>], current: &Point<N>) -> Point<N> {
         match self.center {
-            CenterTarget::GeometricMedian => weighted_center(requests, current, self.median_opts),
+            CenterTarget::GeometricMedian => weighted_center(requests, current),
             CenterTarget::Centroid => centroid(requests),
         }
     }
 
-    /// Iteration counters of the internal warm-started median solver.
+    /// Iteration counters of the internal median solver.
     pub fn median_telemetry(&self) -> MedianTelemetry {
         self.solver.telemetry
     }
@@ -103,9 +91,6 @@ pub fn median_telemetry_view(snapshot: &obs::MetricsSnapshot) -> MedianTelemetry
         iterations: snapshot
             .counter(obs::Counter::MedianIterations.name())
             .unwrap_or(0),
-        warm_starts: snapshot
-            .counter(obs::Counter::MedianWarmStarts.name())
-            .unwrap_or(0),
         last_iterations: 0,
     }
 }
@@ -124,14 +109,7 @@ impl<const N: usize> OnlineAlgorithm<N> for MoveToCenter<N> {
         }
     }
 
-    fn reset(&mut self, _ctx: &AlgContext<N>) {
-        // MtC is memoryless in the model sense: each decision depends only
-        // on the current position and the current requests. The solver's
-        // warm-start iterate is a numerical accelerator, not algorithmic
-        // state, and is cleared here so reruns are bit-identical.
-        self.solver.set_options(self.median_opts);
-        self.solver.reset();
-    }
+    fn reset(&mut self, _ctx: &AlgContext<N>) {}
 
     fn decide(
         &mut self,
@@ -145,10 +123,6 @@ impl<const N: usize> OnlineAlgorithm<N> for MoveToCenter<N> {
         }
         let c = match self.center {
             CenterTarget::GeometricMedian => {
-                // Keep the solver in lockstep with the public `median_opts`
-                // field even when callers mutate it between decisions
-                // without an intervening reset (a cheap Copy assignment).
-                self.solver.set_options(self.median_opts);
                 // Route the solver's telemetry deltas through the
                 // observability registry (msp-geometry sits below
                 // msp-analysis in the crate graph, so the bridge lives
@@ -163,10 +137,6 @@ impl<const N: usize> OnlineAlgorithm<N> for MoveToCenter<N> {
                         obs::Counter::MedianIterations,
                         t.iterations - before.iterations,
                     );
-                    obs::add(
-                        obs::Counter::MedianWarmStarts,
-                        t.warm_starts - before.warm_starts,
-                    );
                 }
                 c
             }
@@ -179,36 +149,7 @@ impl<const N: usize> OnlineAlgorithm<N> for MoveToCenter<N> {
     }
 }
 
-impl<const N: usize> WarmStateCodec for MoveToCenter<N> {
-    // Layout: tag `0` (cold solver) or tag `1` followed by the warm
-    // iterate as 8·N little-endian f64 bit patterns. The warm iterate is
-    // the only per-run state the solver carries (scratch buffers and
-    // telemetry never feed back into the numerics), so round-tripping it
-    // bit-exactly makes a resumed run's decisions identical to the
-    // uninterrupted run's.
-    fn encode_warm_state(&self, out: &mut Vec<u8>) {
-        match self.solver.warm_state() {
-            None => out.push(0),
-            Some(center) => {
-                out.push(1);
-                encode_point(&center, out);
-            }
-        }
-    }
-
-    fn decode_warm_state(&mut self, bytes: &[u8]) -> Result<(), WarmStateError> {
-        match bytes.split_first() {
-            Some((0, [])) => Ok(()),
-            Some((0, _)) => Err(WarmStateError::new("trailing bytes after cold mtc tag")),
-            Some((1, rest)) => {
-                self.solver.seed(decode_point::<N>(rest)?);
-                Ok(())
-            }
-            Some((tag, _)) => Err(WarmStateError::new(format!("unknown mtc tag {tag}"))),
-            None => Err(WarmStateError::new("empty mtc warm-state blob")),
-        }
-    }
-}
+impl<const N: usize> Memoryless for MoveToCenter<N> {}
 
 #[cfg(test)]
 mod tests {
@@ -356,12 +297,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_solver_threads_through_decisions() {
-        // A long decision sequence on drifting requests: the internal
-        // solver must record warm starts and stay in lockstep with the
-        // stateless center computation. Five requests per step, since
-        // three or four take the solver's closed form, which never warm
-        // starts.
+    fn decisions_head_for_center_of_bit_for_bit() {
+        // A long decision sequence on drifting requests, five per step
+        // (three or four take the solver's closed form): every decision
+        // must step towards exactly the center `center_of` computes.
         let mut mtc = MoveToCenter::<2>::new();
         let ctx = ctx2(4.0, 0.5, 0.2);
         mtc.reset(&ctx);
@@ -375,32 +314,19 @@ mod tests {
                 P2::xy(0.3 + s, 0.5),
                 P2::xy(1.2 + s, -0.2),
             ];
-            let cold_center = mtc.center_of(&reqs, &pos);
+            let center = mtc.center_of(&reqs, &pos);
             let next = mtc.decide(&pos, &reqs, &ctx);
-            // The decision must head towards (within 1e-9 of) the cold
-            // center — warm starting is numerics, not policy.
-            let pull = (5.0f64 / ctx.d).min(1.0) * pos.distance(&cold_center);
-            let expect = step_towards(&pos, &cold_center, pull.min(ctx.online_budget()));
-            assert!(next.distance(&expect) < 1e-9, "step {t}");
+            let pull = (5.0f64 / ctx.d).min(1.0) * pos.distance(&center);
+            let expect = step_towards(&pos, &center, pull.min(ctx.online_budget()));
+            assert_eq!(
+                next.0.map(f64::to_bits),
+                expect.0.map(f64::to_bits),
+                "step {t}"
+            );
             pos = next;
         }
         let telemetry = mtc.median_telemetry();
         assert_eq!(telemetry.solves, 100);
-        assert!(telemetry.warm_starts >= 99);
-        // Reset clears the warm state: the next solve is cold again.
-        mtc.reset(&ctx);
-        let before = mtc.median_telemetry().warm_starts;
-        let _ = mtc.decide(
-            &P2::origin(),
-            &[
-                P2::xy(1.0, 0.2),
-                P2::xy(0.0, 1.1),
-                P2::xy(-1.0, 0.3),
-                P2::xy(0.4, -0.8),
-                P2::xy(-0.2, 0.1),
-            ],
-            &ctx,
-        );
-        assert_eq!(mtc.median_telemetry().warm_starts, before);
+        assert!(telemetry.iterations > 0);
     }
 }

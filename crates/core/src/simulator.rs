@@ -23,7 +23,7 @@
 //! `(δ, order)` result of the batch or streaming engine is bit-equal to
 //! [`run`] on the same steps, on every machine.
 
-use crate::algorithm::{AlgContext, OnlineAlgorithm, WarmStateCodec, WarmStateError};
+use crate::algorithm::{AlgContext, OnlineAlgorithm};
 use crate::cost::{service_cost, CostBreakdown, ServingOrder, StepCost};
 use crate::model::{Instance, Step, StreamParams};
 use msp_analysis::obs;
@@ -206,10 +206,7 @@ fn run_lane<const N: usize, A: OnlineAlgorithm<N>>(
 /// Per δ the decision sequence is computed **once** and priced under
 /// every serving order. The δ-lanes run one after another, each with its
 /// own clone of `algorithm`. Every result is bit-equal to [`run`] for the
-/// matching `(δ, order)`, on every machine — pinned by tests. For
-/// warm-started algorithms such as [`crate::mtc::MoveToCenter`], each
-/// δ-lane keeps its solver warm across the whole pass, exactly as [`run`]
-/// does.
+/// matching `(δ, order)`, on every machine — pinned by tests.
 ///
 /// ```
 /// use msp_core::cost::ServingOrder;
@@ -297,10 +294,10 @@ impl<const N: usize> StreamRunResult<N> {
 }
 
 /// Resumable snapshot of a streaming run: the server position and the
-/// running cost totals. The algorithm's warm state (e.g. the median
-/// solver's seed) is the algorithm value itself — keep it alongside the
-/// checkpoint (see [`StreamingSim::into_parts`]) for exact-decision
-/// resumption, or pass a fresh algorithm and let it re-warm.
+/// running cost totals. For a [`crate::algorithm::Memoryless`] algorithm
+/// it is the whole run state, so a fresh algorithm resumes it exactly;
+/// any other algorithm must be kept alongside it (see
+/// [`StreamingSim::into_parts`]) for exact-decision resumption.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StreamCheckpoint<const N: usize> {
     /// Steps consumed so far.
@@ -361,9 +358,10 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
     }
 
     /// Resumes a streaming run from `checkpoint`. The algorithm is taken
-    /// as-is (NOT reset): pass back the warm algorithm captured at the
-    /// checkpoint for exact continuation, or a self-warming algorithm such
-    /// as Move-to-Center, which rebuilds its solver state in one step.
+    /// as-is (NOT reset): pass back the algorithm captured at the
+    /// checkpoint, or a fresh, configuration-equal instance of a
+    /// [`crate::algorithm::Memoryless`] algorithm; either continues the run
+    /// exactly.
     pub fn resume(
         params: &StreamParams<N>,
         algorithm: A,
@@ -384,57 +382,6 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
             max_step_used: checkpoint.max_step_used,
             obs_pending: 0,
         }
-    }
-
-    /// Resumes a streaming run from `checkpoint` plus an encoded
-    /// warm-state blob — the durable-recovery counterpart of
-    /// [`StreamingSim::resume`]. The algorithm is reset (giving it the
-    /// context) and then restored from `warm_state` via its
-    /// [`WarmStateCodec`], so the continuation's decisions are bit-equal
-    /// to a run that was never interrupted; the blob typically comes from
-    /// a checkpoint journal (`msp-scenarios`' `journal` module).
-    ///
-    /// # Errors
-    /// Returns [`WarmStateError`] when the blob does not decode — journal
-    /// bytes are untrusted, so corruption is reported, never papered over.
-    pub fn resume_with_warm_state(
-        params: &StreamParams<N>,
-        mut algorithm: A,
-        delta: f64,
-        order: ServingOrder,
-        checkpoint: &StreamCheckpoint<N>,
-        warm_state: &[u8],
-    ) -> Result<Self, WarmStateError>
-    where
-        A: WarmStateCodec,
-    {
-        let ctx = AlgContext::from_params(params, delta);
-        algorithm.reset(&ctx);
-        algorithm.decode_warm_state(warm_state)?;
-        obs::incr(obs::Counter::StreamSessions);
-        Ok(StreamingSim {
-            ctx,
-            order,
-            algorithm,
-            current: checkpoint.position,
-            steps: checkpoint.step,
-            movement: checkpoint.movement,
-            service: checkpoint.service,
-            max_step_used: checkpoint.max_step_used,
-            obs_pending: 0,
-        })
-    }
-
-    /// Encodes the algorithm's current warm state (see [`WarmStateCodec`])
-    /// — what a durable checkpoint writer persists next to
-    /// [`StreamingSim::checkpoint`].
-    pub fn warm_state_bytes(&self) -> Vec<u8>
-    where
-        A: WarmStateCodec,
-    {
-        let mut out = Vec::new();
-        self.algorithm.encode_warm_state(&mut out);
-        out
     }
 
     /// Advances the simulation by one step, returning that step's cost.
@@ -508,7 +455,7 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
         self.movement + self.service
     }
 
-    /// Read access to the algorithm (e.g. for warm-state telemetry).
+    /// Read access to the algorithm (e.g. for its solver telemetry).
     pub fn algorithm(&self) -> &A {
         &self.algorithm
     }
@@ -525,8 +472,8 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
         }
     }
 
-    /// Splits the run into the (warm) algorithm and the checkpoint — what
-    /// a caller persists to resume later via [`StreamingSim::resume`].
+    /// Splits the run into the algorithm and the checkpoint — what a caller
+    /// persists to resume later via [`StreamingSim::resume`].
     pub fn into_parts(self) -> (A, StreamCheckpoint<N>) {
         obs::add(obs::Counter::StreamSteps, u64::from(self.obs_pending));
         let cp = StreamCheckpoint {
@@ -738,7 +685,7 @@ mod tests {
             ServingOrder::MoveFirst,
         );
 
-        // First half, snapshot, resume with the warm algorithm, second half.
+        // First half, snapshot, resume with the same algorithm, second half.
         let mut sim = StreamingSim::new(
             &inst.params(),
             MoveToCenter::new(),
@@ -748,10 +695,10 @@ mod tests {
         for step in &inst.steps[..12] {
             sim.feed(step);
         }
-        let (warm, cp) = sim.into_parts();
+        let (alg, cp) = sim.into_parts();
         assert_eq!(cp.step, 12);
         let mut resumed =
-            StreamingSim::resume(&inst.params(), warm, 0.4, ServingOrder::MoveFirst, &cp);
+            StreamingSim::resume(&inst.params(), alg, 0.4, ServingOrder::MoveFirst, &cp);
         for step in &inst.steps[12..] {
             resumed.feed(step);
         }

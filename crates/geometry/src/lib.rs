@@ -14,8 +14,8 @@
 //! * [`median`] — exact 1-D medians and the geometric median in arbitrary
 //!   dimension (hybrid Weiszfeld/Newton with Vardi–Zhang singular
 //!   handling), including the paper's tie-breaking rule ("pick the center
-//!   closest to the algorithm's server") and the warm-starting,
-//!   allocation-free [`MedianSolver`] used by simulation hot loops.
+//!   closest to the algorithm's server") and the allocation-free
+//!   [`MedianSolver`] used by simulation hot loops.
 //! * [`bbox`] — axis-aligned bounding boxes.
 //! * [`sample`] — deterministic, seedable random sampling of points.
 //! * [`motion`] — bounded-step motion helpers (`step_towards`), the core
@@ -29,7 +29,7 @@ pub mod sample;
 
 pub use bbox::Aabb;
 pub use median::{
-    centroid, geometric_median, line_median_interval, weighted_center, MedianOptions, MedianSolver,
+    centroid, geometric_median, line_median_interval, weighted_center, MedianSolver,
     MedianTelemetry,
 };
 pub use motion::step_towards;

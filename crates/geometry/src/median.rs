@@ -47,32 +47,20 @@
 //! unequal weights and every larger set. [`weighted_center_classic`] has no
 //! closed forms.
 //!
-//! **Hot path:** simulations solve a median per step on request sets that
-//! drift slowly, so consecutive optima are close. [`MedianSolver`] keeps
-//! the previous center as a warm-start iterate plus reusable scratch
-//! buffers (an allocation-free `weighted_center_into`-style API) and
-//! exposes iteration-count telemetry; the free functions below remain the
-//! stateless cold-start entry points.
+//! **One solve path:** every iterative solve starts from the weighted
+//! centroid, so a center depends only on the request set and the
+//! tie-break reference. [`MedianSolver`] adds reusable scratch buffers (an
+//! allocation-free `weighted_center_into`-style API) and iteration-count
+//! telemetry for per-step use; the free functions below run the same
+//! solver on fresh scratch.
 
 use crate::point::Point;
 
-/// Convergence knobs for the geometric-median iteration.
-#[derive(Clone, Copy, Debug)]
-pub struct MedianOptions {
-    /// Maximum number of Weiszfeld/Vardi–Zhang iterations.
-    pub max_iters: usize,
-    /// Stop when consecutive iterates are closer than this.
-    pub tol: f64,
-}
+/// Iteration cap of a full-length Weiszfeld/Vardi–Zhang sweep.
+const MAX_ITERS: usize = 128;
 
-impl Default for MedianOptions {
-    fn default() -> Self {
-        MedianOptions {
-            max_iters: 128,
-            tol: 1e-13,
-        }
-    }
-}
+/// A sweep stops once consecutive iterates are closer than this.
+const TOL: f64 = 1e-13;
 
 /// Relative coarse tolerance for the first Weiszfeld phase, scaled by the
 /// mean point distance of the starting iterate: Weiszfeld contracts only
@@ -83,7 +71,7 @@ impl Default for MedianOptions {
 const COARSE_REL_TOL: f64 = 1e-2;
 
 /// Iteration cap of the coarse Weiszfeld phase (the verification phase may
-/// still run up to `MedianOptions::max_iters` if Newton stalls).
+/// still run up to [`MAX_ITERS`] if Newton stalls).
 const COARSE_CAP: usize = 8;
 
 /// Sum of Euclidean distances from `c` to every point — the objective the
@@ -244,7 +232,7 @@ fn collinear_center_with<const N: usize>(
 
 /// Closed-form median of an equally weighted, non-collinear set of three
 /// points (any `N`) or four points (`N = 2`), accepted only when the
-/// subgradient gap certifies it (`≤ 1e-10·W`, the test [`solve_from`]
+/// subgradient gap certifies it (`≤ 1e-10·W`, the test [`solve_iterative`]
 /// applies to its own answers). `None` for every other set and for a
 /// rejected candidate; both take the iterative pipeline.
 fn closed_form_center<const N: usize>(points: &[Point<N>], weights: &[f64]) -> Option<Point<N>> {
@@ -482,12 +470,10 @@ fn coarse_then_newton<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
     y: &mut Point<N>,
-    opts: MedianOptions,
     spread: f64,
 ) -> (usize, bool) {
-    let coarse_tol = opts.tol.max(COARSE_REL_TOL * spread);
-    let coarse_cap = opts.max_iters.min(COARSE_CAP);
-    let (it1, certified) = weiszfeld_until(points, weights, y, coarse_tol, coarse_cap);
+    let coarse_tol = TOL.max(COARSE_REL_TOL * spread);
+    let (it1, certified) = weiszfeld_until(points, weights, y, coarse_tol, COARSE_CAP);
     if certified {
         return (it1, true);
     }
@@ -501,11 +487,11 @@ fn coarse_then_newton<const N: usize>(
     }
     // Newton finishes the job quadratically where Weiszfeld crawls
     // (backtracking keeps it safe even when the basin guess was wrong).
-    *y = newton_polish(points, weights, *y, opts);
+    *y = newton_polish(points, weights, *y);
     (it1, false)
 }
 
-/// Full general-position solve from the starting iterate: fast
+/// Full general-position solve from the weighted centroid: fast
 /// coarse-Weiszfeld → Newton passes with a subgradient-gap acceptance
 /// test, escalating to the classic full-length Weiszfeld sweep and
 /// anchor restarts only when the fast pass stalls.
@@ -517,28 +503,23 @@ fn coarse_then_newton<const N: usize>(
 /// the lowest-objective anchors, where the Vardi–Zhang step either
 /// certifies optimality or escapes decisively. Returns the center and the
 /// total Weiszfeld iterations spent (the telemetry currency).
-fn solve_from<const N: usize>(
-    points: &[Point<N>],
-    weights: &[f64],
-    start: Point<N>,
-    opts: MedianOptions,
-) -> (Point<N>, usize) {
+fn solve_iterative<const N: usize>(points: &[Point<N>], weights: &[f64]) -> (Point<N>, usize) {
     let total_weight: f64 = weights.iter().sum();
+    let centroid = weighted_centroid(points, weights);
     // Spread scale of the configuration (mean anchor distance from the
-    // weighted centroid): start-independent, so warm and cold starts face
-    // the same thresholds.
-    let spread = weighted_sum_of_distances(points, weights, &weighted_centroid(points, weights))
-        / total_weight;
+    // weighted centroid): start-independent, so the anchor restarts face
+    // the same thresholds as the first pass.
+    let spread = weighted_sum_of_distances(points, weights, &centroid) / total_weight;
     let gap_tol = 1e-10 * total_weight;
     let mut iters_total = 0;
     let mut best: Option<(f64, Point<N>)> = None;
-    let mut next_start = start;
+    let mut next_start = centroid;
     // Anchors ranked by objective, computed once on the first stall and
     // reused across attempts (the ranking is iterate-independent).
     let mut ranked: Option<Vec<(f64, usize)>> = None;
     for attempt in 0..3 {
         let mut y = next_start;
-        let (iters, certified) = coarse_then_newton(points, weights, &mut y, opts, spread);
+        let (iters, certified) = coarse_then_newton(points, weights, &mut y, spread);
         iters_total += iters;
         if certified || weighted_optimality_gap(points, weights, &y) <= gap_tol {
             return (y, iters_total);
@@ -548,7 +529,7 @@ fn solve_from<const N: usize>(
         // to the classic full-length Weiszfeld sweep at the tight tolerance
         // before judging again, so the hybrid never returns a looser answer
         // than the reference iteration.
-        let (it2, certified) = weiszfeld_until(points, weights, &mut y, opts.tol, opts.max_iters);
+        let (it2, certified) = weiszfeld_until(points, weights, &mut y, TOL, MAX_ITERS);
         iters_total += it2;
         if certified {
             return (y, iters_total);
@@ -600,7 +581,6 @@ pub fn weighted_center_classic<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
     reference: &Point<N>,
-    opts: MedianOptions,
 ) -> Point<N> {
     assert!(!points.is_empty(), "center of empty request set");
     assert_eq!(points.len(), weights.len(), "length mismatch");
@@ -613,11 +593,11 @@ pub fn weighted_center_classic<const N: usize>(
         return collinear_center_with(points, weights, reference, base, u, &mut ts, &mut order);
     }
     let mut y = weighted_centroid(points, weights);
-    let (_, certified) = weiszfeld_until(points, weights, &mut y, opts.tol, opts.max_iters);
+    let (_, certified) = weiszfeld_until(points, weights, &mut y, TOL, MAX_ITERS);
     if certified {
         return y;
     }
-    y = newton_polish(points, weights, y, opts);
+    y = newton_polish(points, weights, y);
     let mut best = y;
     let mut best_obj = weighted_sum_of_distances(points, weights, &y);
     for p in points {
@@ -630,7 +610,7 @@ pub fn weighted_center_classic<const N: usize>(
     best
 }
 
-/// Starting iterate of the cold path: the weighted centroid.
+/// Starting iterate of every iterative solve: the weighted centroid.
 fn weighted_centroid<const N: usize>(points: &[Point<N>], weights: &[f64]) -> Point<N> {
     let total: f64 = weights.iter().sum();
     let mut acc = Point::origin();
@@ -641,7 +621,8 @@ fn weighted_centroid<const N: usize>(points: &[Point<N>], weights: &[f64]) -> Po
 }
 
 /// Weighted geometric median via the hybrid Weiszfeld/Newton scheme,
-/// starting cold from the weighted centroid.
+/// starting from the weighted centroid: [`MedianSolver::weighted_center_into`]
+/// on fresh scratch.
 ///
 /// For collinear inputs the problem reduces to the exact 1-D weighted
 /// median (computed directly — no iteration), with the non-unique case
@@ -656,26 +637,10 @@ pub fn weighted_center_weighted<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
     reference: &Point<N>,
-    opts: MedianOptions,
 ) -> Point<N> {
-    assert!(!points.is_empty(), "center of empty request set");
-    assert_eq!(points.len(), weights.len(), "length mismatch");
-
-    if points.len() == 1 {
-        return points[0];
-    }
-
-    // Collinear (always true on the line): exact 1-D solution + tie-break.
-    if let Some((base, u)) = collinear(points, 1e-12) {
-        let mut ts = Vec::with_capacity(points.len());
-        let mut order = Vec::with_capacity(points.len());
-        return collinear_center_with(points, weights, reference, base, u, &mut ts, &mut order);
-    }
-
-    // General position: unique minimizer, in closed form for three or
-    // four equally weighted points.
-    closed_form_center(points, weights)
-        .unwrap_or_else(|| solve_from(points, weights, weighted_centroid(points, weights), opts).0)
+    let mut out = Point::origin();
+    MedianSolver::new().weighted_center_into(points, weights, reference, &mut out);
+    out
 }
 
 /// Damped Newton refinement of a Fermat–Weber iterate. Safeguarded: steps
@@ -686,18 +651,17 @@ fn newton_polish<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
     mut y: Point<N>,
-    opts: MedianOptions,
 ) -> Point<N> {
     let scale = points.iter().map(|p| p.norm()).fold(1.0f64, f64::max);
     let total_weight: f64 = weights.iter().sum();
-    let step_tol = opts.tol * (1.0 + scale);
+    let step_tol = TOL * (1.0 + scale);
     for _ in 0..60 {
         let Some((grad, hess)) = gradient_and_hessian(points, weights, &y, scale) else {
             // Sitting on an anchor: the smooth model does not apply.
             return y;
         };
-        // Already stationary (the common warm-started case): skip the step
-        // solve and the doomed backtracking objective evaluations.
+        // Already stationary: skip the step solve and the doomed
+        // backtracking objective evaluations.
         if grad.norm() <= 1e-12 * total_weight {
             return y;
         }
@@ -729,7 +693,7 @@ fn newton_polish<const N: usize>(
         if !moved {
             // The objective can no longer *resolve* improvements (float
             // granularity ≈ ε·obj corresponds to a position error of about
-            // √(ε·obj/λ), far above `opts.tol`). Finish with a short burst
+            // √(ε·obj/λ), far above `TOL`). Finish with a short burst
             // of pure step-size-controlled Newton, which converges to
             // machine precision exactly where the line search goes blind.
             return pure_newton_finish(points, weights, y, scale, step_tol);
@@ -852,19 +816,15 @@ fn solve_linear<const N: usize>(mut a: [[f64; N]; N], b: Point<N>) -> Option<[f6
 /// `Σ_i d(c, v_i)`, ties broken towards `reference` (the algorithm's server
 /// position). Unweighted convenience wrapper over
 /// [`weighted_center_weighted`].
-pub fn weighted_center<const N: usize>(
-    points: &[Point<N>],
-    reference: &Point<N>,
-    opts: MedianOptions,
-) -> Point<N> {
+pub fn weighted_center<const N: usize>(points: &[Point<N>], reference: &Point<N>) -> Point<N> {
     let w = vec![1.0; points.len()];
-    weighted_center_weighted(points, &w, reference, opts)
+    weighted_center_weighted(points, &w, reference)
 }
 
-/// Unweighted geometric median with default options and origin tie-break;
-/// the common entry point when no server reference is relevant.
+/// Unweighted geometric median with origin tie-break; the common entry
+/// point when no server reference is relevant.
 pub fn geometric_median<const N: usize>(points: &[Point<N>]) -> Point<N> {
-    weighted_center(points, &Point::origin(), MedianOptions::default())
+    weighted_center(points, &Point::origin())
 }
 
 /// Iteration counters of a [`MedianSolver`], for perf diagnostics and the
@@ -876,8 +836,6 @@ pub struct MedianTelemetry {
     pub solves: u64,
     /// Total Weiszfeld iterations across all solves.
     pub iterations: u64,
-    /// Solves that started from a previous center instead of the centroid.
-    pub warm_starts: u64,
     /// Weiszfeld iterations of the most recent solve.
     pub last_iterations: usize,
 }
@@ -893,29 +851,21 @@ impl MedianTelemetry {
     }
 }
 
-/// A reusable, warm-starting geometric-median solver for per-step use in
-/// simulations.
+/// A reusable geometric-median solver for per-step use in simulations.
 ///
-/// Request sets drift slowly between consecutive steps, so the previous
-/// center is an excellent starting iterate: the coarse Weiszfeld phase
-/// typically collapses from dozens of iterations to a handful. The solver
-/// also owns scratch buffers for the collinear fast path and the implicit
-/// unit-weight vector, making repeated solves allocation-free, and records
-/// [`MedianTelemetry`].
-///
-/// Results match the cold [`weighted_center`] path to well within `1e-9`
-/// (both run the same anchor certificate, Newton polish and verification
-/// sweep); they are *not* guaranteed bit-identical, because the starting
-/// iterate differs. When the median is an input point and the certificate
-/// (see the [module docs](self)) fires, the solver returns that point
-/// exactly. Collinear sets and certified closed forms for three or four
-/// equally weighted points are start-independent, so warm and cold agree
-/// bit for bit there; such solves bill no Weiszfeld iterations and do not
-/// count as warm starts.
-#[derive(Clone, Debug)]
+/// The solver owns scratch buffers for the collinear fast path and the
+/// implicit unit-weight vector, making repeated solves allocation-free,
+/// and records [`MedianTelemetry`]. It carries nothing else from one solve
+/// to the next: every iterative solve starts from the weighted centroid,
+/// so a center depends only on the request set and the tie-break
+/// reference, and [`weighted_center`] (this solver on fresh scratch)
+/// returns the same center bit for bit. When the median is an input point
+/// and the anchor certificate (see the [module docs](self)) fires, the
+/// solver returns that point exactly. Collinear sets and certified closed
+/// forms for three or four equally weighted points bill no Weiszfeld
+/// iterations.
+#[derive(Clone, Debug, Default)]
 pub struct MedianSolver<const N: usize> {
-    opts: MedianOptions,
-    warm: Option<Point<N>>,
     ones: Vec<f64>,
     ts: Vec<f64>,
     order: Vec<usize>,
@@ -923,49 +873,15 @@ pub struct MedianSolver<const N: usize> {
     pub telemetry: MedianTelemetry,
 }
 
-impl<const N: usize> Default for MedianSolver<N> {
-    fn default() -> Self {
-        Self::new(MedianOptions::default())
-    }
-}
-
 impl<const N: usize> MedianSolver<N> {
-    /// Solver with the given convergence options and no warm state.
-    pub fn new(opts: MedianOptions) -> Self {
-        MedianSolver {
-            opts,
-            warm: None,
-            ones: Vec::new(),
-            ts: Vec::new(),
-            order: Vec::new(),
-            telemetry: MedianTelemetry::default(),
-        }
+    /// Solver with empty scratch and zeroed telemetry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Clears the warm-start state (telemetry is preserved). Call between
-    /// unrelated request streams — e.g. at simulator reset.
-    pub fn reset(&mut self) {
-        self.warm = None;
-    }
-
-    /// Replaces the convergence options for subsequent solves.
-    pub fn set_options(&mut self, opts: MedianOptions) {
-        self.opts = opts;
-    }
-
-    /// Primes the warm-start iterate explicitly (e.g. when a warm-state
-    /// codec restores a checkpointed solver).
-    pub fn seed(&mut self, center: Point<N>) {
-        self.warm = Some(center);
-    }
-
-    /// The warm-start iterate the next solve would use, if any.
-    pub fn warm_state(&self) -> Option<Point<N>> {
-        self.warm
-    }
-
-    /// Unweighted warm-started center: minimizer of `Σ_i d(c, v_i)`, ties
-    /// broken towards `reference`. Allocation-free after warm-up.
+    /// Unweighted center: minimizer of `Σ_i d(c, v_i)`, ties broken
+    /// towards `reference`. Allocation-free once the scratch has grown to
+    /// the largest set solved.
     pub fn center(&mut self, points: &[Point<N>], reference: &Point<N>) -> Point<N> {
         let mut out = Point::origin();
         self.center_into(points, reference, &mut out);
@@ -984,8 +900,8 @@ impl<const N: usize> MedianSolver<N> {
         self.ones = ones;
     }
 
-    /// Weighted warm-started center written into `out`; the weighted
-    /// counterpart of [`MedianSolver::center_into`].
+    /// Weighted center written into `out`; the weighted counterpart of
+    /// [`MedianSolver::center_into`].
     ///
     /// # Panics
     /// Panics on an empty point set or mismatched weight length.
@@ -1001,7 +917,7 @@ impl<const N: usize> MedianSolver<N> {
         self.telemetry.solves += 1;
 
         // One point, collinear points, or three or four equally weighted
-        // points: exact, iteration-free — nothing to warm-start.
+        // points: exact and iteration-free.
         let exact = if points.len() == 1 {
             Some(points[0])
         } else if let Some((base, u)) = collinear(points, 1e-12) {
@@ -1017,24 +933,12 @@ impl<const N: usize> MedianSolver<N> {
         } else {
             closed_form_center(points, weights)
         };
-        if let Some(c) = exact {
-            self.telemetry.last_iterations = 0;
-            self.warm = Some(c);
-            *out = c;
-            return;
-        }
-
-        let start = match self.warm {
-            Some(prev) if prev.is_finite() => {
-                self.telemetry.warm_starts += 1;
-                prev
-            }
-            _ => weighted_centroid(points, weights),
+        let (c, iters) = match exact {
+            Some(c) => (c, 0),
+            None => solve_iterative(points, weights),
         };
-        let (c, iters) = solve_from(points, weights, start, self.opts);
         self.telemetry.iterations += iters as u64;
         self.telemetry.last_iterations = iters;
-        self.warm = Some(c);
         *out = c;
     }
 }
@@ -1087,7 +991,7 @@ mod tests {
     #[test]
     fn single_point_is_its_own_center() {
         let pts = [P2::xy(3.0, 4.0)];
-        let c = weighted_center(&pts, &P2::origin(), MedianOptions::default());
+        let c = weighted_center(&pts, &P2::origin());
         assert_eq!(c, pts[0]);
     }
 
@@ -1126,13 +1030,13 @@ mod tests {
             P2::xy(9.0, 0.0),
         ];
         // Reference inside the interval → center is its projection.
-        let c = weighted_center(&pts, &P2::xy(5.0, 3.0), MedianOptions::default());
+        let c = weighted_center(&pts, &P2::xy(5.0, 3.0));
         assert!(c.distance(&P2::xy(5.0, 0.0)) < 1e-9);
         // Reference left of the interval → clamped to the left endpoint.
-        let c = weighted_center(&pts, &P2::xy(-4.0, 0.0), MedianOptions::default());
+        let c = weighted_center(&pts, &P2::xy(-4.0, 0.0));
         assert!(c.distance(&P2::xy(2.0, 0.0)) < 1e-9);
         // Reference right of the interval → clamped to the right endpoint.
-        let c = weighted_center(&pts, &P2::xy(100.0, 1.0), MedianOptions::default());
+        let c = weighted_center(&pts, &P2::xy(100.0, 1.0));
         assert!(c.distance(&P2::xy(7.0, 0.0)) < 1e-9);
     }
 
@@ -1191,7 +1095,7 @@ mod tests {
     #[test]
     fn one_dimensional_center_is_exact_median() {
         let pts = [P1::new([4.0]), P1::new([-1.0]), P1::new([10.0])];
-        let c = weighted_center(&pts, &P1::origin(), MedianOptions::default());
+        let c = weighted_center(&pts, &P1::origin());
         assert!((c.x() - 4.0).abs() < 1e-12);
     }
 
@@ -1206,7 +1110,7 @@ mod tests {
     #[test]
     fn all_identical_points_center() {
         let pts = [P2::xy(2.0, 2.0); 5];
-        let c = weighted_center(&pts, &P2::origin(), MedianOptions::default());
+        let c = weighted_center(&pts, &P2::origin());
         assert_eq!(c, P2::xy(2.0, 2.0));
     }
 
@@ -1214,7 +1118,7 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_center_panics() {
         let pts: [P2; 0] = [];
-        let _ = weighted_center(&pts, &P2::origin(), MedianOptions::default());
+        let _ = weighted_center(&pts, &P2::origin());
     }
 
     #[test]
@@ -1235,11 +1139,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_solver_matches_cold_path_on_drift() {
-        // A cluster drifting to the right: the warm solver must track the
-        // cold path within 1e-9 at every step while spending fewer
-        // iterations overall.
-        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+    fn solver_matches_free_function_on_drift() {
+        // A five-point cluster drifting to the right (three or four points
+        // would take the closed form): one long-lived solver must return
+        // the free function's center bit for bit at every step.
+        let mut solver = MedianSolver::<2>::new();
         let base = [
             P2::xy(0.0, 0.0),
             P2::xy(1.0, 0.3),
@@ -1247,27 +1151,25 @@ mod tests {
             P2::xy(-0.6, 0.5),
             P2::xy(0.2, -0.8),
         ];
-        let mut cold_iter_equiv = 0u64;
         for t in 0..200 {
             let shift = P2::xy(0.01 * t as f64, 0.005 * t as f64);
             let pts: Vec<P2> = base.iter().map(|p| *p + shift).collect();
             let reference = P2::origin();
-            let warm = solver.center(&pts, &reference);
-            let cold = weighted_center(&pts, &reference, MedianOptions::default());
-            assert!(
-                warm.distance(&cold) < 1e-9,
-                "step {t}: warm {warm:?} vs cold {cold:?}"
+            let c = solver.center(&pts, &reference);
+            let free = weighted_center(&pts, &reference);
+            assert_eq!(
+                c.0.map(f64::to_bits),
+                free.0.map(f64::to_bits),
+                "step {t}: solver {c:?} vs free function {free:?}"
             );
-            cold_iter_equiv += 1;
         }
-        assert_eq!(solver.telemetry.solves, cold_iter_equiv);
-        assert!(solver.telemetry.warm_starts >= cold_iter_equiv - 1);
+        assert_eq!(solver.telemetry.solves, 200);
         assert!(solver.telemetry.mean_iterations() > 0.0);
     }
 
     #[test]
     fn solver_collinear_and_single_point_paths() {
-        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+        let mut solver = MedianSolver::<2>::new();
         // Single point.
         assert_eq!(
             solver.center(&[P2::xy(2.0, 3.0)], &P2::origin()),
@@ -1278,31 +1180,6 @@ mod tests {
         let pts = [P2::xy(0.0, 0.0), P2::xy(1.0, 0.0)];
         let c = solver.center(&pts, &P2::xy(0.25, 5.0));
         assert!(c.distance(&P2::xy(0.25, 0.0)) < 1e-12);
-        // Warm state survives and reset clears it.
-        assert!(solver.warm_state().is_some());
-        solver.reset();
-        assert!(solver.warm_state().is_none());
-    }
-
-    #[test]
-    fn solver_seeding_controls_warm_start() {
-        // Five points: three or four take the closed form, which ignores
-        // the seed.
-        let pts = [
-            P2::xy(0.0, 0.0),
-            P2::xy(2.0, 0.1),
-            P2::xy(1.0, 1.7),
-            P2::xy(0.9, -1.2),
-            P2::xy(1.6, 1.1),
-        ];
-        let cold = weighted_center(&pts, &P2::origin(), MedianOptions::default());
-        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
-        solver.seed(cold);
-        let warm = solver.center(&pts, &P2::origin());
-        assert!(warm.distance(&cold) < 1e-9);
-        assert_eq!(solver.telemetry.warm_starts, 1);
-        // Seeded from the exact optimum, the coarse phase exits immediately.
-        assert!(solver.telemetry.last_iterations <= 4);
     }
 
     #[test]
@@ -1314,14 +1191,14 @@ mod tests {
             P2::xy(-1.0, 1.0),
         ];
         let w = [1.0, 2.0, 0.5, 1.5];
-        let cold = weighted_center_weighted(&pts, &w, &P2::origin(), MedianOptions::default());
-        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+        let free = weighted_center_weighted(&pts, &w, &P2::origin());
+        let mut solver = MedianSolver::<2>::new();
         let mut out = P2::origin();
-        solver.weighted_center_into(&pts, &w, &P2::origin(), &mut out);
-        assert!(out.distance(&cold) < 1e-9);
-        // And again warm: result stable.
-        solver.weighted_center_into(&pts, &w, &P2::origin(), &mut out);
-        assert!(out.distance(&cold) < 1e-9);
+        // Twice: the second solve must not depend on the first.
+        for _ in 0..2 {
+            solver.weighted_center_into(&pts, &w, &P2::origin(), &mut out);
+            assert_eq!(out.0.map(f64::to_bits), free.0.map(f64::to_bits));
+        }
     }
 
     #[test]
@@ -1340,14 +1217,10 @@ mod tests {
             P2::xy(4.0, 0.0),
             P2::xy(0.0, 2.0),
         ];
-        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
-        solver.seed(P2::xy(9.0, 9.0));
+        let mut solver = MedianSolver::<2>::new();
         for pts in [&obtuse[..], &acute, &inner, &convex] {
             let c = solver.center(pts, &P2::origin());
-            assert_eq!(
-                c,
-                weighted_center(pts, &P2::origin(), MedianOptions::default())
-            );
+            assert_eq!(c, weighted_center(pts, &P2::origin()));
             assert!(median_optimality_gap(pts, &c) <= 1e-10 * pts.len() as f64);
             assert_eq!(solver.telemetry.last_iterations, 0);
         }
@@ -1360,7 +1233,6 @@ mod tests {
             "got {x:?}"
         );
         assert_eq!(solver.telemetry.iterations, 0);
-        assert_eq!(solver.telemetry.warm_starts, 0);
         assert_eq!(solver.telemetry.solves, 7);
     }
 }

@@ -4,14 +4,14 @@
 //! A journal file is a header describing the session's fixed
 //! configuration (`MSPJ` magic, dimension, serving order, δ, model
 //! parameters) followed by an append-only sequence of generation
-//! records, each carrying a [`StreamCheckpoint`] plus the algorithm's
-//! encoded warm state (see [`msp_core::WarmStateCodec`]) and a CRC-32
-//! guard. Recovery scans forward and returns the **newest complete,
+//! records, each carrying a [`StreamCheckpoint`] and a CRC-32 guard.
+//! Recovery scans forward and returns the **newest complete,
 //! CRC-valid record**: a crash mid-append leaves a torn tail that is
 //! reported loudly ([`JournalRecovery::torn_tail`]) while the previous
 //! generation stays recoverable — the same trailer discipline as the
 //! trace formats (`docs/TRACE_FORMAT.md`), now covering live session
-//! state. [`resume_from_journal`] then rebuilds a [`StreamingSim`] whose
+//! state. For a [`Memoryless`] algorithm the checkpoint is the whole run
+//! state, so [`resume_from_journal`] rebuilds a [`StreamingSim`] whose
 //! continuation is **bit-equal** to the uninterrupted run (pinned by
 //! `tests/fault_tolerance.rs`).
 //!
@@ -22,7 +22,7 @@
 use crate::durable::AtomicFile;
 use crate::trace::validated_params;
 use msp_analysis::obs;
-use msp_core::algorithm::{OnlineAlgorithm, WarmStateCodec};
+use msp_core::algorithm::{Memoryless, OnlineAlgorithm};
 use msp_core::cost::ServingOrder;
 use msp_core::model::StreamParams;
 use msp_core::simulator::{StreamCheckpoint, StreamingSim};
@@ -33,13 +33,11 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a checkpoint journal file.
 pub const JOURNAL_MAGIC: &[u8; 4] = b"MSPJ";
-/// Version field written by the journal encoder.
-pub const JOURNAL_VERSION: u16 = 1;
+/// Version field written by the journal encoder and the only one the
+/// decoder accepts.
+pub const JOURNAL_VERSION: u16 = 2;
 /// Marker opening every generation record.
 pub const RECORD_MARKER: &[u8; 4] = b"JRNL";
-/// Upper bound on the warm-state blob accepted by the decoder; larger
-/// lengths are treated as corruption rather than allocated.
-const MAX_WARM_STATE: u32 = 1 << 20;
 
 /// Errors from journal encoding, decoding, and recovery.
 #[derive(Debug)]
@@ -194,17 +192,8 @@ fn encode_header<const N: usize>(
     out
 }
 
-fn encode_record<const N: usize>(
-    generation: u64,
-    checkpoint: &StreamCheckpoint<N>,
-    warm_state: &[u8],
-) -> Vec<u8> {
-    assert!(
-        warm_state.len() <= MAX_WARM_STATE as usize,
-        "warm-state blob of {} bytes exceeds the codec limit {MAX_WARM_STATE}",
-        warm_state.len()
-    );
-    let mut out = Vec::with_capacity(56 + 8 * N + warm_state.len());
+fn encode_record<const N: usize>(generation: u64, checkpoint: &StreamCheckpoint<N>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(48 + 8 * N);
     out.extend_from_slice(RECORD_MARKER);
     out.extend_from_slice(&generation.to_le_bytes());
     out.extend_from_slice(&(checkpoint.step as u64).to_le_bytes());
@@ -214,8 +203,6 @@ fn encode_record<const N: usize>(
     push_f64(&mut out, checkpoint.movement);
     push_f64(&mut out, checkpoint.service);
     push_f64(&mut out, checkpoint.max_step_used);
-    out.extend_from_slice(&(warm_state.len() as u32).to_le_bytes());
-    out.extend_from_slice(warm_state);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -262,12 +249,8 @@ impl<const N: usize, W: Write> JournalWriter<N, W> {
 
     /// Appends one generation record and flushes. Returns the generation
     /// number just written (0-based, strictly sequential).
-    pub fn append(
-        &mut self,
-        checkpoint: &StreamCheckpoint<N>,
-        warm_state: &[u8],
-    ) -> Result<u64, JournalError> {
-        self.append_then(checkpoint, warm_state, W::flush)
+    pub fn append(&mut self, checkpoint: &StreamCheckpoint<N>) -> Result<u64, JournalError> {
+        self.append_then(checkpoint, W::flush)
     }
 
     /// The one append body: writes the next generation's record, makes
@@ -278,13 +261,12 @@ impl<const N: usize, W: Write> JournalWriter<N, W> {
     fn append_then(
         &mut self,
         checkpoint: &StreamCheckpoint<N>,
-        warm_state: &[u8],
         sync: impl FnOnce(&mut W) -> std::io::Result<()>,
     ) -> Result<u64, JournalError> {
         let span = obs::timer(obs::Hist::JournalAppendNs);
         let generation = self.next_generation;
         self.sink
-            .write_all(&encode_record(generation, checkpoint, warm_state))?;
+            .write_all(&encode_record(generation, checkpoint))?;
         sync(&mut self.sink)?;
         self.next_generation += 1;
         span.stop();
@@ -302,13 +284,13 @@ impl<const N: usize, W: Write> JournalWriter<N, W> {
         Ok(generation)
     }
 
-    /// [`JournalWriter::append`] from a live simulation: snapshots the
-    /// checkpoint and the algorithm's warm state in one call.
+    /// [`JournalWriter::append`] of a live simulation's checkpoint, for an
+    /// algorithm that [`resume_from_journal`] can resume.
     pub fn append_sim<A>(&mut self, sim: &StreamingSim<N, A>) -> Result<u64, JournalError>
     where
-        A: OnlineAlgorithm<N> + WarmStateCodec,
+        A: OnlineAlgorithm<N> + Memoryless,
     {
-        self.append(&sim.checkpoint(), &sim.warm_state_bytes())
+        self.append(&sim.checkpoint())
     }
 
     /// Generations written so far.
@@ -336,8 +318,6 @@ pub struct JournalRecovery<const N: usize> {
     pub generation: u64,
     /// The newest complete, CRC-valid checkpoint.
     pub checkpoint: StreamCheckpoint<N>,
-    /// The algorithm warm-state blob stored with that checkpoint.
-    pub warm_state: Vec<u8>,
     /// `Some` when trailing bytes after the recovered record failed to
     /// parse — the loud torn-write report. `None` means the journal ended
     /// exactly on a record boundary.
@@ -364,7 +344,7 @@ fn parse_record<const N: usize>(
     bytes: &[u8],
     start: usize,
     expected_generation: u64,
-) -> Result<(StreamCheckpoint<N>, Vec<u8>, usize), JournalError> {
+) -> Result<(StreamCheckpoint<N>, usize), JournalError> {
     let at = || format!("offset {start}");
     let mut offset = start;
     let truncated = || corrupt(at(), "record truncated");
@@ -397,21 +377,6 @@ fn parse_record<const N: usize>(
     let movement = take_f64(bytes, &mut offset).ok_or_else(truncated)?;
     let service = take_f64(bytes, &mut offset).ok_or_else(truncated)?;
     let max_step_used = take_f64(bytes, &mut offset).ok_or_else(truncated)?;
-    let warm_len = u32::from_le_bytes(
-        take(bytes, &mut offset, 4)
-            .ok_or_else(truncated)?
-            .try_into()
-            .unwrap(),
-    );
-    if warm_len > MAX_WARM_STATE {
-        return Err(corrupt(
-            at(),
-            format!("implausible warm-state length {warm_len}"),
-        ));
-    }
-    let warm = take(bytes, &mut offset, warm_len as usize)
-        .ok_or_else(truncated)?
-        .to_vec();
     let stored_crc = u32::from_le_bytes(
         take(bytes, &mut offset, 4)
             .ok_or_else(truncated)?
@@ -442,7 +407,7 @@ fn parse_record<const N: usize>(
         service,
         max_step_used,
     };
-    Ok((checkpoint, warm, offset))
+    Ok((checkpoint, offset))
 }
 
 /// Recovers the newest complete checkpoint from journal bytes.
@@ -508,13 +473,13 @@ pub fn recover_journal<const N: usize>(bytes: &[u8]) -> Result<JournalRecovery<N
     }
     let params = validated_params(d, m, start, "header")?;
 
-    let mut newest: Option<(u64, StreamCheckpoint<N>, Vec<u8>)> = None;
+    let mut newest: Option<(u64, StreamCheckpoint<N>)> = None;
     let mut torn_tail = None;
     let mut generation = 0u64;
     while offset < bytes.len() {
         match parse_record::<N>(bytes, offset, generation) {
-            Ok((checkpoint, warm, next)) => {
-                newest = Some((generation, checkpoint, warm));
+            Ok((checkpoint, next)) => {
+                newest = Some((generation, checkpoint));
                 generation += 1;
                 offset = next;
             }
@@ -526,13 +491,12 @@ pub fn recover_journal<const N: usize>(bytes: &[u8]) -> Result<JournalRecovery<N
         }
     }
     match newest {
-        Some((generation, checkpoint, warm_state)) => Ok(JournalRecovery {
+        Some((generation, checkpoint)) => Ok(JournalRecovery {
             params,
             delta,
             order,
             generation,
             checkpoint,
-            warm_state,
             torn_tail,
             clean_len: offset,
         }),
@@ -544,27 +508,25 @@ pub fn recover_journal<const N: usize>(bytes: &[u8]) -> Result<JournalRecovery<N
 }
 
 /// Resumes a streaming simulation from a recovered journal checkpoint —
-/// the durable counterpart of [`StreamingSim::resume`]. Pass a fresh
-/// (configuration-equal) algorithm instance; it is reset and its warm
-/// state restored from the journal blob, making the continuation
-/// bit-equal to the uninterrupted run. The caller then skips the stream
-/// to `recovery.checkpoint.step` and keeps feeding.
+/// the durable counterpart of [`StreamingSim::resume`]. Pass a fresh,
+/// configuration-equal instance of the [`Memoryless`] algorithm that ran
+/// the session: the checkpoint is then the whole run state, and the
+/// continuation is bit-equal to the uninterrupted run. The caller then
+/// skips the stream to `recovery.checkpoint.step` and keeps feeding.
 pub fn resume_from_journal<const N: usize, A>(
     recovery: &JournalRecovery<N>,
     algorithm: A,
-) -> Result<StreamingSim<N, A>, JournalError>
+) -> StreamingSim<N, A>
 where
-    A: OnlineAlgorithm<N> + WarmStateCodec,
+    A: OnlineAlgorithm<N> + Memoryless,
 {
-    StreamingSim::resume_with_warm_state(
+    StreamingSim::resume(
         &recovery.params,
         algorithm,
         recovery.delta,
         recovery.order,
         &recovery.checkpoint,
-        &recovery.warm_state,
     )
-    .map_err(|e| corrupt("warm-state", e.to_string()))
 }
 
 /// An on-disk checkpoint journal with crash-safe creation and appends:
@@ -613,12 +575,8 @@ impl<const N: usize> DurableJournal<N> {
 
     /// Appends one generation record and fsyncs it to disk. Returns the
     /// generation number just written.
-    pub fn append(
-        &mut self,
-        checkpoint: &StreamCheckpoint<N>,
-        warm_state: &[u8],
-    ) -> Result<u64, JournalError> {
-        self.writer.append_then(checkpoint, warm_state, |file| {
+    pub fn append(&mut self, checkpoint: &StreamCheckpoint<N>) -> Result<u64, JournalError> {
+        self.writer.append_then(checkpoint, |file| {
             let fsync_span = obs::timer(obs::Hist::JournalFsyncNs);
             file.sync_data()?;
             fsync_span.stop();
@@ -626,12 +584,13 @@ impl<const N: usize> DurableJournal<N> {
         })
     }
 
-    /// [`DurableJournal::append`] from a live simulation.
+    /// [`DurableJournal::append`] of a live simulation's checkpoint, for an
+    /// algorithm that [`resume_from_journal`] can resume.
     pub fn append_sim<A>(&mut self, sim: &StreamingSim<N, A>) -> Result<u64, JournalError>
     where
-        A: OnlineAlgorithm<N> + WarmStateCodec,
+        A: OnlineAlgorithm<N> + Memoryless,
     {
-        self.append(&sim.checkpoint(), &sim.warm_state_bytes())
+        self.append(&sim.checkpoint())
     }
 
     /// Generations written through this handle.
@@ -774,6 +733,57 @@ mod tests {
         }
     }
 
+    /// Pins the journal wire format byte for byte: the `MSPJ` header and
+    /// two generation records of 48 + 8·N bytes each, CRCs included. The
+    /// round-trip tests cannot see an encoder and a decoder that drift
+    /// together; this literal can.
+    #[test]
+    fn journal_wire_bytes_are_pinned() {
+        const WIRE: &str = concat!(
+            // header: magic, version 2, dim 2, answer-first + 3 reserved
+            "4d53504a0200020001000000",
+            // δ 0.25, D 4, m 1.5, start (0.5, -0.25)
+            "000000000000d03f0000000000001040000000000000f83f",
+            "000000000000e03f000000000000d0bf",
+            // generation 0: JRNL, generation, step 7, position (1.5, -2)
+            "4a524e4c00000000000000000700000000000000",
+            "000000000000f83f00000000000000c0",
+            // movement 0.75, service 3.25, max step 0.5, CRC
+            "000000000000e83f0000000000000a40000000000000e03f",
+            "e14a4b56",
+            // generation 1: step 9, position (2, -1), movement 1.25,
+            // service 4.5, max step 0.5, CRC
+            "4a524e4c01000000000000000900000000000000",
+            "0000000000000040000000000000f0bf",
+            "000000000000f43f0000000000001240000000000000e03f",
+            "f4150a89",
+        );
+        let p = StreamParams::new(4.0, 1.5, P2::xy(0.5, -0.25));
+        let checkpoint = |step, position, movement, service| StreamCheckpoint {
+            step,
+            position,
+            movement,
+            service,
+            max_step_used: 0.5,
+        };
+        let checkpoints = [
+            checkpoint(7, P2::xy(1.5, -2.0), 0.75, 3.25),
+            checkpoint(9, P2::xy(2.0, -1.0), 1.25, 4.5),
+        ];
+        let mut writer =
+            JournalWriter::<2, _>::new(Vec::new(), &p, 0.25, ServingOrder::AnswerFirst).unwrap();
+        for cp in &checkpoints {
+            writer.append(cp).unwrap();
+        }
+        let bytes = writer.into_inner();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, WIRE);
+        assert_eq!(bytes.len(), (36 + 8 * 2) + 2 * (48 + 8 * 2));
+        let rec = recover_journal::<2>(&bytes).unwrap();
+        assert_eq!((rec.generation, rec.checkpoint), (1, checkpoints[1]));
+        assert!(rec.torn_tail.is_none());
+    }
+
     #[test]
     fn recovery_returns_the_newest_generation() {
         let (bytes, checkpoints) = journal_with_generations(5);
@@ -805,7 +815,8 @@ mod tests {
     fn bit_flip_is_caught_by_crc() {
         let (bytes, checkpoints) = journal_with_generations(2);
         let mut flipped = bytes.clone();
-        // Flip one bit inside the *last* record's movement total.
+        // Flip one bit inside the *last* record's position (a record is
+        // 64 bytes at N = 2, and its last 4 are the CRC).
         let len = flipped.len();
         flipped[len - 30] ^= 0x04;
         let rec = recover_journal::<2>(&flipped).unwrap();
@@ -833,10 +844,16 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(recover_journal::<2>(&bad).is_err());
-        // Wrong version.
-        let mut bad = bytes.clone();
-        bad[4] = 99;
-        assert!(recover_journal::<2>(&bad).is_err());
+        // Wrong version, the previous format's 1 included.
+        for version in [1, 99] {
+            let mut bad = bytes.clone();
+            bad[4] = version;
+            let err = recover_journal::<2>(&bad).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported journal version"),
+                "{err}"
+            );
+        }
         // Wrong dimension.
         let err = recover_journal::<3>(&bytes).unwrap_err();
         assert!(err.to_string().contains("dimension 2"), "{err}");
@@ -846,7 +863,7 @@ mod tests {
     fn generation_sequence_is_enforced() {
         let (bytes, _) = journal_with_generations(2);
         // Patch the second record's generation from 1 to 7. Records are
-        // fixed-size here (same warm length), so split evenly.
+        // fixed-size, so split evenly.
         let header_len = 36 + 16;
         let record_len = (bytes.len() - header_len) / 2;
         let mut bad = bytes.clone();
@@ -885,7 +902,7 @@ mod tests {
 
         let rec = recover_journal::<2>(&bytes).unwrap();
         assert_eq!(rec.checkpoint.step, crash_at);
-        let mut resumed = resume_from_journal(&rec, MoveToCenter::<2>::new()).unwrap();
+        let mut resumed = resume_from_journal(&rec, MoveToCenter::<2>::new());
         for t in rec.checkpoint.step..total {
             resumed.feed(&drift_step(t));
         }

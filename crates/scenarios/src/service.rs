@@ -4,12 +4,12 @@
 //! A [`SessionService`] owns a table of named sessions, each a
 //! [`StreamingSim`] paired with its (forward-only, replayable)
 //! [`RequestStream`]. Only `max_resident` sessions keep a live simulator
-//! at any moment; the rest are *cold* — collapsed to a warm-state
-//! checkpoint in memory, or spilled to a per-session [`DurableJournal`]
-//! on disk. Touching a cold session resumes it bit-equal to an
-//! uninterrupted run: the checkpoint restores the simulator accounting
-//! and the warm-state blob restores the algorithm's internal state, while
-//! the stream keeps its position across evict/resume cycles.
+//! at any moment; the rest are *cold* — collapsed to a checkpoint in
+//! memory, or spilled to a per-session [`DurableJournal`] on disk.
+//! Touching a cold session resumes it bit-equal to an uninterrupted run:
+//! the algorithm is [`Memoryless`], so the checkpoint alone restores the
+//! simulator, while the stream keeps its position across evict/resume
+//! cycles.
 //!
 //! Three layers of supervision sit on top of the table:
 //!
@@ -43,7 +43,7 @@ use crate::journal::{resume_from_journal, DurableJournal, JournalError, JournalR
 use crate::stream::RequestStream;
 use msp_analysis::obs;
 use msp_analysis::sweep::{try_parallel_map_indexed_backoff, BackoffSchedule, LaneError};
-use msp_core::algorithm::{OnlineAlgorithm, WarmStateCodec};
+use msp_core::algorithm::{Memoryless, OnlineAlgorithm};
 use msp_core::cost::ServingOrder;
 use msp_core::model::StreamParams;
 use msp_core::simulator::{StreamCheckpoint, StreamingSim};
@@ -67,7 +67,7 @@ pub struct ServiceConfig {
     pub max_resident: usize,
     /// When `Some`, evicted sessions spill their checkpoint to a
     /// per-session journal file in this directory; when `None` (or after
-    /// a degradation) eviction keeps the warm state in memory only.
+    /// a degradation) eviction keeps the checkpoint in memory only.
     pub journal_dir: Option<PathBuf>,
     /// Attempt bound per session per [`SessionService::advance_batch`]
     /// call (0 is treated as 1). A session that fails every attempt is
@@ -167,13 +167,6 @@ pub enum SessionError {
         /// The underlying journal error.
         error: JournalError,
     },
-    /// Restoring the algorithm's warm state failed.
-    WarmState {
-        /// Session name.
-        session: String,
-        /// The decode failure, rendered.
-        message: String,
-    },
     /// The operation requires a journal directory but the service has
     /// none configured.
     NoJournalDir,
@@ -205,9 +198,6 @@ impl std::fmt::Display for SessionError {
             ),
             SessionError::Journal { session, error } => {
                 write!(f, "session {session:?} journal error: {error}")
-            }
-            SessionError::WarmState { session, message } => {
-                write!(f, "session {session:?} warm-state error: {message}")
             }
             SessionError::NoJournalDir => {
                 write!(f, "service has no journal directory configured")
@@ -248,7 +238,6 @@ pub struct QuarantineReport {
 #[derive(Clone, Debug)]
 struct Snapshot<const N: usize> {
     checkpoint: StreamCheckpoint<N>,
-    warm_state: Vec<u8>,
     finished: bool,
 }
 
@@ -256,11 +245,8 @@ struct Snapshot<const N: usize> {
 enum SessionState<const N: usize, A> {
     /// Live simulator — counted against `max_resident`.
     Live(Box<StreamingSim<N, A>>),
-    /// Cold, in memory: checkpoint plus algorithm warm state.
-    Warm {
-        checkpoint: StreamCheckpoint<N>,
-        warm_state: Vec<u8>,
-    },
+    /// Cold, in memory: the checkpoint.
+    Warm(StreamCheckpoint<N>),
     /// Cold, on disk: the newest generation of the session's journal is
     /// the authoritative state.
     Spilled,
@@ -269,8 +255,8 @@ enum SessionState<const N: usize, A> {
 struct Session<const N: usize, A> {
     name: String,
     stream: Box<dyn RequestStream<N> + Send>,
-    /// Configuration-equal prototype cloned for every resume (the resume
-    /// path resets it before decoding warm state, so any clone works).
+    /// Configuration-equal prototype cloned for every resume (the
+    /// algorithm is memoryless, so any clone continues the run).
     proto: A,
     params: StreamParams<N>,
     delta: f64,
@@ -284,50 +270,37 @@ struct Session<const N: usize, A> {
 
 impl<const N: usize, A> Session<N, A>
 where
-    A: OnlineAlgorithm<N> + WarmStateCodec + Clone,
+    A: OnlineAlgorithm<N> + Memoryless + Clone,
 {
     fn snapshot(&mut self) -> Snapshot<N> {
-        match &self.state {
-            SessionState::Live(sim) => Snapshot {
-                checkpoint: sim.checkpoint(),
-                warm_state: sim.warm_state_bytes(),
-                finished: self.finished,
-            },
-            SessionState::Warm {
-                checkpoint,
-                warm_state,
-            } => Snapshot {
-                checkpoint: *checkpoint,
-                warm_state: warm_state.clone(),
-                finished: self.finished,
-            },
+        let checkpoint = match &self.state {
+            SessionState::Live(sim) => sim.checkpoint(),
+            SessionState::Warm(checkpoint) => *checkpoint,
             SessionState::Spilled => unreachable!("snapshot of a spilled session"),
+        };
+        Snapshot {
+            checkpoint,
+            finished: self.finished,
         }
     }
 
     /// Rebuilds the live simulator from `snap` and repositions the stream
     /// at the snapshot's step (rewind + fast-forward — streams are
     /// forward-only, and scenario streams replay deterministically).
-    fn restore(&mut self, snap: &Snapshot<N>) -> Result<(), SessionError> {
-        let sim = StreamingSim::resume_with_warm_state(
+    fn restore(&mut self, snap: &Snapshot<N>) {
+        let sim = StreamingSim::resume(
             &self.params,
             self.proto.clone(),
             self.delta,
             self.order,
             &snap.checkpoint,
-            &snap.warm_state,
-        )
-        .map_err(|e| SessionError::WarmState {
-            session: self.name.clone(),
-            message: e.to_string(),
-        })?;
+        );
         self.stream.rewind();
         for _ in 0..snap.checkpoint.step {
             self.stream.next_step();
         }
         self.state = SessionState::Live(Box::new(sim));
         self.finished = snap.finished;
-        Ok(())
     }
 }
 
@@ -375,7 +348,7 @@ pub struct SessionService<const N: usize, A> {
 
 impl<const N: usize, A> SessionService<N, A>
 where
-    A: OnlineAlgorithm<N> + WarmStateCodec + Clone + Send,
+    A: OnlineAlgorithm<N> + Memoryless + Clone + Send,
 {
     /// Creates an empty service. When the config names a journal
     /// directory it is created if missing; failure to create it degrades
@@ -552,11 +525,12 @@ where
         Ok(())
     }
 
-    /// Collapses one live session to warm state, spilling to its journal
-    /// when durable mode is healthy. A failed append degrades loudly: the
-    /// journal handle is dropped (the file may hold a torn record, so the
-    /// next spill recreates it from scratch), `service.degradations` is
-    /// counted, and the session falls back to in-memory warm state.
+    /// Collapses one live session to its checkpoint, spilling to its
+    /// journal when durable mode is healthy. A failed append degrades
+    /// loudly: the journal handle is dropped (the file may hold a torn
+    /// record, so the next spill recreates it from scratch),
+    /// `service.degradations` is counted, and the session keeps its
+    /// checkpoint in memory.
     fn evict_session(&mut self, name: &str) {
         let Some(session) = self.sessions.get_mut(name) else {
             return;
@@ -565,7 +539,6 @@ where
             return;
         };
         let checkpoint = sim.checkpoint();
-        let warm_state = sim.warm_state_bytes();
         let touch = session.last_touch;
         obs::incr(obs::Counter::ServiceEvictions);
         self.resident -= 1;
@@ -591,7 +564,7 @@ where
                     Some(kind) => Err(crate::journal::JournalError::Io(std::io::Error::other(
                         format!("injected journal fault: {kind} at operation {op}"),
                     ))),
-                    None => journal.append(&checkpoint, &warm_state).map(|_| ()),
+                    None => journal.append(&checkpoint).map(|_| ()),
                 };
                 match outcome {
                     Ok(()) => {
@@ -614,15 +587,13 @@ where
             obs::incr(obs::Counter::ServiceSpills);
             session.state = SessionState::Spilled;
         } else {
-            session.state = SessionState::Warm {
-                checkpoint,
-                warm_state,
-            };
+            session.state = SessionState::Warm(checkpoint);
         }
     }
 
     /// Brings a session live, evicting LRU residents to make room and
-    /// resuming from warm state or journal as needed. Bit-equal: the
+    /// resuming from its in-memory checkpoint or journal as needed.
+    /// Bit-equal: the
     /// resumed simulator continues exactly where the evicted one stopped.
     fn make_resident(&mut self, name: &str) -> Result<(), SessionError> {
         if !self.sessions.contains_key(name) {
@@ -646,22 +617,14 @@ where
         let session = self.sessions.get_mut(name).expect("session exists");
         match &session.state {
             SessionState::Live(_) => unreachable!("checked above"),
-            SessionState::Warm {
-                checkpoint,
-                warm_state,
-            } => {
-                let sim = StreamingSim::resume_with_warm_state(
+            SessionState::Warm(checkpoint) => {
+                let sim = StreamingSim::resume(
                     &session.params,
                     session.proto.clone(),
                     session.delta,
                     session.order,
                     checkpoint,
-                    warm_state,
-                )
-                .map_err(|e| SessionError::WarmState {
-                    session: name.to_string(),
-                    message: e.to_string(),
-                })?;
+                );
                 session.state = SessionState::Live(Box::new(sim));
             }
             SessionState::Spilled => {
@@ -671,13 +634,7 @@ where
                         session: name.to_string(),
                         error,
                     })?;
-                let sim =
-                    resume_from_journal(&recovery, session.proto.clone()).map_err(|error| {
-                        SessionError::Journal {
-                            session: name.to_string(),
-                            error,
-                        }
-                    })?;
+                let sim = resume_from_journal(&recovery, session.proto.clone());
                 session.state = SessionState::Live(Box::new(sim));
             }
         }
@@ -711,8 +668,8 @@ where
     }
 
     /// Reads a session's current checkpoint without changing its
-    /// residency: live sessions snapshot in place, warm sessions return
-    /// the stored checkpoint, spilled sessions read their journal.
+    /// residency: live sessions snapshot in place, in-memory cold sessions
+    /// return the stored checkpoint, spilled sessions read their journal.
     pub fn checkpoint(&self, name: &str) -> Result<StreamCheckpoint<N>, SessionError> {
         let session = self
             .sessions
@@ -720,7 +677,7 @@ where
             .ok_or_else(|| SessionError::UnknownSession(name.to_string()))?;
         match &session.state {
             SessionState::Live(sim) => Ok(sim.checkpoint()),
-            SessionState::Warm { checkpoint, .. } => Ok(*checkpoint),
+            SessionState::Warm(checkpoint) => Ok(*checkpoint),
             SessionState::Spilled => {
                 let path = self.journal_path(name).ok_or(SessionError::NoJournalDir)?;
                 let recovery =
@@ -823,7 +780,7 @@ where
                     let mut work = slot.lock().unwrap_or_else(PoisonError::into_inner);
                     if work.dirty {
                         let snap = work.snapshot.clone();
-                        work.session.restore(&snap)?;
+                        work.session.restore(&snap);
                     }
                     work.dirty = true;
                     match advance_live(&mut work.session, n, budget) {
@@ -864,10 +821,7 @@ where
                         // Collapse the (possibly inconsistent) live state
                         // back to the pre-batch checkpoint and freeze.
                         let snap = work.snapshot.clone();
-                        work.session.state = SessionState::Warm {
-                            checkpoint: snap.checkpoint,
-                            warm_state: snap.warm_state,
-                        };
+                        work.session.state = SessionState::Warm(snap.checkpoint);
                         work.session.finished = snap.finished;
                         // The failed attempts consumed stream steps past
                         // the rollback point; reposition so a later
@@ -949,7 +903,7 @@ fn advance_live<const N: usize, A>(
     budget: Option<usize>,
 ) -> Result<SessionProgress, SessionError>
 where
-    A: OnlineAlgorithm<N> + WarmStateCodec + Clone,
+    A: OnlineAlgorithm<N> + Memoryless + Clone,
 {
     let SessionState::Live(sim) = &mut session.state else {
         unreachable!("advance_live on a cold session");
@@ -998,7 +952,7 @@ pub fn recover_service<const N: usize, A, F>(
     mut attach: F,
 ) -> Result<(SessionService<N, A>, RecoveryReport), SessionError>
 where
-    A: OnlineAlgorithm<N> + WarmStateCodec + Clone + Send,
+    A: OnlineAlgorithm<N> + Memoryless + Clone + Send,
     F: FnMut(&str, &JournalRecovery<N>) -> Option<(Box<dyn RequestStream<N> + Send>, A)>,
 {
     let dir = config
@@ -1064,10 +1018,7 @@ where
                 params: recovery.params,
                 delta: recovery.delta,
                 order: recovery.order,
-                state: SessionState::Warm {
-                    checkpoint: recovery.checkpoint,
-                    warm_state: recovery.warm_state.clone(),
-                },
+                state: SessionState::Warm(recovery.checkpoint),
                 journal: Some(journal),
                 last_touch,
                 quarantine: None,

@@ -8,7 +8,7 @@
 //! generator's O(1) internals, no matter how long the run.
 //!
 //! The run checkpoints every 500k steps; afterwards we resume from the
-//! 1M checkpoint with the warm algorithm, replay only the tail, and
+//! 1M checkpoint with a fresh Move-to-Center, replay only the tail, and
 //! verify the totals agree with the uninterrupted run bit for bit.
 //!
 //! ```text
@@ -41,7 +41,7 @@ fn main() {
         delta,
         ServingOrder::MoveFirst,
     );
-    let mut saved: Option<(StreamCheckpoint<2>, MoveToCenter<2>)> = None;
+    let mut saved: Option<StreamCheckpoint<2>> = None;
     while let Some(step) = stream.next_step() {
         sim.feed(&step);
         if sim.steps() % CHECKPOINT_EVERY == 0 && sim.steps() < HORIZON {
@@ -52,9 +52,9 @@ fn main() {
                 cp.position,
                 cp.movement + cp.service
             );
-            // Persisting the warm algorithm alongside the snapshot is what
-            // makes the resume decision-exact.
-            saved = Some((cp, sim.algorithm().clone()));
+            // MtC is memoryless, so the checkpoint alone makes the resume
+            // decision-exact.
+            saved = Some(cp);
         }
     }
     let full = sim.finish();
@@ -78,14 +78,19 @@ fn main() {
     );
 
     // Resume from the last checkpoint and replay only the tail.
-    let (cp, warm) = saved.expect("at least one checkpoint fired");
+    let cp = saved.expect("at least one checkpoint fired");
     println!("\nResuming from the {}-step checkpoint …", cp.step);
     stream.rewind();
     for _ in 0..cp.step {
         stream.next_step().expect("skipping replayed prefix");
     }
-    let mut resumed =
-        StreamingSim::resume(&stream.params(), warm, delta, ServingOrder::MoveFirst, &cp);
+    let mut resumed = StreamingSim::resume(
+        &stream.params(),
+        MoveToCenter::new(),
+        delta,
+        ServingOrder::MoveFirst,
+        &cp,
+    );
     while let Some(step) = stream.next_step() {
         resumed.feed(&step);
     }

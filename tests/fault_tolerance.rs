@@ -102,7 +102,7 @@ proptest! {
         let recovery = recover_journal::<2>(&bytes).unwrap();
         prop_assert!(recovery.torn_tail.is_some(), "mid-record tail must be loud");
         prop_assert!(recovery.checkpoint.step <= crash_at);
-        let mut resumed = resume_from_journal(&recovery, MoveToCenter::<2>::new()).unwrap();
+        let mut resumed = resume_from_journal(&recovery, MoveToCenter::<2>::new());
         stream.rewind();
         for _ in 0..recovery.checkpoint.step {
             stream.next_step().unwrap();

@@ -1,7 +1,7 @@
 //! Parity tests for the fast paths: every optimization must return the
 //! same answers as the slow path it replaced.
 //!
-//! * warm-started [`MedianSolver`] vs the cold free function vs the seed's
+//! * [`MedianSolver`] vs the free function (bit for bit) vs the seed's
 //!   classic solver,
 //! * the grid DP's windowed scan vs the all-pairs scan: exactly equal
 //!   (the pruned window provably enumerates the same transition set; the
@@ -13,14 +13,14 @@
 use mobile_server::core::cost::ServingOrder;
 use mobile_server::geometry::median::{
     collinear, median_optimality_gap, sum_of_distances, weighted_center, weighted_center_classic,
-    weighted_center_weighted, MedianOptions, MedianSolver,
+    weighted_center_weighted, MedianSolver,
 };
 use mobile_server::geometry::sample::SeededSampler;
 use mobile_server::offline::{grid_optimum, grid_optimum_unpruned, GridDp};
 use mobile_server::prelude::*;
 use proptest::prelude::*;
 
-/// Drifting random clusters: the workload shape the warm start targets.
+/// Drifting random clusters: the per-step request sets a simulation solves.
 fn drifting_sets(seed: u64, n: usize, steps: usize) -> Vec<Vec<P2>> {
     let mut s = SeededSampler::new(seed);
     let offsets: Vec<P2> = (0..n).map(|_| s.point_in_cube(3.0)).collect();
@@ -46,50 +46,43 @@ fn bits<const N: usize>(p: Point<N>) -> [u64; N] {
     p.0.map(f64::to_bits)
 }
 
-/// Solves a three- or four-point set warm (with `solver`'s carried state)
-/// and cold, against the classic oracle. The closed form fired when the
-/// warm solve billed no iteration; warm and cold must then be bit-equal
-/// and certified (`gap ≤ 1e-10·n`). A rejected candidate takes the
-/// iterative path, where warm and cold agree within 1e-9. Either way the
-/// objective is no worse than the oracle's beyond 1e-12 relative (the
-/// oracle's plain Weiszfeld can stop short near a 120° vertex, so it may
-/// be worse); positions are left to the caller, since near-degenerate sets
-/// have flat valleys. Returns the cold center and whether the closed form
-/// fired.
+/// Solves a three- or four-point set with `solver` (carried across calls)
+/// and with the free function, against the classic oracle. The two must
+/// be bit-equal. The closed form fired when the solve billed no
+/// iteration; the center must then be certified (`gap ≤ 1e-10·n`).
+/// Either way the objective is no worse than the oracle's beyond 1e-12
+/// relative (the oracle's plain Weiszfeld can stop short near a 120°
+/// vertex, so it may be worse); positions are left to the caller, since
+/// near-degenerate sets have flat valleys. Returns the center and whether
+/// the closed form fired.
 fn small_set_parity<const N: usize>(
     solver: &mut MedianSolver<N>,
     pts: &[Point<N>],
     at: &str,
 ) -> (Point<N>, bool) {
     let reference = Point::<N>::splat(0.5);
-    let opts = MedianOptions::default();
-    let warm = solver.center(pts, &reference);
+    let c = solver.center(pts, &reference);
     let fired = solver.telemetry.last_iterations == 0;
-    let cold = weighted_center(pts, &reference, opts);
-    let classic = weighted_center_classic(pts, &vec![1.0; pts.len()], &reference, opts);
+    let free = weighted_center(pts, &reference);
+    let classic = weighted_center_classic(pts, &vec![1.0; pts.len()], &reference);
+    assert_eq!(
+        bits(c),
+        bits(free),
+        "{at}: solver {c:?} vs free function {free:?}"
+    );
     if fired {
-        assert_eq!(
-            bits(warm),
-            bits(cold),
-            "{at}: warm {warm:?} vs cold {cold:?}"
-        );
-        let gap = median_optimality_gap(pts, &cold);
+        let gap = median_optimality_gap(pts, &free);
         assert!(gap <= 1e-10 * pts.len() as f64, "{at}: gap {gap}");
-    } else {
-        assert!(
-            warm.distance(&cold) < 1e-9,
-            "{at}: warm {warm:?} vs cold {cold:?}"
-        );
     }
     let (obj, oracle) = (
-        sum_of_distances(pts, &cold),
+        sum_of_distances(pts, &free),
         sum_of_distances(pts, &classic),
     );
     assert!(
         obj - oracle <= 1e-12 * oracle,
         "{at}: objective {obj} vs oracle {oracle} on {pts:?}"
     );
-    (cold, fired)
+    (free, fired)
 }
 
 /// A three- or four-point shape for the closed forms, with the input
@@ -209,11 +202,11 @@ fn rigid_drift(p: P2, t: usize) -> P2 {
 }
 
 #[test]
-fn warm_median_matches_cold_and_classic_within_1e9() {
+fn median_solver_matches_free_function_and_classic_within_1e9() {
     for (seed, n) in [(0u64, 3), (1, 10), (2, 17), (3, 24), (4, 4), (5, 4)] {
         let sets = drifting_sets(seed, n, 120);
         let reference = P2::xy(0.5, -0.5);
-        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+        let mut solver = MedianSolver::<2>::new();
         for (t, pts) in sets.iter().enumerate() {
             if n <= 4 {
                 // Well-conditioned small sets: the closed form fires.
@@ -223,62 +216,47 @@ fn warm_median_matches_cold_and_classic_within_1e9() {
                     "{at}: not closed form"
                 );
             }
-            let warm = solver.center(pts, &reference);
-            let cold = weighted_center(pts, &reference, MedianOptions::default());
-            let classic = weighted_center_classic(
-                pts,
-                &vec![1.0; pts.len()],
-                &reference,
-                MedianOptions::default(),
+            let c = solver.center(pts, &reference);
+            let free = weighted_center(pts, &reference);
+            let classic = weighted_center_classic(pts, &vec![1.0; pts.len()], &reference);
+            assert_eq!(
+                bits(c),
+                bits(free),
+                "seed {seed} step {t}: solver {c:?} vs free function {free:?}"
             );
             assert!(
-                warm.distance(&cold) < 1e-9,
-                "seed {seed} step {t}: warm {warm:?} vs cold {cold:?}"
+                c.distance(&classic) < 1e-9,
+                "seed {seed} step {t}: solver {c:?} vs classic {classic:?}"
             );
             assert!(
-                warm.distance(&classic) < 1e-9,
-                "seed {seed} step {t}: warm {warm:?} vs classic {classic:?}"
-            );
-            assert!(
-                median_optimality_gap(pts, &warm) < 1e-6,
-                "seed {seed} step {t}: warm center not optimal"
+                median_optimality_gap(pts, &c) < 1e-6,
+                "seed {seed} step {t}: center not optimal"
             );
         }
-        // The warm start must actually engage on this workload; closed
-        // forms never warm start.
-        if n <= 4 {
-            assert_eq!(solver.telemetry.warm_starts, 0);
-            assert_eq!(solver.telemetry.iterations, 0);
-        } else {
-            assert!(solver.telemetry.warm_starts > 0);
-        }
+        // Closed forms bill no iterations; larger sets run the pipeline.
+        assert_eq!(solver.telemetry.iterations == 0, n <= 4, "n {n}");
     }
 
-    // Median on an input point: warm (from the previous step's anchor)
-    // and cold solves must return that very point. Kinds 0–2 have three
-    // or four points and take the closed form.
+    // Median on an input point: the solver and the free function must
+    // return that very point. Kinds 0–2 have three or four points and take
+    // the closed form.
     for kind in 0..4 {
         for seed in 0..4u64 {
             let (base, anchor) =
                 anchor_optimal_set(kind, &mut SeededSampler::new(100 * kind as u64 + seed));
             let reference = P2::xy(0.5, -0.5);
-            let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+            let mut solver = MedianSolver::<2>::new();
             for t in 0..60 {
                 let pts: Vec<P2> = base.iter().map(|p| rigid_drift(*p, t)).collect();
-                let warm = solver.center(&pts, &reference);
-                let cold = weighted_center(&pts, &reference, MedianOptions::default());
-                let classic = weighted_center_classic(
-                    &pts,
-                    &vec![1.0; pts.len()],
-                    &reference,
-                    MedianOptions::default(),
-                );
+                let c = solver.center(&pts, &reference);
+                let free = weighted_center(&pts, &reference);
+                let classic = weighted_center_classic(&pts, &vec![1.0; pts.len()], &reference);
                 let at = format!("kind {kind} seed {seed} step {t}");
-                assert_eq!(bits(warm), bits(pts[anchor]), "{at}: warm {warm:?}");
-                assert_eq!(bits(cold), bits(pts[anchor]), "{at}: cold {cold:?}");
-                assert!(warm.distance(&classic) < 1e-9, "{at}: classic {classic:?}");
+                assert_eq!(bits(c), bits(pts[anchor]), "{at}: solver {c:?}");
+                assert_eq!(bits(free), bits(pts[anchor]), "{at}: free {free:?}");
+                assert!(c.distance(&classic) < 1e-9, "{at}: classic {classic:?}");
             }
-            assert_eq!(solver.telemetry.warm_starts > 0, kind == 3, "kind {kind}");
+            assert_eq!(solver.telemetry.iterations > 0, kind == 3, "kind {kind}");
         }
     }
 
@@ -290,17 +268,17 @@ fn warm_median_matches_cold_and_classic_within_1e9() {
         for seed in 0..4u64 {
             let mut s = SeededSampler::new(500 + 10 * kind as u64 + seed);
             let (base, anchor) = small_shape(kind, &mut s);
-            let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+            let mut solver = MedianSolver::<2>::new();
             for t in 0..60 {
                 let pts: Vec<P2> = base.iter().map(|p| rigid_drift(*p, t)).collect();
                 let at = format!("shape {kind} seed {seed} step {t}");
-                let (cold, fired) = small_set_parity(&mut solver, &pts, &at);
+                let (center, fired) = small_set_parity(&mut solver, &pts, &at);
                 assert!(fired || kind == 1 || kind == 5, "{at}: not closed form");
                 if let Some(k) = anchor {
-                    assert_eq!(bits(cold), bits(pts[k]), "{at}: {cold:?}");
+                    assert_eq!(bits(center), bits(pts[k]), "{at}: {center:?}");
                 }
                 if kind == 2 {
-                    assert!(cold.distance(&pts[3]) < 1e-12, "{at}: {cold:?}");
+                    assert!(center.distance(&pts[3]) < 1e-12, "{at}: {center:?}");
                 }
             }
         }
@@ -308,7 +286,7 @@ fn warm_median_matches_cold_and_classic_within_1e9() {
 
     // Triangles in space take the closed form too.
     let mut s = SeededSampler::new(77);
-    let mut solver = MedianSolver::<3>::new(MedianOptions::default());
+    let mut solver = MedianSolver::<3>::new();
     for t in 0..200 {
         let pts: Vec<P3> = (0..3).map(|_| s.point_in_cube(5.0)).collect();
         let at = format!("space triangle {t}");
@@ -368,10 +346,9 @@ fn assert_batch_matches_runs<A: OnlineAlgorithm<2> + Clone + Send>(
 
 /// The batch engine reproduces repeated `run` calls **bit for bit**: each
 /// δ-lane is an independent run through the same step function, and the
-/// parallel fan-out only reorders wall-clock execution. MtC (warm-started
-/// median solver) and the coin-flip baseline (internally seeded RNG,
-/// reseeded at reset) both carry state that `run_batch` must reset per
-/// lane. One row per instance shape: a single request marching right,
+/// parallel fan-out only reorders wall-clock execution. The coin-flip
+/// baseline carries state (an internally seeded RNG, reseeded at reset)
+/// that `run_batch` must reset per lane; MtC is memoryless. One row per instance shape: a single request marching right,
 /// and drifting planar walks of 70 to 300 steps.
 #[test]
 fn run_batch_matches_repeated_runs_for_all_algorithms() {
@@ -444,9 +421,8 @@ proptest! {
         let mut s = SeededSampler::new(wseed);
         let w: Vec<f64> = (0..pts.len()).map(|_| s.uniform(0.2, 4.0)).collect();
         let reference = P2::xy(0.3, 0.7);
-        let opts = MedianOptions::default();
-        let fast = weighted_center_weighted(&pts, &w, &reference, opts);
-        let classic = weighted_center_classic(&pts, &w, &reference, opts);
+        let fast = weighted_center_weighted(&pts, &w, &reference);
+        let classic = weighted_center_classic(&pts, &w, &reference);
         prop_assert!(fast.distance(&classic) < 1e-7, "{:?} vs {:?}", fast, classic);
 
         // Anchor-optimal variants of the same draw: one weight above half
@@ -461,35 +437,32 @@ proptest! {
         let (shape, apex) = anchor_optimal_set((wseed % 4) as usize, &mut s);
         let (dup_w, shape_w) = (vec![1.0; dup.len()], vec![1.0; shape.len()]);
         let cases = [(pts.clone(), heavy, k), (dup, dup_w, k), (shape, shape_w, apex)];
+        // One solver across the cases, as a simulation carries it.
+        let mut solver = MedianSolver::<2>::new();
         for (set, weights, anchor) in cases {
             if collinear(&set, 1e-12).is_some() {
                 continue;
             }
-            let cold = weighted_center_weighted(&set, &weights, &reference, opts);
-            // Warm: started from the center of the unmodified draw.
-            let mut solver = MedianSolver::<2>::new(opts);
-            solver.seed(fast);
-            let mut warm = P2::origin();
-            solver.weighted_center_into(&set, &weights, &reference, &mut warm);
-            let classic = weighted_center_classic(&set, &weights, &reference, opts);
-            prop_assert_eq!(bits(cold), bits(set[anchor]), "cold {:?} on {:?}", cold, set);
-            prop_assert_eq!(bits(warm), bits(set[anchor]), "warm {:?} on {:?}", warm, set);
-            prop_assert!(cold.distance(&classic) < 1e-7, "{:?} vs {:?}", cold, classic);
+            let free = weighted_center_weighted(&set, &weights, &reference);
+            let mut c = P2::origin();
+            solver.weighted_center_into(&set, &weights, &reference, &mut c);
+            let classic = weighted_center_classic(&set, &weights, &reference);
+            prop_assert_eq!(bits(free), bits(set[anchor]), "free {:?} on {:?}", free, set);
+            prop_assert_eq!(bits(c), bits(set[anchor]), "solver {:?} on {:?}", c, set);
+            prop_assert!(free.distance(&classic) < 1e-7, "{:?} vs {:?}", free, classic);
         }
 
         // Three and four points of the same draw, and {A, A, B, C}: the
-        // closed forms, warm-seeded from the draw's center.
+        // closed forms.
         if pts.len() >= 4 {
             let dup = [pts[0], pts[1], pts[0], pts[2]];
             for (i, set) in [&pts[..3], &pts[..4], &dup[..]].into_iter().enumerate() {
                 if collinear(set, 1e-12).is_some() {
                     continue;
                 }
-                let mut solver = MedianSolver::<2>::new(opts);
-                solver.seed(fast);
-                let (cold, _) = small_set_parity(&mut solver, set, &format!("set {i}"));
+                let (c, _) = small_set_parity(&mut solver, set, &format!("set {i}"));
                 if i == 2 {
-                    prop_assert_eq!(bits(cold), bits(pts[0]), "{:?} on {:?}", cold, set);
+                    prop_assert_eq!(bits(c), bits(pts[0]), "{:?} on {:?}", c, set);
                 }
             }
         }

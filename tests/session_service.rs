@@ -88,7 +88,7 @@ fn oracle_checkpoints<A>(
 ) -> Vec<StreamCheckpoint<2>>
 where
     A: mobile_server::core::algorithm::OnlineAlgorithm<2>
-        + mobile_server::core::algorithm::WarmStateCodec,
+        + mobile_server::core::algorithm::Memoryless,
 {
     let params = stream.params();
     let mut sim = StreamingSim::new(&params, algorithm, DELTA, ORDER);

@@ -2,11 +2,14 @@
 //! instances and any algorithm in the suite, the structural invariants of
 //! Section 2 must hold.
 
-use mobile_server::core::algorithm::BoxedAlgorithm;
-use mobile_server::core::baselines::MoveToMinN;
+use mobile_server::core::algorithm::{BoxedAlgorithm, Memoryless};
+use mobile_server::core::baselines::{FractionalStep, MoveToMinN};
 use mobile_server::core::cost::evaluate_trajectory;
+use mobile_server::core::mtc::CenterTarget;
 use mobile_server::core::simulator::run;
+use mobile_server::geometry::step_towards;
 use mobile_server::prelude::*;
+use mobile_server::scenarios::registry::must_lookup;
 use proptest::prelude::*;
 
 /// Strategy: a small random planar instance.
@@ -115,6 +118,58 @@ proptest! {
         for mut alg in all_algorithms() {
             let res = run(&inst, &mut alg, 0.5, ServingOrder::MoveFirst);
             prop_assert_eq!(res.cost.service, 0.0);
+        }
+    }
+}
+
+/// A factory of fresh clones of one algorithm prototype.
+type Clones = Box<dyn Fn() -> BoxedAlgorithm<2>>;
+
+/// The [`Clones`] of `proto`, for algorithms that claim to be
+/// [`Memoryless`].
+fn clones_of<A>(proto: A) -> Clones
+where
+    A: OnlineAlgorithm<2> + Memoryless + Clone + 'static,
+{
+    Box::new(move || Box::new(proto.clone()))
+}
+
+/// The [`Memoryless`] contract, which lets a checkpoint alone resume a
+/// session: at every step of a `car-fleet` stream, one long-lived instance
+/// decides bit-equal to a fresh clone of its prototype. The fleet sends up
+/// to 12 requests per step, so the median solver's iterative pipeline runs
+/// (three or four requests take its closed forms).
+#[test]
+fn memoryless_algorithms_decide_like_a_fresh_clone() {
+    let table: [(&str, Clones); 5] = [
+        ("mtc", clones_of(MoveToCenter::<2>::new())),
+        (
+            "mtc-centroid",
+            clones_of(MoveToCenter::<2>::with_center(CenterTarget::Centroid)),
+        ),
+        ("lazy", clones_of(Lazy)),
+        ("follow-center", clones_of(FollowCenter::new())),
+        ("fractional-step", clones_of(FractionalStep::new(0.5))),
+    ];
+    let mut stream = must_lookup("car-fleet")
+        .stream_with::<2>(11, &ScenarioKnobs::horizon(400))
+        .unwrap();
+    let ctx = AlgContext::from_params(&stream.params(), 0.25);
+    let steps: Vec<Step<2>> = std::iter::from_fn(|| stream.next_step()).collect();
+    assert!(steps.iter().any(|s| s.requests.len() > 4));
+    for (name, fresh) in &table {
+        let mut long_lived = fresh();
+        long_lived.reset(&ctx);
+        let mut position = ctx.start;
+        for (t, step) in steps.iter().enumerate() {
+            let decided = long_lived.decide(&position, &step.requests, &ctx);
+            let from_fresh = fresh().decide(&position, &step.requests, &ctx);
+            assert_eq!(
+                decided.0.map(f64::to_bits),
+                from_fresh.0.map(f64::to_bits),
+                "{name} step {t}: {decided:?} vs a fresh clone's {from_fresh:?}"
+            );
+            position = step_towards(&position, &decided, ctx.online_budget());
         }
     }
 }
