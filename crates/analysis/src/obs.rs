@@ -3,7 +3,7 @@
 //! deterministic JSON [`MetricsSnapshot`].
 //!
 //! Every tier of the system reports through this module — the executor
-//! (`sweep`), the grid DP (`msp-offline`), the median solver (via
+//! (`sweep`), the grid DP and the exact line DP (`msp-offline`), the median solver (via
 //! `msp-core`'s Move-to-Center), the streaming simulator, the checkpoint
 //! journal and the session service (`msp-scenarios` — the `service.*`
 //! metric family), and the live ratio probe. The registry is the *only* shared state:
@@ -58,7 +58,7 @@ pub const SHARDS: usize = 8;
 
 /// Identity string of the snapshot schema; bumped when the key set or
 /// layout changes so downstream consumers can validate what they parse.
-pub const SCHEMA: &str = "msp-metrics-v3";
+pub const SCHEMA: &str = "msp-metrics-v4";
 
 // ---------------------------------------------------------------------
 // Metric identities
@@ -162,6 +162,10 @@ metric_enum! {
     Gauge {
         /// Most sessions simultaneously resident in a session service.
         ServiceResidentHwm => "service.resident_hwm",
+        /// Most breakpoints of one cost-to-go function in the exact line
+        /// DP (`solve_line`, `solve_line_with_trajectory`,
+        /// `IncrementalLineOpt`), raised after every step.
+        LineBreakpointsHwm => "line.breakpoints_hwm",
     }
 }
 
@@ -696,7 +700,7 @@ mod tests {
             assert_eq!(c.name(), *name);
         }
         let rendered = snap.to_json().to_string();
-        assert!(rendered.contains("\"schema\":\"msp-metrics-v3\""));
+        assert!(rendered.contains("\"schema\":\"msp-metrics-v4\""));
         for c in Counter::ALL {
             assert!(rendered.contains(c.name()), "missing {}", c.name());
         }

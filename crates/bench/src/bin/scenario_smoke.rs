@@ -38,6 +38,7 @@ use msp_analysis::BackoffSchedule;
 use msp_core::cost::ServingOrder;
 use msp_core::mtc::MoveToCenter;
 use msp_core::simulator::{StreamCheckpoint, StreamingSim};
+use msp_scenarios::service::journal_file_name;
 use msp_scenarios::{
     corpus_trace_path, diff_block_traces, diff_streams, lookup, materialize, materialize_seeds,
     record_registry_corpus, record_stream, record_to_vec, recover_journal, recover_service,
@@ -552,15 +553,26 @@ fn corrupt_one_journal(dir: &Path, rng: &mut ChaosRng) -> Option<String> {
     victim.file_name().map(|n| n.to_string_lossy().into_owned())
 }
 
+/// What one crash-and-recover cycle found: journals recovered, files
+/// skipped, and members re-opened from scratch.
+#[derive(Default)]
+struct RecoveryCounts {
+    recovered: usize,
+    skipped: usize,
+    reopened: usize,
+}
+
 /// Drops the whole service (the crash) and rebuilds it from the journal
-/// directory; members that never spilled (or whose journal was lost to
-/// corruption) are re-opened from scratch — their deterministic streams
-/// replay to the same trajectory.
+/// directory; members that never spilled with progress (and so have no
+/// journal) or whose journal was lost to corruption are re-opened from
+/// scratch — their deterministic streams replay to the same trajectory.
+/// A missing member must be one of those two: no journal file, or a file
+/// the recovery reported as skipped.
 fn crash_and_recover(
     service: SessionService<2, MoveToCenter<2>>,
     config: &ServiceConfig,
     fleet: &[FleetMember],
-) -> Result<(SessionService<2, MoveToCenter<2>>, usize, usize), String> {
+) -> Result<(SessionService<2, MoveToCenter<2>>, RecoveryCounts), String> {
     drop(service);
     let (mut service, report) = recover_service::<2, MoveToCenter<2>, _>(config.clone(), {
         |name, _recovery| {
@@ -570,14 +582,28 @@ fn crash_and_recover(
         }
     })
     .map_err(|e| format!("chaos: recovery failed: {e}"))?;
-    let recovered = report.recovered.len();
-    let skipped = report.skipped.len();
+    let dir = config.journal_dir.as_ref().ok_or("chaos: no journal dir")?;
+    let mut counts = RecoveryCounts {
+        recovered: report.recovered.len(),
+        skipped: report.skipped.len(),
+        reopened: 0,
+    };
     for member in fleet {
-        if !service.contains(&member.name) {
-            open_member(&mut service, member)?;
+        if service.contains(&member.name) {
+            continue;
         }
+        let file = journal_file_name(&member.name);
+        let skipped = report.skipped.iter().any(|(name, _)| *name == file);
+        if dir.join(&file).exists() && !skipped {
+            return Err(format!(
+                "chaos: {} has a journal that recovery neither recovered nor skipped",
+                member.name
+            ));
+        }
+        open_member(&mut service, member)?;
+        counts.reopened += 1;
     }
-    Ok((service, recovered, skipped))
+    Ok((service, counts))
 }
 
 /// The chaos smoke: a mixed fleet over a bounded-memory service, driven
@@ -640,7 +666,8 @@ fn chaos_smoke(seed: u64) -> Result<(), String> {
     // evictions, with crashes forced at fixed schedule positions (one of
     // them preceded by journal corruption) and extra seed-chosen crashes.
     let mut rng = ChaosRng(seed);
-    let (mut crashes, mut corruptions, mut recovered_total, mut skipped_total) = (0, 0, 0, 0);
+    let (mut crashes, mut corruptions) = (0, 0);
+    let mut totals = RecoveryCounts::default();
     for event in 0..CHAOS_EVENTS {
         let forced_crash = event == CHAOS_EVENTS / 3 || event == 2 * CHAOS_EVENTS / 3;
         let roll = rng.below(12);
@@ -651,11 +678,12 @@ fn chaos_smoke(seed: u64) -> Result<(), String> {
             {
                 corruptions += 1;
             }
-            let (next, recovered, skipped) = crash_and_recover(service, &config, &fleet)?;
+            let (next, counts) = crash_and_recover(service, &config, &fleet)?;
             service = next;
             crashes += 1;
-            recovered_total += recovered;
-            skipped_total += skipped;
+            totals.recovered += counts.recovered;
+            totals.skipped += counts.skipped;
+            totals.reopened += counts.reopened;
         } else if roll >= 9 {
             let victim = &fleet[rng.below(fleet.len() as u64) as usize];
             service
@@ -736,10 +764,13 @@ fn chaos_smoke(seed: u64) -> Result<(), String> {
     }
 
     println!(
-        "  chaos seed {seed}: {} members, {crashes} crashes ({recovered_total} journal \
-         recoveries, {skipped_total} skipped), {corruptions} corruption(s), \
+        "  chaos seed {seed}: {} members, {crashes} crashes ({} journal recoveries, \
+         {} skipped, {} re-opened from their streams), {corruptions} corruption(s), \
          {} quarantined, survivors bit-equal to oracle",
         fleet.len(),
+        totals.recovered,
+        totals.skipped,
+        totals.reopened,
         service.quarantined().len(),
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -862,6 +893,12 @@ fn validate_metrics(
                 pool_threads()
             ));
         }
+    }
+    // The probed run feeds the exact line DP (one per axis), so its
+    // breakpoint gauge must have risen.
+    let gauge = "line.breakpoints_hwm";
+    if after.gauge(gauge).unwrap_or(0) <= before.gauge(gauge).unwrap_or(0) {
+        return Err(format!("{gauge} did not move across the metrics smoke"));
     }
     let rendered = after.to_json().to_string();
     if !rendered.contains(&format!("\"schema\":\"{}\"", obs::SCHEMA)) {

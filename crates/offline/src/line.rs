@@ -14,6 +14,7 @@
 //! reference every line experiment measures competitive ratios against.
 
 use crate::pwl::ConvexPwl;
+use msp_analysis::obs;
 use msp_core::cost::{evaluate_trajectory, ServingOrder};
 use msp_core::model::Instance;
 use msp_geometry::P1;
@@ -169,12 +170,15 @@ impl IncrementalLineOpt {
 
 /// One step of the dynamic program: the cost-to-go after step `t` from
 /// the one after step `t − 1` and step `t`'s requests, in the module
-/// docs' Move-First or Answer-First form.
+/// docs' Move-First or Answer-First form. Raises the
+/// `line.breakpoints_hwm` gauge to the new function's breakpoint count.
 fn dp_step(f: &ConvexPwl, requests: &[f64], d: f64, m: f64, order: ServingOrder) -> ConvexPwl {
-    match order {
+    let next = match order {
         ServingOrder::MoveFirst => f.move_transform(d, m).add_service(requests),
         ServingOrder::AnswerFirst => f.add_service(requests).move_transform(d, m),
-    }
+    };
+    obs::gauge_max(obs::Gauge::LineBreakpointsHwm, next.len() as u64);
+    next
 }
 
 /// Minimizes `g(q) + D·|p − q|` over `q ∈ [lo, hi] ∩ dom(g)` for convex

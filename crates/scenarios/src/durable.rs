@@ -50,12 +50,24 @@ impl AtomicFile {
 
     /// Flushes, fsyncs, and atomically renames the staged file onto the
     /// target name. Returns the final path.
-    pub fn commit(mut self) -> io::Result<PathBuf> {
+    pub fn commit(self) -> io::Result<PathBuf> {
+        let target = self.target.clone();
+        self.commit_open(File::sync_all)?;
+        Ok(target)
+    }
+
+    /// [`AtomicFile::commit`] that keeps the file open: `sync` makes the
+    /// staged bytes durable, the rename publishes them under the target
+    /// name, and the returned handle is the same open file, positioned
+    /// after them, so a writer that goes on appending needs no reopen.
+    pub(crate) fn commit_open(
+        mut self,
+        sync: impl FnOnce(&File) -> io::Result<()>,
+    ) -> io::Result<File> {
         let file = self.file.take().expect("staged file present until commit");
-        file.sync_all()?;
-        drop(file);
+        sync(&file)?;
         fs::rename(&self.tmp, &self.target)?;
-        Ok(self.target.clone())
+        Ok(file)
     }
 }
 

@@ -5,6 +5,8 @@
 //! configuration (`MSPJ` magic, dimension, serving order, δ, model
 //! parameters) followed by an append-only sequence of generation
 //! records, each carrying a [`StreamCheckpoint`] and a CRC-32 guard.
+//! [`DurableJournal::create`] commits the header together with
+//! generation 0, so a journal on disk always holds a checkpoint.
 //! Recovery scans forward and returns the **newest complete,
 //! CRC-valid record**: a crash mid-append leaves a torn tail that is
 //! reported loudly ([`JournalRecovery::torn_tail`]) while the previous
@@ -530,12 +532,13 @@ where
 }
 
 /// An on-disk checkpoint journal with crash-safe creation and appends:
-/// the header is committed via temp-file + atomic rename (a crash during
-/// create leaves nothing under the final name), and every appended
-/// record is fsynced before [`DurableJournal::append`] returns — after
-/// which a crash at *any* point loses at most the in-flight record,
-/// which [`recover_journal`] reports as a torn tail while the previous
-/// generation stays recoverable.
+/// the header and generation 0 are committed together via temp-file +
+/// atomic rename (a crash during create leaves nothing new under the
+/// final name), and every appended record is fsynced before
+/// [`DurableJournal::append`] returns — after which a crash at *any*
+/// point loses at most the in-flight record, which [`recover_journal`]
+/// reports as a torn tail while the previous generation stays
+/// recoverable.
 #[derive(Debug)]
 pub struct DurableJournal<const N: usize> {
     path: PathBuf,
@@ -545,13 +548,22 @@ pub struct DurableJournal<const N: usize> {
 }
 
 impl<const N: usize> DurableJournal<N> {
-    /// Creates (or replaces) the journal at `path`, committing the header
-    /// atomically, and opens it for appends.
+    /// Creates (or replaces) the journal at `path` with `checkpoint` as
+    /// generation 0, and opens it for appends from generation 1. The
+    /// header and the record are staged together and committed in one
+    /// [`AtomicFile`] write — one fsync, one rename — so no journal on
+    /// disk is ever header-only. Timed and counted like an append
+    /// (`journal.append_ns`, `journal.fsync_ns`, `journal.appends`).
+    ///
+    /// # Panics
+    /// Panics when `delta` is negative or not finite, as
+    /// [`JournalWriter::new`] does.
     pub fn create(
         path: impl AsRef<Path>,
         params: &StreamParams<N>,
         delta: f64,
         order: ServingOrder,
+        checkpoint: &StreamCheckpoint<N>,
     ) -> Result<Self, JournalError> {
         assert!(
             delta >= 0.0 && delta.is_finite(),
@@ -559,16 +571,20 @@ impl<const N: usize> DurableJournal<N> {
         );
         let params = validated_params(params.d, params.max_move, params.start, "header")?;
         let path = path.as_ref().to_path_buf();
+        let span = obs::timer(obs::Hist::JournalAppendNs);
+        let mut bytes = encode_header(&params, delta, order);
+        bytes.extend_from_slice(&encode_record(0, checkpoint));
         let mut staged = AtomicFile::create(&path)?;
-        staged.write_all(&encode_header(&params, delta, order))?;
-        staged.commit()?;
-        let sink = OpenOptions::new().append(true).open(&path)?;
+        staged.write_all(&bytes)?;
+        let sink = staged.commit_open(|file| timed_fsync(|| file.sync_all()))?;
+        span.stop();
+        obs::incr(obs::Counter::JournalAppends);
         Ok(DurableJournal {
             path,
             writer: JournalWriter {
                 sink,
-                next_generation: 0,
-                obs_last_step: None,
+                next_generation: 1,
+                obs_last_step: Some(checkpoint.step as u64),
             },
         })
     }
@@ -576,12 +592,8 @@ impl<const N: usize> DurableJournal<N> {
     /// Appends one generation record and fsyncs it to disk. Returns the
     /// generation number just written.
     pub fn append(&mut self, checkpoint: &StreamCheckpoint<N>) -> Result<u64, JournalError> {
-        self.writer.append_then(checkpoint, |file| {
-            let fsync_span = obs::timer(obs::Hist::JournalFsyncNs);
-            file.sync_data()?;
-            fsync_span.stop();
-            Ok(())
-        })
+        self.writer
+            .append_then(checkpoint, |file| timed_fsync(|| file.sync_data()))
     }
 
     /// [`DurableJournal::append`] of a live simulation's checkpoint, for an
@@ -639,6 +651,13 @@ impl<const N: usize> DurableJournal<N> {
             recovery,
         ))
     }
+}
+
+/// Runs one fsync of a durable journal inside the `journal.fsync_ns`
+/// span.
+fn timed_fsync(sync: impl FnOnce() -> std::io::Result<()>) -> std::io::Result<()> {
+    let _span = obs::timer(obs::Hist::JournalFsyncNs);
+    sync()
 }
 
 #[cfg(test)]
@@ -928,9 +947,16 @@ mod tests {
         let p = params();
         let mut sim =
             StreamingSim::new(&p, MoveToCenter::<2>::new(), 0.25, ServingOrder::MoveFirst);
-        let mut journal =
-            DurableJournal::<2>::create(&path, &p, 0.25, ServingOrder::MoveFirst).unwrap();
-        for t in 0..6 {
+        sim.feed(&drift_step(0));
+        let mut journal = DurableJournal::<2>::create(
+            &path,
+            &p,
+            0.25,
+            ServingOrder::MoveFirst,
+            &sim.checkpoint(),
+        )
+        .unwrap();
+        for t in 1..6 {
             sim.feed(&drift_step(t));
             journal.append_sim(&sim).unwrap();
         }

@@ -11,6 +11,11 @@
 //! simulator, while the stream keeps its position across evict/resume
 //! cycles.
 //!
+//! Opening a session and evicting one that has not advanced do no I/O:
+//! a step-0 checkpoint is only the session's configuration, so it stays
+//! in memory. A session's journal is created at its first spill with
+//! progress, holding the header and that checkpoint as generation 0.
+//!
 //! Three layers of supervision sit on top of the table:
 //!
 //! - **Eviction** ([`SessionService::advance`] /
@@ -30,13 +35,16 @@
 //!   boundary.
 //!
 //! Durability degrades gracefully rather than failing the session: when a
-//! journal append fails (for real, or injected via [`FaultPlan`]), the
-//! service drops the journal handle, counts `service.degradations`, and
-//! falls back to memory-only eviction for that session; the next
-//! successful append recovers durable mode. After a crash,
+//! spill fails (for real, or injected via [`FaultPlan`]), the service
+//! drops the journal handle, counts `service.degradations`, and keeps
+//! that session's checkpoint in memory; its next spill re-creates the
+//! journal with the current checkpoint as generation 0, and the next
+//! successful spill recovers durable mode. After a crash,
 //! [`recover_service`] rebuilds the table from a directory of journals —
 //! torn tails are truncated and the newest intact generation wins, as in
-//! [`DurableJournal::reopen`].
+//! [`DurableJournal::reopen`]. A session is crash-recoverable from its
+//! first spill with progress; before that it has no file, and the caller
+//! re-opens it from its stream.
 
 use crate::fault::FaultPlan;
 use crate::journal::{resume_from_journal, DurableJournal, JournalError, JournalRecovery};
@@ -65,9 +73,9 @@ pub struct ServiceConfig {
     /// service evicts least-recently-used sessions to stay at or under
     /// this bound.
     pub max_resident: usize,
-    /// When `Some`, evicted sessions spill their checkpoint to a
-    /// per-session journal file in this directory; when `None` (or after
-    /// a degradation) eviction keeps the checkpoint in memory only.
+    /// When `Some`, evicted sessions with progress spill their checkpoint
+    /// to a per-session journal file in this directory; when `None` (or
+    /// after a degradation) eviction keeps the checkpoint in memory only.
     pub journal_dir: Option<PathBuf>,
     /// Attempt bound per session per [`SessionService::advance_batch`]
     /// call (0 is treated as 1). A session that fails every attempt is
@@ -79,8 +87,9 @@ pub struct ServiceConfig {
     /// `b` steps is cancelled at the next block boundary with
     /// [`SessionError::StepBudgetExceeded`].
     pub step_budget: Option<usize>,
-    /// Injected faults for the durable-append path: the `at` field of
-    /// each event indexes the service's durable-append operation counter.
+    /// Injected faults for the spill path: the `at` field of each event
+    /// indexes the service's durable-operation counter, which counts
+    /// spills with progress (journal creates and appends).
     pub fault_plan: FaultPlan,
 }
 
@@ -123,7 +132,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Inject faults into the durable-append path.
+    /// Inject faults into the spill path.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
@@ -403,7 +412,7 @@ where
     }
 
     /// `true` while the service is in memory-only fallback after a
-    /// journal failure; cleared by the next successful append.
+    /// journal failure; cleared by the next successful spill.
     pub fn degraded(&self) -> bool {
         self.degraded
     }
@@ -435,6 +444,13 @@ where
     /// Opens a named session over `stream`, running `algorithm` with
     /// augmentation `delta` and the given serving order. The session
     /// starts live; older residents are evicted to make room.
+    ///
+    /// Opening writes no journal: the session's file is created at its
+    /// first spill with progress. The one file operation removes a file
+    /// an earlier service left under this session's journal name, so a
+    /// crash before that first spill cannot recover a stale journal for
+    /// the new session. A removal that fails for any reason but a
+    /// missing file degrades the service loudly.
     pub fn open_session(
         &mut self,
         name: impl Into<String>,
@@ -447,11 +463,16 @@ where
         if self.sessions.contains_key(&name) {
             return Err(SessionError::DuplicateSession(name));
         }
+        if let Some(path) = self.journal_path(&name) {
+            match fs::remove_file(path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => self.degrade(),
+                _ => {}
+            }
+        }
         self.evict_to(self.config.max_resident.saturating_sub(1));
         let params = stream.params();
         let proto = algorithm.clone();
         let sim = StreamingSim::new(&params, algorithm, delta, order);
-        let journal = self.create_journal(&name, &params, delta, order);
         let last_touch = self.tick();
         self.live_lru.insert(last_touch, name.clone());
         self.sessions.insert(
@@ -464,7 +485,7 @@ where
                 delta,
                 order,
                 state: SessionState::Live(Box::new(sim)),
-                journal,
+                journal: None,
                 last_touch,
                 quarantine: None,
                 finished: false,
@@ -482,24 +503,11 @@ where
             .map(|dir| dir.join(journal_file_name(name)))
     }
 
-    /// Creates the per-session journal, degrading loudly (not failing)
-    /// when the directory is unavailable.
-    fn create_journal(
-        &mut self,
-        name: &str,
-        params: &StreamParams<N>,
-        delta: f64,
-        order: ServingOrder,
-    ) -> Option<DurableJournal<N>> {
-        let path = self.journal_path(name)?;
-        match DurableJournal::create(&path, params, delta, order) {
-            Ok(journal) => Some(journal),
-            Err(_) => {
-                self.degraded = true;
-                obs::incr(obs::Counter::ServiceDegradations);
-                None
-            }
-        }
+    /// Drops the service to memory-only fallback, loudly: counted on
+    /// `service.degradations` and cleared by the next successful spill.
+    fn degrade(&mut self) {
+        self.degraded = true;
+        obs::incr(obs::Counter::ServiceDegradations);
     }
 
     /// Evicts least-recently-used live sessions until at most `target`
@@ -525,12 +533,11 @@ where
         Ok(())
     }
 
-    /// Collapses one live session to its checkpoint, spilling to its
-    /// journal when durable mode is healthy. A failed append degrades
-    /// loudly: the journal handle is dropped (the file may hold a torn
-    /// record, so the next spill recreates it from scratch),
-    /// `service.degradations` is counted, and the session keeps its
-    /// checkpoint in memory.
+    /// Collapses one live session to its checkpoint. A session that has
+    /// not advanced stays Warm and touches no file: its step-0 checkpoint
+    /// is only its configuration. One with progress spills to its journal
+    /// ([`SessionService::spill`]) and keeps the checkpoint in memory
+    /// when that fails.
     fn evict_session(&mut self, name: &str) {
         let Some(session) = self.sessions.get_mut(name) else {
             return;
@@ -539,56 +546,55 @@ where
             return;
         };
         let checkpoint = sim.checkpoint();
-        let touch = session.last_touch;
-        obs::incr(obs::Counter::ServiceEvictions);
+        self.live_lru.remove(&session.last_touch);
         self.resident -= 1;
-        self.live_lru.remove(&touch);
-
-        // Durable path: recreate the handle if a previous failure dropped
-        // it, then append under fault injection.
-        let mut spilled = false;
-        if self.config.journal_dir.is_some() {
-            let session = self.sessions.get_mut(name).expect("session exists");
-            if session.journal.is_none() {
-                let (params, delta, order) = (session.params, session.delta, session.order);
-                session.journal = None;
-                let journal = self.create_journal(name, &params, delta, order);
-                self.sessions.get_mut(name).expect("session exists").journal = journal;
-            }
-            let op = self.durable_ops;
-            self.durable_ops += 1;
-            let injected = self.config.fault_plan.fault_at(op);
-            let session = self.sessions.get_mut(name).expect("session exists");
-            if let Some(journal) = session.journal.as_mut() {
-                let outcome = match injected {
-                    Some(kind) => Err(crate::journal::JournalError::Io(std::io::Error::other(
-                        format!("injected journal fault: {kind} at operation {op}"),
-                    ))),
-                    None => journal.append(&checkpoint).map(|_| ()),
-                };
-                match outcome {
-                    Ok(()) => {
-                        spilled = true;
-                        self.degraded = false;
-                    }
-                    Err(_) => {
-                        // The file may end in a torn record; drop the
-                        // handle so the next spill recreates it.
-                        session.journal = None;
-                        self.degraded = true;
-                        obs::incr(obs::Counter::ServiceDegradations);
-                    }
-                }
-            }
-        }
-
+        obs::incr(obs::Counter::ServiceEvictions);
+        let spilled = checkpoint.step > 0 && self.spill(name, &checkpoint);
         let session = self.sessions.get_mut(name).expect("session exists");
-        if spilled {
-            obs::incr(obs::Counter::ServiceSpills);
-            session.state = SessionState::Spilled;
+        session.state = if spilled {
+            SessionState::Spilled
         } else {
-            session.state = SessionState::Warm(checkpoint);
+            SessionState::Warm(checkpoint)
+        };
+    }
+
+    /// Makes an evicted session's checkpoint durable: an append when its
+    /// journal is open, else [`DurableJournal::create`] with the
+    /// checkpoint as generation 0 (the session's first spill, or its
+    /// first after a failure). Each call is one durable operation of the
+    /// fault plan. A failure degrades loudly and drops the handle, since
+    /// the file may end in a torn record; the next spill re-creates it.
+    /// Returns whether the checkpoint is on disk.
+    fn spill(&mut self, name: &str, checkpoint: &StreamCheckpoint<N>) -> bool {
+        let Some(path) = self.journal_path(name) else {
+            return false;
+        };
+        let op = self.durable_ops;
+        self.durable_ops += 1;
+        let injected = self.config.fault_plan.fault_at(op);
+        let session = self.sessions.get_mut(name).expect("session exists");
+        let outcome = match (injected, &mut session.journal) {
+            (Some(kind), _) => Err(JournalError::Io(std::io::Error::other(format!(
+                "injected journal fault: {kind} at operation {op}"
+            )))),
+            (None, Some(journal)) => journal.append(checkpoint).map(drop),
+            (None, journal @ None) => DurableJournal::create(
+                &path,
+                &session.params,
+                session.delta,
+                session.order,
+                checkpoint,
+            )
+            .map(|created| *journal = Some(created)),
+        };
+        if outcome.is_err() {
+            session.journal = None;
+            self.degrade();
+            return false;
         }
+        self.degraded = false;
+        obs::incr(obs::Counter::ServiceSpills);
+        true
     }
 
     /// Brings a session live, evicting LRU residents to make room and
@@ -939,7 +945,9 @@ where
 }
 
 /// Rebuilds a session table from a directory of per-session journals
-/// after a crash. Every `*.mspj` file is re-opened
+/// after a crash. Only sessions that spilled with progress have a file;
+/// the caller re-opens the others from their streams. Every `*.mspj`
+/// file is re-opened
 /// ([`DurableJournal::reopen`] — torn tails truncated, newest intact
 /// generation wins); `attach` maps the decoded session name and its
 /// recovery to the stream and algorithm prototype that should continue

@@ -160,20 +160,22 @@ proptest! {
                 .stream_with::<2>(seed, &ScenarioKnobs::horizon(horizon))
                 .unwrap();
             let params = stream.params();
-            sims.push(StreamingSim::new(
+            let sim = StreamingSim::new(
                 &params,
                 MoveToCenter::<2>::new(),
                 0.25,
                 ServingOrder::MoveFirst,
-            ));
+            );
             journals.push(DurableJournal::create(&paths[i], &params, 0.25,
-                ServingOrder::MoveFirst).unwrap());
+                ServingOrder::MoveFirst, &sim.checkpoint()).unwrap());
+            sims.push(sim);
             streams.push(stream);
         }
 
         // Interleave: each scheduled turn advances one session a slice
-        // and appends a generation to *its* file.
-        let mut last: [Option<(u64, StreamCheckpoint<2>)>; 2] = [None, None];
+        // and appends a generation to *its* file. Generation 0 is the
+        // first checkpoint each file was created with.
+        let mut last: [(u64, StreamCheckpoint<2>); 2] = [0, 1].map(|i| (0, sims[i].checkpoint()));
         for &who in &schedule {
             for _ in 0..SLICE {
                 if let Some(step) = streams[who].next_step() {
@@ -181,7 +183,7 @@ proptest! {
                 }
             }
             let generation = journals[who].append_sim(&sims[who]).unwrap();
-            last[who] = Some((generation, sims[who].checkpoint()));
+            last[who] = (generation, sims[who].checkpoint());
         }
         drop(journals);
 
@@ -196,7 +198,7 @@ proptest! {
         }
 
         for (who, path) in paths.iter().enumerate() {
-            let Some((generation, want)) = last[who] else { continue };
+            let (generation, want) = last[who];
             let (recovered_generation, got, tail) = if who == 0 && torn {
                 let (_journal, rec) = DurableJournal::<2>::reopen(path).unwrap();
                 prop_assert!(rec.torn_tail.is_some(),

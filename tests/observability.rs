@@ -5,6 +5,8 @@
 //!   engine and the streaming engine, across scenario families × seeds
 //!   (proptest). Instrumentation that fed back into a
 //!   decision would break this immediately.
+//!   The probe's lower bounds are bit-equal either way too, while the
+//!   enabled pass raises the line DP's `line.breakpoints_hwm` gauge.
 //! * **RatioProbe bounds are certified** — the live lower bound on the
 //!   offline optimum is monotone nondecreasing step over step, matches
 //!   the exact line solver on 1-D prefixes, and in 2-D never exceeds a
@@ -187,6 +189,58 @@ fn probed_run_advances_the_registry_monotonically() {
     for w in samples.windows(2) {
         assert!(w[1].lower_bound >= w[0].lower_bound);
     }
+}
+
+/// The line DP's breakpoint gauge is observation-only: a probed run (one
+/// incremental line DP per axis, each raising `line.breakpoints_hwm`
+/// after every step) samples bit-equal lower bounds, costs and final
+/// state with the registry on and off, and the enabled pass raises the
+/// gauge.
+#[test]
+fn probed_lower_bounds_are_bit_equal_with_metrics_on_and_off() {
+    use mobile_server::offline::probe::run_streaming_probed;
+
+    let inst = family_instance(1, 11, 96);
+    let params = inst.params();
+    let probed = || {
+        run_streaming_probed(
+            &params,
+            inst.steps.iter().cloned(),
+            MoveToCenter::<2>::new(),
+            0.2,
+            ServingOrder::MoveFirst,
+            ProbeOptions { grid_block: 16 },
+            1,
+        )
+    };
+    let _guard = TOGGLE.lock().unwrap();
+    obs::enable();
+    let (on_result, on) = probed();
+    let gauge = obs::snapshot().gauge("line.breakpoints_hwm").unwrap();
+    obs::disable();
+    let (off_result, off) = probed();
+
+    assert!(gauge >= 2, "the line DP never raised its gauge: {gauge}");
+    assert_eq!(on.len(), inst.horizon());
+    assert_eq!(on.len(), off.len());
+    for (a, b) in on.iter().zip(&off) {
+        assert_eq!(a.step, b.step);
+        assert_eq!(
+            a.lower_bound.to_bits(),
+            b.lower_bound.to_bits(),
+            "step {}",
+            a.step
+        );
+        assert_eq!(
+            a.alg_cost.to_bits(),
+            b.alg_cost.to_bits(),
+            "step {}",
+            a.step
+        );
+    }
+    assert_eq!(on_result.movement.to_bits(), off_result.movement.to_bits());
+    assert_eq!(on_result.service.to_bits(), off_result.service.to_bits());
+    assert_eq!(on_result.final_position, off_result.final_position);
 }
 
 /// The session service is observation-only too: a fleet driven through

@@ -13,7 +13,7 @@
 use mobile_server::core::cost::ServingOrder;
 use mobile_server::geometry::median::{
     collinear, median_optimality_gap, sum_of_distances, weighted_center, weighted_center_classic,
-    weighted_center_weighted, MedianSolver,
+    weighted_center_weighted, weighted_sum_of_distances, MedianSolver,
 };
 use mobile_server::geometry::sample::SeededSampler;
 use mobile_server::offline::{grid_optimum, grid_optimum_unpruned, GridDp};
@@ -408,6 +408,56 @@ fn grid_dp_kernels_agree_with_all_pairs_on_random_instances() {
     }
 }
 
+/// The weighted subgradient gap of `y` on a weighted set: the norm of
+/// the summed unit pulls of the points farther than 1e-12, less the
+/// weight of the points within it (0 certifies `y` optimal). The same
+/// formula and coincidence radius as the solver's own certificate.
+fn weighted_gap(points: &[P2], weights: &[f64], y: &P2) -> f64 {
+    let mut grad = P2::origin();
+    let mut coincident = 0.0;
+    for (p, w) in points.iter().zip(weights) {
+        let d = p.distance(y);
+        if d <= 1e-12 {
+            coincident += *w;
+        } else {
+            grad += (*y - *p) * (*w / d);
+        }
+    }
+    (grad.norm() - coincident).max(0.0)
+}
+
+/// The fast center against the classic oracle, by the optimality the
+/// oracle only approximates: the objective is no worse than the
+/// classic's beyond 1e-12 relative, and the weighted subgradient gap is
+/// at most 1e-8·W, the solver's loosest acceptance (W the total weight).
+/// Positions are not compared, since the classic solver can stop short
+/// of the optimum.
+fn assert_no_worse_than_classic(points: &[P2], weights: &[f64], fast: &P2, classic: &P2) {
+    let (obj, oracle) = (
+        weighted_sum_of_distances(points, weights, fast),
+        weighted_sum_of_distances(points, weights, classic),
+    );
+    assert!(
+        obj <= oracle * (1.0 + 1e-12),
+        "objective {} vs classic {} at {:?} vs {:?} on {:?}",
+        obj,
+        oracle,
+        fast,
+        classic,
+        points
+    );
+    let total: f64 = weights.iter().sum();
+    let gap = weighted_gap(points, weights, fast);
+    assert!(
+        gap <= 1e-8 * total,
+        "gap {} above 1e-8·W = {} at {:?} on {:?}",
+        gap,
+        1e-8 * total,
+        fast,
+        points
+    );
+}
+
 fn arb_cloud(max: usize) -> impl Strategy<Value = Vec<P2>> {
     prop::collection::vec((-40.0f64..40.0, -40.0f64..40.0), 1..max)
         .prop_map(|v| v.into_iter().map(|(x, y)| P2::xy(x, y)).collect())
@@ -423,7 +473,7 @@ proptest! {
         let reference = P2::xy(0.3, 0.7);
         let fast = weighted_center_weighted(&pts, &w, &reference);
         let classic = weighted_center_classic(&pts, &w, &reference);
-        prop_assert!(fast.distance(&classic) < 1e-7, "{:?} vs {:?}", fast, classic);
+        assert_no_worse_than_classic(&pts, &w, &fast, &classic);
 
         // Anchor-optimal variants of the same draw: one weight above half
         // the total, the same point outnumbering all others, and a
@@ -449,7 +499,7 @@ proptest! {
             let classic = weighted_center_classic(&set, &weights, &reference);
             prop_assert_eq!(bits(free), bits(set[anchor]), "free {:?} on {:?}", free, set);
             prop_assert_eq!(bits(c), bits(set[anchor]), "solver {:?} on {:?}", c, set);
-            prop_assert!(free.distance(&classic) < 1e-7, "{:?} vs {:?}", free, classic);
+            assert_no_worse_than_classic(&set, &weights, &free, &classic);
         }
 
         // Three and four points of the same draw, and {A, A, B, C}: the
